@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .counting import CountingConfig, Verdict
 from .geometry import SceneFormatError, load_scene, rasterize
@@ -52,18 +52,8 @@ def _cost_lines(cost: CostSummary) -> list[str]:
 def _write_trace(cfg: RunConfig, transcript: ProtocolTranscript):
     if cfg.trace is None:
         return
-    doc = {
-        "config": {
-            "alice": cfg.alice,
-            "bob": cfg.bob,
-            "counting_bits": cfg.counting_bits,
-            "mode": cfg.mode,
-            "seed": cfg.seed,
-            "adversary": cfg.adversary,
-            "verbose": cfg.verbose,
-        },
-        "transcript": transcript.to_dict(verbose=cfg.verbose),
-    }
+    config = {k: v for k, v in asdict(cfg).items() if k != "trace"}
+    doc = {"config": config, "transcript": transcript.to_dict(verbose=cfg.verbose)}
     with open(cfg.trace, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

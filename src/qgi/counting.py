@@ -24,13 +24,14 @@ otherwise.  Both engines agree to machine precision wherever both run.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .oracles import DATA_B, COUNT, PreparationSpec, prepare_joint
-from .state import QuantumState, reflect_about, apply_phase_flip
+from .state import QuantumState
 
 EIGHT_OVER_PI_SQ = 8.0 / math.pi ** 2
 CIRCUIT_AUTO_LIMIT = 20
@@ -92,16 +93,8 @@ class CountEstimate:
     distribution: np.ndarray | None = None
 
     def to_dict(self, include_distribution: bool = False) -> dict:
-        doc = {
-            "y": self.y,
-            "bits": self.bits,
-            "search_space": self.search_space,
-            "theta_hat": self.theta_hat,
-            "t_hat": self.t_hat,
-            "t_rounded": self.t_rounded,
-            "success_prob": self.success_prob,
-            "engine": self.engine,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "distribution"}
         if include_distribution and self.distribution is not None:
             doc["distribution"] = [float(p) for p in self.distribution]
         return doc
@@ -124,15 +117,18 @@ class GroverIterate:
     def __init__(self, spec: PreparationSpec):
         self.spec = spec
         self.prepared = prepare_joint(spec)
-        layout = self.prepared.layout
-        self._axis = self.prepared.amplitudes
-        self._signs = np.where(layout.index_values(DATA_B) == 0, -1.0, 1.0)
+
+    @functools.cached_property
+    def _signs(self) -> np.ndarray:
+        """Dense sign vector of S; only the circuit engine needs it."""
+        values = self.prepared.layout.index_values(DATA_B)
+        return np.where(values == 0, -1.0, 1.0)
 
     @property
     def marked_mass(self) -> float:
         """Probability mass of the prepared state on marked branches."""
-        probs = self.prepared.probabilities()
-        return float(probs[self._signs < 0].sum())
+        probs = self.prepared.branch_probabilities()
+        return float(probs[self.prepared.register_values(DATA_B) == 0].sum())
 
     @property
     def rotation_angle(self) -> float:
@@ -140,20 +136,24 @@ class GroverIterate:
         return 2.0 * math.asin(math.sqrt(min(1.0, max(0.0, self.marked_mass))))
 
     def apply_amplitudes(self, amps: np.ndarray) -> np.ndarray:
+        axis = self.prepared.amplitudes
         flipped = amps * self._signs
-        return 2.0 * np.vdot(self._axis, flipped) * self._axis - flipped
+        return 2.0 * np.vdot(axis, flipped) * axis - flipped
+
+    def _check_layout(self, state: QuantumState):
+        if state.layout != self.prepared.layout:
+            raise ValueError("state layout does not match the preparation")
 
     def apply(self, state: QuantumState) -> QuantumState:
-        if state.layout != self.prepared.layout:
-            raise ValueError("state layout does not match the preparation")
-        flipped = apply_phase_flip(state, [DATA_B], lambda v: v[0] == 0)
-        return reflect_about(flipped, self.prepared)
+        self._check_layout(state)
+        return QuantumState(state.layout, self.apply_amplitudes(state.amplitudes))
 
     def apply_inverse(self, state: QuantumState) -> QuantumState:
-        if state.layout != self.prepared.layout:
-            raise ValueError("state layout does not match the preparation")
-        reflected = reflect_about(state, self.prepared)
-        return apply_phase_flip(reflected, [DATA_B], lambda v: v[0] == 0)
+        # G^-1 = S (2|psi><psi| - I) = S G S, because S is its own inverse.
+        self._check_layout(state)
+        signs = self._signs
+        return QuantumState(state.layout,
+                            signs * self.apply_amplitudes(signs * state.amplitudes))
 
 
 def grover_iterate(spec: PreparationSpec) -> GroverIterate:
@@ -166,7 +166,7 @@ def exact_count(state: QuantumState) -> int:
     Rejects states whose nonzero branches are not all of equal magnitude,
     since those cannot come from the honest pipeline.
     """
-    probs = state.probabilities()
+    probs = state.branch_probabilities()
     nonzero = probs > _BRANCH_FLOOR
     branches = int(nonzero.sum())
     if branches == 0:
@@ -175,7 +175,7 @@ def exact_count(state: QuantumState) -> int:
     if np.max(np.abs(magnitudes - 1.0 / math.sqrt(branches))) > 1e-9:
         raise ValueError("branch magnitudes are not uniform; "
                          "state is not an honest preparation")
-    marked = state.layout.index_values(DATA_B) == 0
+    marked = state.register_values(DATA_B) == 0
     return int(np.count_nonzero(nonzero & marked))
 
 
@@ -240,6 +240,9 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     cfg = cfg or CountingConfig()
     search_space = spec.size_k
     bits = cfg.bits if cfg.bits is not None else default_counting_bits(search_space)
+    if bits > spec.max_qubits:
+        raise ValueError(f"counting register of {bits} qubits exceeds the cap "
+                         f"of {spec.max_qubits}")
     size = 1 << bits
     iterate = GroverIterate(spec)
 

@@ -142,6 +142,17 @@ def _require(condition: bool, message: str):
         raise SceneFormatError(message)
 
 
+def _integer(value, path: str) -> int:
+    """A JSON integer; booleans, floats and strings are rejected, not coerced."""
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"{path} must be an integer, got {json.dumps(value, default=repr)}")
+    return value
+
+
+def _integers(values, path: str) -> list[int]:
+    return [_integer(v, f"{path}[{k}]") for k, v in enumerate(values)]
+
+
 def scene_from_dict(doc: dict) -> Scene:
     """Build a scene from its JSON document form.
 
@@ -152,40 +163,45 @@ def scene_from_dict(doc: dict) -> Scene:
          "cells": [3]}
 
     ``grid`` is mandatory; at least one of ``shapes`` / ``cells`` must
-    produce a cell.
+    produce a cell.  Every number must be a JSON integer.
     """
     _require(isinstance(doc, dict), "scene document must be a JSON object")
     _require("grid" in doc, 'scene is missing the "grid" field')
     grid_doc = doc["grid"]
     _require(isinstance(grid_doc, dict) and {"rows", "cols"} <= set(grid_doc),
              '"grid" must be an object with "rows" and "cols"')
+    rows = _integer(grid_doc["rows"], "grid.rows")
+    cols = _integer(grid_doc["cols"], "grid.cols")
     try:
-        grid = GridConfig(int(grid_doc["rows"]), int(grid_doc["cols"]))
-    except (TypeError, ValueError) as exc:
+        grid = GridConfig(rows, cols)
+    except ValueError as exc:
         raise SceneFormatError(f'bad "grid": {exc}') from None
 
+    shapes = doc.get("shapes", [])
+    _require(isinstance(shapes, list), '"shapes" must be a list of shape objects')
     rects: list[Rect] = []
     cells: list[int] = []
-    for k, shape in enumerate(doc.get("shapes", [])):
+    for k, shape in enumerate(shapes):
         _require(isinstance(shape, dict), f"shapes[{k}] must be an object")
         if "rect" in shape:
             corners = shape["rect"]
             _require(isinstance(corners, list) and len(corners) == 4,
                      f'shapes[{k}].rect must be [r0, c0, r1, c1]')
+            corners = _integers(corners, f"shapes[{k}].rect")
             try:
-                rects.append(Rect(*(int(v) for v in corners)))
-            except (TypeError, ValueError) as exc:
+                rects.append(Rect(*corners))
+            except ValueError as exc:
                 raise SceneFormatError(f"shapes[{k}].rect: {exc}") from None
         elif "cells" in shape:
             _require(isinstance(shape["cells"], list),
                      f"shapes[{k}].cells must be a list of serials")
-            cells.extend(int(v) for v in shape["cells"])
+            cells.extend(_integers(shape["cells"], f"shapes[{k}].cells"))
         else:
             raise SceneFormatError(
                 f'shapes[{k}] needs a "rect" or a "cells" field')
     if "cells" in doc:
         _require(isinstance(doc["cells"], list), '"cells" must be a list of serials')
-        cells.extend(int(v) for v in doc["cells"])
+        cells.extend(_integers(doc["cells"], "cells"))
     try:
         return Scene(grid, tuple(rects), tuple(sorted(set(cells))))
     except ValueError as exc:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .registers import DEFAULT_MAX_QUBITS, RegisterLayout
-from .state import (QuantumState, apply_permutation, basis_state,
-                    measure_distribution, measure_register)
+from .state import (QuantumState, basis_state, measure_distribution,
+                    measure_register, xor_register)
 
 ADDR_A = "addr_a"
 DATA_A = "data_a"
@@ -121,18 +121,16 @@ def prepare_uniform(state: QuantumState, reg: str, count: int) -> QuantumState:
         raise ValueError(
             f"count {count} exceeds the {1 << register.width} values of "
             f"register {reg}")
-    width_dim = 1 << register.width
-    low = 1 << register.offset
-    high = layout.dim // (width_dim * low)
-    view = state.amplitudes.reshape(high, width_dim, low)
-    residual = np.sum(np.abs(view[:, 1:, :]) ** 2)
+    cleared = state.register_values(reg) == 0
+    residual = np.sum(state.branch_probabilities()[~cleared])
     if residual > 1e-12:
         raise ValueError(
             f"register {reg} must be 0 in every branch before preparation "
             f"(found probability mass {residual!r} elsewhere)")
-    out = np.zeros_like(view)
-    out[:, :count, :] = view[:, :1, :] / math.sqrt(count)
-    return QuantumState(layout, out.reshape(-1), copy=False)
+    spread = np.arange(count, dtype=np.int64) << register.offset
+    indices = state.indices[cleared][:, None] | spread[None, :]
+    values = np.repeat(state.values[cleared] / math.sqrt(count), count)
+    return QuantumState.from_branches(layout, indices.ravel(), values)
 
 
 def oracle_load(state: QuantumState, addr: str, data: str,
@@ -151,15 +149,9 @@ def oracle_load(state: QuantumState, addr: str, data: str,
         raise ValueError(
             f"register {data} has width {layout.width(data)}, table values "
             f"need {table.value_bits}")
-    entries = table.entries
-
-    def load(values: tuple[int, ...]) -> tuple[int, ...]:
-        i, x = values
-        if i < len(entries):
-            return i, x ^ entries[i]
-        return i, x
-
-    return apply_permutation(state, [addr, data], load)
+    lookup = np.zeros(1 << table.address_bits, dtype=np.int64)
+    lookup[:table.size] = table.entries
+    return xor_register(state, data, lookup[state.register_values(addr)])
 
 
 def oracle_xor(state: QuantumState, src: str, dst: str) -> QuantumState:
@@ -169,12 +161,9 @@ def oracle_xor(state: QuantumState, src: str, dst: str) -> QuantumState:
         raise ValueError(
             f"register widths differ: {src} is {layout.width(src)}, "
             f"{dst} is {layout.width(dst)}")
-
-    def xor(values: tuple[int, ...]) -> tuple[int, ...]:
-        u, v = values
-        return u, u ^ v
-
-    return apply_permutation(state, [src, dst], xor)
+    if src == dst:
+        raise ValueError(f"cannot XOR register {src} into itself")
+    return xor_register(state, dst, state.register_values(src))
 
 
 def prepare_encoded(table: DataTable, addr: str, data: str,

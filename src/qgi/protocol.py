@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -33,9 +33,9 @@ from .oracles import (ADDR_A, ADDR_B, DATA_A, DATA_B, DataTable,
                       PreparationSpec, cheat_check, oracle_xor,
                       prepare_encoded)
 from .registers import DEFAULT_MAX_QUBITS, RegisterLayout
-from .state import (DENSITY_DIM_CAP, DensityMatrix, QuantumState,
-                    apply_permutation, basis_state, measure_distribution,
-                    measure_register, tensor, von_neumann_entropy)
+from .state import (DENSITY_DIM_CAP, DensityMatrix, QuantumState, basis_state,
+                    measure_distribution, measure_register, tensor,
+                    von_neumann_entropy, xor_register)
 
 
 class Attack(str, enum.Enum):
@@ -110,19 +110,7 @@ class CostSummary:
     baseline_bits: dict[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "set_size_a": self.set_size_a,
-            "set_size_b": self.set_size_b,
-            "total_cells": self.total_cells,
-            "address_bits_a": self.address_bits_a,
-            "address_bits_b": self.address_bits_b,
-            "value_bits": self.value_bits,
-            "alice_to_bob_qubits": self.alice_to_bob_qubits,
-            "bob_to_alice_qubits": self.bob_to_alice_qubits,
-            "total_qubits": self.total_qubits,
-            "nominal_total_qubits": self.nominal_total_qubits,
-            "baseline_bits": dict(self.baseline_bits),
-        }
+        return asdict(self)
 
 
 def comm_cost(set_size_a: int, set_size_b: int, total_cells: int) -> CostSummary:
@@ -158,14 +146,7 @@ class LeakageReport:
     nominal_bound_bits: float
 
     def to_dict(self) -> dict:
-        return {
-            "set_size": self.set_size,
-            "total_cells": self.total_cells,
-            "ensemble_entropy_bits": self.ensemble_entropy_bits,
-            "mean_state_entropy_bits": self.mean_state_entropy_bits,
-            "holevo_bound_bits": self.holevo_bound_bits,
-            "nominal_bound_bits": self.nominal_bound_bits,
-        }
+        return asdict(self)
 
 
 def leakage_report(table: DataTable, total_cells: int) -> LeakageReport:
@@ -266,12 +247,6 @@ class AliceParty:
     def prepare_message(self) -> QuantumState:
         return prepare_encoded(self.table, ADDR_A, DATA_A, self.max_qubits)
 
-    def verify_exact(self, joint: QuantumState):
-        return cheat_check(joint, self.table)
-
-    def verify_sampled(self, joint: QuantumState, rng: np.random.Generator):
-        return cheat_check(joint, self.table, rng)
-
 
 class BobParty:
     """Holds only Bob's table; entangles his registers onto the message."""
@@ -303,7 +278,7 @@ def build_preparation(scene_a: Scene, scene_b: Scene
 
 
 def _tamper(state: QuantumState, mask: int) -> QuantumState:
-    return apply_permutation(state, [DATA_A], lambda v: (v[0] ^ mask,))
+    return xor_register(state, DATA_A, mask)
 
 
 def _check_mask(mask: int, value_bits: int):
@@ -357,12 +332,12 @@ def run_protocol(scene_a: Scene, scene_b: Scene,
                             qubits_sent=joint.layout.total_qubits))
 
     if cfg.mode == "exact":
-        pass_prob, post = alice.verify_exact(joint)
+        pass_prob, post = cheat_check(joint, alice.table)
         passed = pass_prob >= 0.5
         check_detail: dict[str, Any] = {"pass_probability": float(pass_prob),
                                         "passed": passed}
     else:
-        passed, post = alice.verify_sampled(joint, rng)
+        passed, post = cheat_check(joint, alice.table, rng)
         check_detail = {"passed": passed}
     steps.append(StepRecord(3, "alice", "uncompute_and_check",
                             detail=check_detail))

@@ -1,13 +1,13 @@
-"""Dense state-vector engine over named registers.
+"""Branch-list state engine over named registers.
 
-States are immutable from the caller's point of view: every operation
-returns a fresh ``QuantumState``.  Oracles are classical reversible maps,
-so the workhorse here is ``apply_permutation``; diagonal sign flips and
-reflections cover the remaining unitaries the protocol needs.
+A state stores only its nonzero branches: sorted, unique basis indices
+and their complex amplitudes.  States are immutable from the caller's
+point of view: every operation returns a fresh ``QuantumState``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -22,33 +22,69 @@ ENTROPY_EIG_FLOOR = 1e-12
 
 
 class QuantumState:
-    """Normalized complex amplitude vector over a register layout."""
+    """Normalized state over a register layout, held as its nonzero branches.
 
-    __slots__ = ("layout", "amplitudes")
+    The constructor keeps the nonzero entries of a dense amplitude vector;
+    ``amplitudes`` rebuilds that vector on first access and caches it.
+    """
 
-    def __init__(self, layout: RegisterLayout, amplitudes: np.ndarray,
-                 copy: bool = True):
-        amps = np.array(amplitudes, dtype=np.complex128, copy=copy)
+    __slots__ = ("layout", "indices", "values", "_dense")
+
+    def __init__(self, layout: RegisterLayout, amplitudes: np.ndarray):
+        amps = np.asarray(amplitudes, dtype=np.complex128)
         if amps.shape != (layout.dim,):
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, layout needs ({layout.dim},)")
-        norm_sq = float(np.vdot(amps, amps).real)
+        self._set(layout, np.flatnonzero(amps), amps[amps != 0])
+
+    @classmethod
+    def from_branches(cls, layout: RegisterLayout, indices: np.ndarray,
+                      values: np.ndarray) -> "QuantumState":
+        """State from distinct basis indices, in any order, and their amplitudes."""
+        indices = np.asarray(indices, dtype=np.int64)
+        order = np.argsort(indices)
+        indices = indices[order]
+        clash = np.flatnonzero(indices[1:] == indices[:-1])
+        if clash.size:
+            raise ValueError(f"two branches land on basis index {indices[clash[0]]}: "
+                             f"the map is not injective on the state's support")
+        state = cls.__new__(cls)
+        state._set(layout, indices, np.asarray(values, dtype=np.complex128)[order])
+        return state
+
+    def _set(self, layout: RegisterLayout, indices: np.ndarray, values: np.ndarray):
+        norm_sq = float(np.vdot(values, values).real)
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}")
         self.layout = layout
-        self.amplitudes = amps
+        self.indices = indices
+        self.values = values
+        self._dense = None
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Dense, read-only amplitude vector of length ``layout.dim``."""
+        if self._dense is None:
+            dense = np.zeros(self.layout.dim, dtype=np.complex128)
+            dense[self.indices] = self.values
+            dense.flags.writeable = False
+            self._dense = dense
+        return self._dense
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
+    def branch_probabilities(self) -> np.ndarray:
+        """Probability of each stored branch, aligned with ``indices``."""
+        return np.abs(self.values) ** 2
+
+    def register_values(self, name: str) -> np.ndarray:
+        """Value of one register in each stored branch."""
+        return self.layout.extract(self.indices, name)
+
     def nonzero_branches(self, floor: float = 1e-14) -> np.ndarray:
         """Basis indices carrying more probability mass than ``floor``."""
-        return np.nonzero(self.probabilities() > floor)[0]
-
-    def branch_table(self, floor: float = 1e-14) -> list[tuple[dict[str, int], complex]]:
-        """(register assignment, amplitude) for every non-negligible branch."""
-        return [(self.layout.unpack(int(i)), complex(self.amplitudes[i]))
-                for i in self.nonzero_branches(floor)]
+        return self.indices[self.branch_probabilities() > floor]
 
     def __repr__(self) -> str:
         n = len(self.nonzero_branches())
@@ -58,9 +94,7 @@ class QuantumState:
 def basis_state(layout: RegisterLayout,
                 assignment: Mapping[str, int] | None = None) -> QuantumState:
     """Computational basis state; unassigned registers default to 0."""
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[layout.pack(assignment or {})] = 1.0
-    return QuantumState(layout, amps, copy=False)
+    return QuantumState.from_branches(layout, [layout.pack(assignment or {})], [1.0])
 
 
 def _local_widths(layout: RegisterLayout, regs: Sequence[str]) -> list[int]:
@@ -71,50 +105,28 @@ def _local_widths(layout: RegisterLayout, regs: Sequence[str]) -> list[int]:
     return [layout.width(r) for r in regs]
 
 
-def _permutation_table(layout: RegisterLayout, regs: Sequence[str],
-                       f: Callable[[tuple[int, ...]], Sequence[int]],
-                       verify: bool) -> np.ndarray:
-    """Tabulate f over all joint values of the listed registers.
+def _support_rows(state: QuantumState, regs: Sequence[str]):
+    """Distinct rows of listed-register values in the support, and each branch's row."""
+    columns = np.stack([state.register_values(r) for r in regs], axis=1)
+    rows, inverse = np.unique(columns, axis=0, return_inverse=True)
+    return rows, inverse.reshape(-1)
 
-    Local packing follows the layout convention: regs[0] occupies the
-    least-significant bits of the local value.
-    """
-    widths = _local_widths(layout, regs)
-    size = 1 << sum(widths)
-    table = np.empty(size, dtype=np.int64)
-    for local in range(size):
-        values = []
-        shift = 0
-        for w in widths:
-            values.append((local >> shift) & ((1 << w) - 1))
-            shift += w
-        out = tuple(f(tuple(values)))
+
+def _map_rows(f: Callable[[tuple[int, ...]], Sequence[int]], rows: np.ndarray,
+              regs: Sequence[str], widths: Sequence[int]) -> np.ndarray:
+    """f applied to each row of register values, checking arity and range."""
+    mapped = []
+    for row in rows.tolist():
+        out = tuple(f(tuple(row)))
         if len(out) != len(widths):
             raise ValueError(
                 f"permutation returned {len(out)} values for {len(widths)} registers")
-        packed = 0
-        shift = 0
         for v, w, name in zip(out, widths, regs):
             if not 0 <= v < (1 << w):
                 raise ValueError(
                     f"permutation output {v} exceeds register {name} width {w}")
-            packed |= v << shift
-            shift += w
-        table[local] = packed
-    if verify and len(np.unique(table)) != size:
-        raise ValueError("map is not a bijection on the listed registers")
-    return table
-
-
-def _gather_local(layout: RegisterLayout, regs: Sequence[str]) -> np.ndarray:
-    """Packed joint value of the listed registers at every basis index."""
-    idx = np.arange(layout.dim, dtype=np.int64)
-    local = np.zeros(layout.dim, dtype=np.int64)
-    shift = 0
-    for name in regs:
-        local |= layout.extract(idx, name) << shift
-        shift += layout.width(name)
-    return local
+        mapped.append(out)
+    return np.array(mapped, dtype=np.int64).reshape(len(mapped), len(widths))
 
 
 def apply_permutation(state: QuantumState, regs: Sequence[str],
@@ -124,42 +136,50 @@ def apply_permutation(state: QuantumState, regs: Sequence[str],
 
     ``f`` maps a tuple of register values (ordered as ``regs``) to a tuple
     of new values; all other registers pass through untouched.  The output
-    amplitude at f(x) equals the input amplitude at x.  Bijectivity is
-    checked only when ``verify`` is set, since the check enumerates all
-    joint values of the listed registers.
+    amplitude at f(x) equals the input amplitude at x.  ``f`` is evaluated
+    once per distinct value in the state's support, and a map that sends
+    two branches to one index is rejected.  With ``verify`` set, ``f`` must
+    also be a bijection over all joint values of the listed registers.
     """
     layout = state.layout
-    table = _permutation_table(layout, regs, f, verify)
-    mapped = table[_gather_local(layout, regs)]
-    new_idx = np.arange(layout.dim, dtype=np.int64)
-    shift = 0
-    for name in regs:
+    widths = _local_widths(layout, regs)
+    if verify:
+        domain = np.array(list(itertools.product(*(range(1 << w) for w in widths))))
+        if len(np.unique(_map_rows(f, domain, regs, widths), axis=0)) != len(domain):
+            raise ValueError("map is not a bijection on the listed registers")
+    rows, inverse = _support_rows(state, regs)
+    mapped = _map_rows(f, rows, regs, widths)[inverse]
+    new_idx = state.indices
+    for column, name in enumerate(regs):
         reg = layout.register(name)
-        values = (mapped >> shift) & reg.mask
-        new_idx = (new_idx & ~(reg.mask << reg.offset)) | (values << reg.offset)
-        shift += reg.width
-    out = np.zeros_like(state.amplitudes)
-    out[new_idx] = state.amplitudes
-    return QuantumState(layout, out, copy=False)
+        new_idx = (new_idx & ~(reg.mask << reg.offset)) | (mapped[:, column] << reg.offset)
+    return QuantumState.from_branches(layout, new_idx, state.values)
+
+
+def xor_register(state: QuantumState, reg: str, values) -> QuantumState:
+    """XOR ``values`` (one per branch, or one for all) into a register.
+
+    Loading (``data ^= table[addr]``), the XOR oracle (``dst ^= src``) and
+    tampering (``data ^= mask``) are all this map.  Values must not depend
+    on ``reg`` itself, so the map is a bijection and its own inverse.
+    """
+    register = state.layout.register(reg)
+    values = np.asarray(values, dtype=np.int64)
+    if np.any((values < 0) | (values > register.mask)):
+        raise ValueError(f"xor value exceeds register {reg} width {register.width}")
+    return QuantumState.from_branches(
+        state.layout, state.indices ^ (values << register.offset), state.values)
 
 
 def apply_phase_flip(state: QuantumState, regs: Sequence[str],
                      predicate: Callable[[tuple[int, ...]], bool]) -> QuantumState:
     """Flip the sign of every branch whose listed-register values satisfy the predicate."""
-    layout = state.layout
-    widths = _local_widths(layout, regs)
-    size = 1 << sum(widths)
-    signs = np.ones(size)
-    for local in range(size):
-        values = []
-        shift = 0
-        for w in widths:
-            values.append((local >> shift) & ((1 << w) - 1))
-            shift += w
-        if predicate(tuple(values)):
-            signs[local] = -1.0
-    out = state.amplitudes * signs[_gather_local(layout, regs)]
-    return QuantumState(layout, out, copy=False)
+    _local_widths(state.layout, regs)
+    rows, inverse = _support_rows(state, regs)
+    flips = np.array([bool(predicate(tuple(row))) for row in rows.tolist()])
+    signs = np.where(flips, -1.0, 1.0)[inverse]
+    return QuantumState.from_branches(state.layout, state.indices,
+                                      state.values * signs)
 
 
 def reflect_about(state: QuantumState, axis: QuantumState) -> QuantumState:
@@ -167,22 +187,24 @@ def reflect_about(state: QuantumState, axis: QuantumState) -> QuantumState:
     if state.layout != axis.layout:
         raise ValueError("states live on different layouts")
     overlap = np.vdot(axis.amplitudes, state.amplitudes)
-    out = 2.0 * overlap * axis.amplitudes - state.amplitudes
-    return QuantumState(state.layout, out, copy=False)
+    return QuantumState(state.layout,
+                        2.0 * overlap * axis.amplitudes - state.amplitudes)
 
 
 def tensor(low: QuantumState, high: QuantumState) -> QuantumState:
     """Compose two states; ``low``'s registers take the less significant bits."""
     layout = low.layout.concat(high.layout)
-    amps = np.kron(high.amplitudes, low.amplitudes)
-    return QuantumState(layout, amps, copy=False)
+    shift = low.layout.total_qubits
+    indices = (high.indices[:, None] << shift) | low.indices[None, :]
+    values = high.values[:, None] * low.values[None, :]
+    return QuantumState.from_branches(layout, indices.ravel(), values.ravel())
 
 
 def register_distribution(state: QuantumState, reg: str) -> np.ndarray:
     """Marginal probability of each value of one register."""
-    values = state.layout.index_values(reg)
     width = state.layout.width(reg)
-    return np.bincount(values, weights=state.probabilities(), minlength=1 << width)
+    return np.bincount(state.register_values(reg),
+                       weights=state.branch_probabilities(), minlength=1 << width)
 
 
 def _collapse(state: QuantumState, reg: str, outcome: int,
@@ -190,9 +212,9 @@ def _collapse(state: QuantumState, reg: str, outcome: int,
     if prob < COLLAPSE_FLOOR:
         raise ValueError(
             f"cannot renormalize onto {reg}={outcome}: probability {prob!r} underflows")
-    keep = state.layout.index_values(reg) == outcome
-    out = np.where(keep, state.amplitudes, 0.0) / np.sqrt(prob)
-    return QuantumState(state.layout, out, copy=False)
+    keep = state.register_values(reg) == outcome
+    return QuantumState.from_branches(state.layout, state.indices[keep],
+                                      state.values[keep] / np.sqrt(prob))
 
 
 def measure_register(state: QuantumState, reg: str,
@@ -208,8 +230,8 @@ def measure_distribution(state: QuantumState, reg: str
     """Exact outcome distribution plus the collapsed state per reachable outcome."""
     probs = register_distribution(state, reg)
     collapsed = {
-        int(v): _collapse(state, reg, int(v), float(p))
-        for v, p in enumerate(probs) if p >= COLLAPSE_FLOOR
+        int(v): _collapse(state, reg, int(v), float(probs[v]))
+        for v in np.flatnonzero(probs >= COLLAPSE_FLOOR)
     }
     return probs, collapsed
 

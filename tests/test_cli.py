@@ -102,6 +102,25 @@ class TestRun:
         assert code == 1
         assert "grid" in err
 
+    def test_non_integer_cell_is_a_one_line_error(self, scene_files, tmp_path,
+                                                  capsys):
+        bad = tmp_path / "null.json"
+        bad.write_text('{"grid": {"rows": 4, "cols": 4}, "cells": [null]}')
+        code = main(["run", "--alice", str(bad), "--bob", scene_files[1]])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith("error:")
+        assert "cells[0] must be an integer, got null" in err
+
+    def test_counting_bits_above_the_cap_exit_at_once(self, scene_files, capsys):
+        code = main(["run", "--alice", scene_files[0], "--bob", scene_files[1],
+                     "--counting-bits", "25"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1
+        assert "counting register of 25 qubits exceeds the cap of 24" in err
+
     def test_unknown_adversary(self, scene_files, capsys):
         code = main(["run", "--alice", scene_files[0], "--bob", scene_files[1],
                      "--adversary", "eve"])

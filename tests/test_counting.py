@@ -166,6 +166,11 @@ class TestPhaseEstimate:
         est = phase_estimate(spec)
         assert est.engine == "reduced"
 
+    def test_counting_bits_above_the_cap_rejected_for_both_engines(self):
+        for engine in ("circuit", "reduced"):
+            with pytest.raises(ValueError, match="25 qubits exceeds the cap of 24"):
+                phase_estimate(WORKED, CountingConfig(bits=25, engine=engine))
+
     def test_sample_mode_is_seed_deterministic(self):
         one = phase_estimate(WORKED, CountingConfig(mode="sample", seed=5))
         two = phase_estimate(WORKED, CountingConfig(mode="sample", seed=5))

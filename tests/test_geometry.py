@@ -152,6 +152,27 @@ class TestSceneParsing:
             scene_from_dict({"grid": {"rows": 4, "cols": 4},
                              "shapes": [{"rect": [0, 0, 1]}]})
 
+    @pytest.mark.parametrize("doc, path", [
+        ({"grid": {"rows": 4, "cols": 4}, "cells": [None]}, r"cells\[0\]"),
+        ({"grid": {"rows": 4, "cols": 4}, "cells": [1, True]}, r"cells\[1\]"),
+        ({"grid": {"rows": 4, "cols": 4}, "cells": [2.7]}, r"cells\[0\]"),
+        ({"grid": {"rows": 4, "cols": 4}, "cells": ["3"]}, r"cells\[0\]"),
+        ({"grid": {"rows": "4", "cols": 4}, "cells": [1]}, r"grid\.rows"),
+        ({"grid": {"rows": 4, "cols": 4.0}, "cells": [1]}, r"grid\.cols"),
+        ({"grid": {"rows": 4, "cols": 4},
+          "shapes": [{"rect": [0, 0, 0, 0]}, {"rect": [0, 0, None, 1]}]},
+         r"shapes\[1\]\.rect\[2\]"),
+        ({"grid": {"rows": 4, "cols": 4}, "shapes": [{"cells": [1, False]}]},
+         r"shapes\[0\]\.cells\[1\]"),
+    ])
+    def test_non_integer_values_name_their_field(self, doc, path):
+        with pytest.raises(SceneFormatError, match=path + " must be an integer"):
+            scene_from_dict(doc)
+
+    def test_shapes_must_be_a_list(self):
+        with pytest.raises(SceneFormatError, match='"shapes" must be a list'):
+            scene_from_dict({"grid": {"rows": 4, "cols": 4}, "shapes": 5})
+
     def test_load_scene_reports_json_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"grid": {"rows": 4,\n "cols": }}\n')

@@ -82,6 +82,21 @@ def test_non_bijective_map_rejected_in_verify_mode(pair_layout):
         apply_permutation(state, ["data_a"], lambda v: (v[0] & 0b1110,), verify=True)
 
 
+def test_map_colliding_on_the_support_is_rejected(pair_layout):
+    amps = np.zeros(pair_layout.dim, dtype=complex)
+    amps[pair_layout.pack({"data_a": 2})] = amps[pair_layout.pack({"data_a": 3})] = 0.5 ** 0.5
+    state = QuantumState(pair_layout, amps)
+    with pytest.raises(ValueError, match="not injective on the state's support"):
+        apply_permutation(state, ["data_a"], lambda v: (v[0] & 0b1110,))
+
+
+def test_map_is_evaluated_only_on_the_support(pair_layout):
+    seen = []
+    state = basis_state(pair_layout, {"addr_a": 1, "data_a": 3})
+    apply_permutation(state, ["addr_a", "data_a"], lambda v: seen.append(v) or v)
+    assert seen == [(1, 3)]
+
+
 def test_permutation_arity_and_range_checked(pair_layout):
     state = basis_state(pair_layout)
     with pytest.raises(ValueError, match="exceeds register data_a"):
