@@ -103,23 +103,26 @@ def cmd_analyze(alice: str, bob: str, show_cost: bool, show_leakage: bool,
     scene_b = load_scene(bob)
     spec, set_a, set_b = build_preparation(scene_a, scene_b)
     total_cells = scene_a.grid.total_cells
+    # Every section is computed before any is printed, so a section that
+    # fails leaves no partial report behind its one-line error.
+    lines = []
     if show_cost:
         cost = comm_cost(len(set_a), len(set_b), total_cells)
-        print("== cost ==")
-        for text in _cost_lines(cost):
-            print(text)
-        print(f"note: the nominal formula (2m+n+4r) exceeds the message "
-              f"total (2m+n+3r) by r={cost.value_bits} qubits")
+        lines.append("== cost ==")
+        lines.extend(_cost_lines(cost))
+        lines.append(f"note: the nominal formula (2m+n+4r) exceeds the message "
+                     f"total (2m+n+3r) by r={cost.value_bits} qubits")
     if show_leakage:
         report = leakage_report(spec.table_a, total_cells)
-        print("== leakage ==")
-        print(f"ensemble entropy {report.ensemble_entropy_bits:.6f} bits "
-              f"(nominal bound log2(M*R) = {report.nominal_bound_bits:.6f} bits)")
-        print(f"holevo bound {report.holevo_bound_bits:.6f} bits")
-        print("note: the computed ensemble entropy is log2(M); "
-              "the nominal log2(M*R) bound is larger by log2(R)")
+        lines.append("== leakage ==")
+        lines.append(f"ensemble entropy {report.ensemble_entropy_bits:.6f} bits "
+                     f"(nominal bound log2(M*R) = "
+                     f"{report.nominal_bound_bits:.6f} bits)")
+        lines.append(f"holevo bound {report.holevo_bound_bits:.6f} bits")
+        lines.append("note: the computed ensemble entropy is log2(M); "
+                     "the nominal log2(M*R) bound is larger by log2(R)")
     if show_attacks:
-        print("== attacks ==")
+        lines.append("== attacks ==")
         strategies = [
             HONEST,
             AdversaryStrategy(Attack.BOB_MEASURE_ALL),
@@ -128,10 +131,11 @@ def cmd_analyze(alice: str, bob: str, show_cost: bool, show_leakage: bool,
         ]
         for strat in strategies:
             prob = detection_probability(scene_a, scene_b, strat)
-            print(f"{strat.label:<20} detection_probability={prob}")
-        print("note: measurement attacks pass the uncompute check exactly "
-              "(detection 0.0); the nominal claim that they are caught does "
-              "not hold in exact simulation")
+            lines.append(f"{strat.label:<20} detection_probability={prob}")
+        lines.append("note: measurement attacks pass the uncompute check exactly "
+                     "(detection 0.0); the nominal claim that they are caught does "
+                     "not hold in exact simulation")
+    print("\n".join(lines))
     return 0
 
 

@@ -5,17 +5,19 @@ rotation angle of the Grover iterate built around the joint preparation.
 Phase estimation reads that angle into a counting register; decoding maps
 the measured integer y to a count via t = K * sin^2(pi * y / 2^p).
 
-Two exact engines compute the outcome distribution:
+Two exact engines compute the outcome distribution for any initial
+state, honest or disturbed:
 
 * ``circuit`` materializes the counting register next to the data
   registers, applies the controlled iterate powers by repeated
   application, and applies the inverse Fourier transform on the counting
   register.  It is the literal textbook circuit and is capped by the
   qubit budget.
-* ``reduced`` runs the same dynamics inside the two-dimensional subspace
-  spanned by the marked and unmarked components of the prepared state.
-  That subspace is invariant under the iterate and contains the honest
-  preparation, so the resulting distribution is identical, at any size.
+* ``reduced`` uses the iterate's eigenspaces: it rotates the initial
+  state's component in the plane spanned by the marked and unmarked parts
+  of the preparation, and places the marked and unmarked mass outside
+  that plane on the eigenphases 0 and 1/2.  It works on branches only, at
+  any size.
 
 ``auto`` picks ``circuit`` when it comfortably fits and ``reduced``
 otherwise.  Both engines agree to machine precision wherever both run.
@@ -36,6 +38,7 @@ from .state import QuantumState
 EIGHT_OVER_PI_SQ = 8.0 / math.pi ** 2
 CIRCUIT_AUTO_LIMIT = 20
 _BRANCH_FLOOR = 1e-14
+_PEAK_TIE = 1e-12
 
 
 class Verdict(str, enum.Enum):
@@ -59,9 +62,9 @@ class CountingConfig:
     """Phase-estimation settings.
 
     ``bits`` defaults to ceil(log2 K) + 3 for the instance at hand.  In
-    ``exact`` mode the estimate is the maximum-probability outcome of the
-    exactly computed distribution; ``sample`` mode draws one outcome with
-    the seeded generator instead.
+    ``exact`` mode the estimate is the lowest outcome whose probability in
+    the exactly computed distribution is within 1e-12 of the maximum;
+    ``sample`` mode draws one outcome with the seeded generator instead.
     """
 
     bits: int | None = None
@@ -179,25 +182,40 @@ def exact_count(state: QuantumState) -> int:
     return int(np.count_nonzero(nonzero & marked))
 
 
-def _distribution_reduced(iterate: GroverIterate, bits: int) -> np.ndarray:
-    """Phase-estimation outcome distribution, computed in the invariant plane.
+def _distribution_reduced(iterate: GroverIterate, bits: int,
+                          initial: QuantumState) -> np.ndarray:
+    """Phase-estimation outcome distribution from the iterate's eigenspaces.
 
-    Rows hold the (marked, unmarked) coefficients of G^z applied to the
-    prepared state; the inverse Fourier transform then acts on the row
-    index exactly as it would on the counting register.
+    With m and u the normalized marked and unmarked parts of the
+    preparation, G rotates the (m, u) plane by theta, fixes every marked
+    state orthogonal to m and negates every unmarked state orthogonal to
+    u.  The initial state's (a, b) coordinates in the plane give rows
+    R(z theta)(a, b), on whose index the inverse Fourier transform acts
+    as on the counting register; the marked and unmarked mass outside the
+    plane lands on outcomes 0 and 2^bits / 2.
     """
     size = 1 << bits
-    theta = iterate.rotation_angle
-    mass = min(1.0, max(0.0, iterate.marked_mass))
-    rotation = np.array([[math.cos(theta), math.sin(theta)],
-                         [-math.sin(theta), math.cos(theta)]])
-    rows = np.empty((size, 2))
-    v = np.array([math.sqrt(mass), math.sqrt(1.0 - mass)])
-    for z in range(size):
-        rows[z] = v
-        v = rotation @ v
+    prepared = iterate.prepared
+    pos = np.minimum(np.searchsorted(initial.indices, prepared.indices),
+                     len(initial.indices) - 1)
+    overlap = np.where(initial.indices[pos] == prepared.indices,
+                       initial.values[pos], 0) * prepared.values.conj()
+    prep_marked = prepared.register_values(DATA_B) == 0
+    prep_probs = prepared.branch_probabilities()
+    init_marked = initial.register_values(DATA_B) == 0
+    init_probs = initial.branch_probabilities()
+    coords = []
+    for part in (prep_marked, ~prep_marked):
+        norm = math.sqrt(float(prep_probs[part].sum()))
+        coords.append(complex(overlap[part].sum()) / norm if norm > 0 else 0j)
+    a, b = coords
+    angles = iterate.rotation_angle * np.arange(size)
+    cos, sin = np.cos(angles), np.sin(angles)
+    rows = np.stack([a * cos + b * sin, b * cos - a * sin], axis=1)
     transformed = np.fft.fft(rows, axis=0) / size
-    probs = np.abs(transformed[:, 0]) ** 2 + np.abs(transformed[:, 1]) ** 2
+    probs = np.sum(np.abs(transformed) ** 2, axis=1)
+    probs[0] += max(0.0, float(init_probs[init_marked].sum()) - abs(a) ** 2)
+    probs[size // 2] += max(0.0, float(init_probs[~init_marked].sum()) - abs(b) ** 2)
     return probs
 
 
@@ -233,9 +251,9 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     """Estimate the marked count of the joint preparation.
 
     ``initial_state`` overrides the honest preparation (used to study runs
-    where the in-flight state was disturbed); it forces the circuit engine
-    and disables the success-probability report, since the true count is
-    then undefined.
+    where the in-flight state was disturbed).  Both engines take it, and
+    the engine choice does not depend on it; it disables the
+    success-probability report, since the true count is then undefined.
     """
     cfg = cfg or CountingConfig()
     search_space = spec.size_k
@@ -246,14 +264,12 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     size = 1 << bits
     iterate = GroverIterate(spec)
 
+    if initial_state is not None and initial_state.layout != spec.layout():
+        raise ValueError("initial state layout does not match the preparation")
+    initial = initial_state or iterate.prepared
+
     data_qubits = spec.layout().total_qubits
     engine = cfg.engine
-    if initial_state is not None:
-        if initial_state.layout != spec.layout():
-            raise ValueError("initial state layout does not match the preparation")
-        if engine == "reduced":
-            raise ValueError("the reduced engine only handles the honest preparation")
-        engine = "circuit"
     if engine == "auto":
         engine = ("circuit"
                   if data_qubits + bits <= min(CIRCUIT_AUTO_LIMIT, spec.max_qubits)
@@ -263,17 +279,18 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
             raise ValueError(
                 f"circuit engine needs {data_qubits + bits} qubits "
                 f"({data_qubits} data + {bits} counting), cap is {spec.max_qubits}")
-        probs = _distribution_circuit(iterate, bits,
-                                      initial_state or iterate.prepared)
+        probs = _distribution_circuit(iterate, bits, initial)
     else:
-        probs = _distribution_reduced(iterate, bits)
+        probs = _distribution_reduced(iterate, bits, initial)
 
     if cfg.mode == "sample":
         gen = rng if rng is not None else np.random.default_rng(cfg.seed)
         y = int(gen.choice(size, p=probs / probs.sum()))
         success = None
     else:
-        y = int(np.argmax(probs))
+        # Rounding noise must not choose between equal peaks, such as the
+        # mirrors y and 2^bits - y.
+        y = int(np.flatnonzero(probs >= probs.max() - _PEAK_TIE)[0])
         if initial_state is None:
             true_t = exact_count(iterate.prepared)
             decoded = np.round(np.clip(

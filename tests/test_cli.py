@@ -16,6 +16,16 @@ def scene_files(tmp_path):
     return str(alice), str(bob)
 
 
+def cell_files(tmp_path, side, cells_a, cells_b):
+    paths = []
+    for name, cells in (("alice", cells_a), ("bob", cells_b)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"grid": {"rows": side, "cols": side},
+                                    "cells": list(cells)}))
+        paths.append(str(path))
+    return paths
+
+
 @pytest.fixture
 def disjoint_files(tmp_path):
     one = tmp_path / "one.json"
@@ -121,6 +131,18 @@ class TestRun:
         assert err.count("\n") == 1
         assert "counting register of 25 qubits exceeds the cap of 24" in err
 
+    @pytest.mark.parametrize("adversary", ["bob-measure-all",
+                                           "alice-measure-result"])
+    def test_disturbed_runs_beyond_the_circuit_cap(self, tmp_path, capsys,
+                                                   adversary):
+        # 18 data + 9 counting qubits: too many for the circuit engine.
+        alice, bob = cell_files(tmp_path, 8, range(1, 9), range(5, 13))
+        code = main(["run", "--alice", alice, "--bob", bob,
+                     "--adversary", adversary, "--seed", "7"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "bits=9 engine=reduced" in out
+
     def test_unknown_adversary(self, scene_files, capsys):
         code = main(["run", "--alice", scene_files[0], "--bob", scene_files[1],
                      "--adversary", "eve"])
@@ -186,6 +208,25 @@ class TestAnalyze:
         assert code == 0
         assert "== cost ==" in out
         assert "== leakage ==" not in out
+
+
+    def test_leakage_of_a_large_ensemble(self, tmp_path, capsys):
+        # 32 rows on 8 value bits: a 2^13-square density matrix, a 32-square Gram.
+        alice, bob = cell_files(tmp_path, 16, range(1, 33), [1, 2])
+        code = main(["analyze", "--alice", alice, "--bob", bob, "--leakage"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "ensemble entropy 5.000000 bits" in out
+
+    def test_a_failing_section_prints_no_partial_report(self, tmp_path,
+                                                        capsys):
+        alice, bob = cell_files(tmp_path, 64, [1, 2], [2, 3])
+        code = main(["analyze", "--alice", alice, "--bob", bob])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "layout requires 26 qubits" in captured.err
 
 
 def test_argument_errors_exit_one(capsys):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qgi import (CountingConfig, DataTable, PreparationSpec, Verdict,
-                 decide_intersection, decode_count, default_counting_bits,
-                 exact_count, grover_iterate, phase_estimate, prepare_joint)
+from qgi import (CountingConfig, DataTable, PreparationSpec, QuantumState,
+                 Verdict, decide_intersection, decode_count,
+                 default_counting_bits, exact_count, grover_iterate,
+                 phase_estimate, prepare_joint)
 from qgi.counting import EIGHT_OVER_PI_SQ, counting_layout
 from support import random_spec, random_state
 
@@ -184,9 +185,44 @@ class TestPhaseEstimate:
         est = phase_estimate(WORKED, initial_state=collapsed)
         assert est.engine == "circuit"
         assert est.success_prob is None
-        with pytest.raises(ValueError, match="reduced engine"):
-            phase_estimate(WORKED, CountingConfig(engine="reduced"),
-                           initial_state=collapsed)
+        reduced = phase_estimate(WORKED, CountingConfig(engine="reduced"),
+                                 initial_state=collapsed)
+        assert np.max(np.abs(reduced.distribution - est.distribution)) < 1e-12
+
+    @pytest.mark.parametrize("bits", [1, 3, 6])
+    def test_reduced_matches_circuit_on_any_initial_state(self, bits):
+        gen = np.random.default_rng(4100 + bits)
+        specs = [random_spec(gen) for _ in range(10)]
+        # Marked mass 0 and 1: one of the plane's two axes is missing.
+        specs += [DISJOINT, PreparationSpec(DataTable((5,), 3), DataTable((5,), 3))]
+        for spec in specs:
+            layout = spec.layout()
+            prepared = prepare_joint(spec)
+            # Part of the prepared support with random amplitudes, plus two
+            # stray branches.
+            stray = np.setdiff1d(np.arange(layout.dim), prepared.indices)
+            kept = prepared.indices[gen.random(len(prepared.indices)) < 0.5]
+            indices = np.concatenate([kept, gen.choice(stray, 2, replace=False)])
+            amps = gen.normal(size=len(indices)) + 1j * gen.normal(size=len(indices))
+            sparse = QuantumState.from_branches(layout, indices,
+                                                amps / np.linalg.norm(amps))
+            for state in (prepared, random_state(layout, gen), sparse):
+                circuit, reduced = (
+                    phase_estimate(spec, CountingConfig(bits=bits, engine=engine),
+                                   initial_state=state)
+                    for engine in ("circuit", "reduced"))
+                assert np.max(np.abs(circuit.distribution
+                                     - reduced.distribution)) < 1e-12
+                assert circuit.y == reduced.y
+
+    def test_exact_estimate_is_the_lower_of_mirror_peaks(self):
+        # An honest distribution is symmetric under y -> 2^bits - y.
+        gen = np.random.default_rng(1)
+        for _ in range(40):
+            spec = random_spec(gen)
+            for engine in ("circuit", "reduced"):
+                est = phase_estimate(spec, CountingConfig(engine=engine))
+                assert est.y <= 1 << (est.bits - 1)
 
     def test_counting_layout_appends_register(self):
         layout = counting_layout(WORKED, 7)
