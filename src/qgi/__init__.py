@@ -1,7 +1,7 @@
 """Exact simulator for a privacy-preserving quantum two-party
 geometric-intersection protocol."""
 
-from .registers import DEFAULT_MAX_QUBITS, RegisterLayout
+from .registers import QUBIT_BUDGET, RegisterLayout
 from .state import (DensityMatrix, QuantumState, apply_permutation,
                     apply_phase_flip, basis_state, measure_distribution,
                     measure_register, reduced_density, reflect_about, tensor,

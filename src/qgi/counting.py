@@ -33,6 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .oracles import DATA_B, COUNT, PreparationSpec, prepare_joint
+from .registers import QUBIT_BUDGET, check_budget
 from .state import QuantumState
 
 EIGHT_OVER_PI_SQ = 8.0 / math.pi ** 2
@@ -258,9 +259,7 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     cfg = cfg or CountingConfig()
     search_space = spec.size_k
     bits = cfg.bits if cfg.bits is not None else default_counting_bits(search_space)
-    if bits > spec.max_qubits:
-        raise ValueError(f"counting register of {bits} qubits exceeds the cap "
-                         f"of {spec.max_qubits}")
+    check_budget(bits, "counting register")
     size = 1 << bits
     iterate = GroverIterate(spec)
 
@@ -271,14 +270,12 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     data_qubits = spec.layout().total_qubits
     engine = cfg.engine
     if engine == "auto":
-        engine = ("circuit"
-                  if data_qubits + bits <= min(CIRCUIT_AUTO_LIMIT, spec.max_qubits)
-                  else "reduced")
+        engine = "circuit" if data_qubits + bits <= CIRCUIT_AUTO_LIMIT else "reduced"
     if engine == "circuit":
-        if data_qubits + bits > spec.max_qubits:
+        if data_qubits + bits > QUBIT_BUDGET:
             raise ValueError(
                 f"circuit engine needs {data_qubits + bits} qubits "
-                f"({data_qubits} data + {bits} counting), cap is {spec.max_qubits}")
+                f"({data_qubits} data + {bits} counting), cap is {QUBIT_BUDGET}")
         probs = _distribution_circuit(iterate, bits, initial)
     else:
         probs = _distribution_reduced(iterate, bits, initial)

@@ -11,6 +11,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .registers import QUBIT_BUDGET
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -105,12 +109,17 @@ def serial_cell(serial: int, grid: GridConfig) -> tuple[int, int]:
 
 
 def rasterize(scene: Scene) -> GridSet:
-    """Union of all shape cells as sorted serials; empty scenes are rejected."""
-    covered: set[int] = set(scene.cells)
+    """Sorted serials of all shape cells; refuses empty and over-budget scenes."""
+    listed = len(scene.cells) + sum((r.r1 - r.r0 + 1) * (r.c1 - r.c0 + 1) for r in scene.rects)
+    if listed > 1 << QUBIT_BUDGET:
+        raise ValueError(f"scene shapes list {listed} cells, exceeding the cap "
+                         f"of {1 << QUBIT_BUDGET}")
+    dtype = np.int64 if scene.grid.total_cells < 1 << 63 else object  # no wrapping
+    covered = set(scene.cells)
     for rect in scene.rects:
-        for row in range(rect.r0, rect.r1 + 1):
-            for col in range(rect.c0, rect.c1 + 1):
-                covered.add(grid_serial(row, col, scene.grid))
+        rows = np.arange(rect.r0, rect.r1 + 1, dtype=dtype)[:, None] * scene.grid.cols
+        cols = np.arange(rect.c0 + 1, rect.c1 + 2, dtype=dtype)
+        covered.update((rows + cols).ravel().tolist())
     if not covered:
         raise ValueError("scene covers no cells; the protocol needs a nonempty set")
     return GridSet(tuple(sorted(covered)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registers import DEFAULT_MAX_QUBITS, RegisterLayout
+from .registers import QUBIT_BUDGET, RegisterLayout
 from .state import (QuantumState, basis_state, measure_distribution,
                     measure_register, xor_register)
 
@@ -76,13 +76,15 @@ class PreparationSpec:
 
     table_a: DataTable
     table_b: DataTable
-    max_qubits: int = DEFAULT_MAX_QUBITS
 
     def __post_init__(self):
         if self.table_a.value_bits != self.table_b.value_bits:
             raise ValueError(
                 f"tables disagree on value bits: {self.table_a.value_bits} "
                 f"vs {self.table_b.value_bits}")
+        if self.size_k > 1 << QUBIT_BUDGET:  # one joint-state branch per pair
+            raise ValueError(f"{self.table_a.size} x {self.table_b.size} = {self.size_k} "
+                             f"table-row pairs exceed the cap of {1 << QUBIT_BUDGET}")
 
     @property
     def value_bits(self) -> int:
@@ -97,18 +99,11 @@ class PreparationSpec:
         r = self.value_bits
         return RegisterLayout(
             [(ADDR_A, self.table_a.address_bits), (DATA_A, r),
-             (ADDR_B, self.table_b.address_bits), (DATA_B, r)],
-            max_qubits=self.max_qubits)
+             (ADDR_B, self.table_b.address_bits), (DATA_B, r)])
 
     def alice_layout(self) -> RegisterLayout:
         return RegisterLayout(
-            [(ADDR_A, self.table_a.address_bits), (DATA_A, self.value_bits)],
-            max_qubits=self.max_qubits)
-
-    def bob_layout(self) -> RegisterLayout:
-        return RegisterLayout(
-            [(ADDR_B, self.table_b.address_bits), (DATA_B, self.value_bits)],
-            max_qubits=self.max_qubits)
+            [(ADDR_A, self.table_a.address_bits), (DATA_A, self.value_bits)])
 
 
 def prepare_uniform(state: QuantumState, reg: str, count: int) -> QuantumState:
@@ -166,11 +161,9 @@ def oracle_xor(state: QuantumState, src: str, dst: str) -> QuantumState:
     return xor_register(state, dst, state.register_values(src))
 
 
-def prepare_encoded(table: DataTable, addr: str, data: str,
-                    max_qubits: int = DEFAULT_MAX_QUBITS) -> QuantumState:
+def prepare_encoded(table: DataTable, addr: str, data: str) -> QuantumState:
     """Uniform superposition of addresses with the table loaded alongside."""
-    layout = RegisterLayout([(addr, table.address_bits), (data, table.value_bits)],
-                            max_qubits=max_qubits)
+    layout = RegisterLayout([(addr, table.address_bits), (data, table.value_bits)])
     state = basis_state(layout)
     state = prepare_uniform(state, addr, table.size)
     return oracle_load(state, addr, data, table)

@@ -30,9 +30,9 @@ from .counting import (CountEstimate, CountingConfig, Verdict,
                        decide_intersection, phase_estimate)
 from .geometry import GridSet, Scene, rasterize
 from .oracles import (ADDR_A, ADDR_B, DATA_A, DATA_B, DataTable,
-                      PreparationSpec, cheat_check, oracle_xor,
-                      prepare_encoded)
-from .registers import DEFAULT_MAX_QUBITS, RegisterLayout
+                      PreparationSpec, address_bits, cheat_check,
+                      oracle_xor, prepare_encoded)
+from .registers import RegisterLayout
 from .state import (DENSITY_DIM_CAP, DensityMatrix, QuantumState,
                     measure_distribution, measure_register, tensor,
                     von_neumann_entropy, xor_register)
@@ -117,9 +117,7 @@ def comm_cost(set_size_a: int, set_size_b: int, total_cells: int) -> CostSummary
     """Message sizes for given set sizes and grid size; widths are 1 minimum."""
     if min(set_size_a, set_size_b, total_cells) < 1:
         raise ValueError("set sizes and cell count must be >= 1")
-    m = max(1, math.ceil(math.log2(set_size_a)))
-    n = max(1, math.ceil(math.log2(set_size_b)))
-    r = max(1, math.ceil(math.log2(total_cells)))
+    m, n, r = (address_bits(x) for x in (set_size_a, set_size_b, total_cells))
     return CostSummary(
         set_size_a=set_size_a, set_size_b=set_size_b, total_cells=total_cells,
         address_bits_a=m, address_bits_b=n, value_bits=r,
@@ -238,23 +236,21 @@ class ProtocolTranscript:
 class AliceParty:
     """Holds only Alice's table; prepares, checks, and counts."""
 
-    def __init__(self, table: DataTable, max_qubits: int = DEFAULT_MAX_QUBITS):
+    def __init__(self, table: DataTable):
         self.table = table
-        self.max_qubits = max_qubits
 
     def prepare_message(self) -> QuantumState:
-        return prepare_encoded(self.table, ADDR_A, DATA_A, self.max_qubits)
+        return prepare_encoded(self.table, ADDR_A, DATA_A)
 
 
 class BobParty:
     """Holds only Bob's table; entangles his registers onto the message."""
 
-    def __init__(self, table: DataTable, max_qubits: int = DEFAULT_MAX_QUBITS):
+    def __init__(self, table: DataTable):
         self.table = table
-        self.max_qubits = max_qubits
 
     def respond(self, incoming: QuantumState) -> QuantumState:
-        own = prepare_encoded(self.table, ADDR_B, DATA_B, self.max_qubits)
+        own = prepare_encoded(self.table, ADDR_B, DATA_B)
         joint = tensor(incoming, own)
         return oracle_xor(joint, DATA_A, DATA_B)
 

@@ -14,7 +14,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-DEFAULT_MAX_QUBITS = 24
+QUBIT_BUDGET = 24  # qubits a dense array may span: up to 2**24 entries
+PACKED_QUBITS = 63  # basis indices are packed into int64
+
+
+def check_budget(qubits: int, what: str):
+    """Refuse an array of 2**qubits entries above the budget."""
+    if qubits > QUBIT_BUDGET:
+        raise ValueError(f"{what} of {qubits} qubits exceeds the cap of {QUBIT_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -31,8 +38,7 @@ class Register:
 class RegisterLayout:
     """Ordered, non-overlapping named registers with fixed bit offsets."""
 
-    def __init__(self, registers: Iterable[tuple[str, int]],
-                 max_qubits: int = DEFAULT_MAX_QUBITS):
+    def __init__(self, registers: Iterable[tuple[str, int]]):
         regs = []
         offset = 0
         seen = set()
@@ -46,12 +52,11 @@ class RegisterLayout:
             offset += width
         if not regs:
             raise ValueError("a layout needs at least one register")
-        if offset > max_qubits:
-            raise ValueError(
-                f"layout requires {offset} qubits, exceeding the cap of {max_qubits}")
+        if offset > PACKED_QUBITS:
+            raise ValueError(f"layout requires {offset} qubits, exceeding the "
+                             f"{PACKED_QUBITS} that int64 basis indices hold")
         self._registers: tuple[Register, ...] = tuple(regs)
         self._by_name = {r.name: r for r in regs}
-        self.max_qubits = max_qubits
         self.total_qubits = offset
         self.dim = 1 << offset
 
@@ -97,18 +102,17 @@ class RegisterLayout:
     def extend(self, name: str, width: int) -> "RegisterLayout":
         """New layout with an extra register appended above the existing ones."""
         return RegisterLayout(
-            [(r.name, r.width) for r in self._registers] + [(name, width)],
-            max_qubits=self.max_qubits)
+            [(r.name, r.width) for r in self._registers] + [(name, width)])
 
     def concat(self, other: "RegisterLayout") -> "RegisterLayout":
         """New layout with ``other``'s registers above this layout's."""
         return RegisterLayout(
             [(r.name, r.width) for r in self._registers]
-            + [(r.name, r.width) for r in other.registers],
-            max_qubits=max(self.max_qubits, other.max_qubits))
+            + [(r.name, r.width) for r in other.registers])
 
     def index_values(self, name: str) -> np.ndarray:
         """Register value at every basis index, as an int64 array of length dim."""
+        check_budget(self.total_qubits, "dense view")
         return self.extract(np.arange(self.dim, dtype=np.int64), name)
 
     def __eq__(self, other) -> bool:

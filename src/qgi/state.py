@@ -13,11 +13,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .registers import RegisterLayout
+from .registers import QUBIT_BUDGET, RegisterLayout, check_budget
 
 NORM_TOL = 1e-12
 COLLAPSE_FLOOR = 1e-15
-DENSITY_DIM_CAP = 1 << 12
+DENSITY_DIM_CAP = 1 << (QUBIT_BUDGET // 2)
 ENTROPY_EIG_FLOOR = 1e-12
 
 
@@ -65,6 +65,7 @@ class QuantumState:
     def amplitudes(self) -> np.ndarray:
         """Dense, read-only amplitude vector of length ``layout.dim``."""
         if self._dense is None:
+            check_budget(self.layout.total_qubits, "dense view")
             dense = np.zeros(self.layout.dim, dtype=np.complex128)
             dense[self.indices] = self.values
             dense.flags.writeable = False
@@ -82,12 +83,8 @@ class QuantumState:
         """Value of one register in each stored branch."""
         return self.layout.extract(self.indices, name)
 
-    def nonzero_branches(self, floor: float = 1e-14) -> np.ndarray:
-        """Basis indices carrying more probability mass than ``floor``."""
-        return self.indices[self.branch_probabilities() > floor]
-
     def __repr__(self) -> str:
-        n = len(self.nonzero_branches())
+        n = np.count_nonzero(self.branch_probabilities() > 1e-14)
         return f"QuantumState({self.layout!r}, {n} nonzero branches)"
 
 
@@ -144,6 +141,7 @@ def apply_permutation(state: QuantumState, regs: Sequence[str],
     layout = state.layout
     widths = _local_widths(layout, regs)
     if verify:
+        check_budget(sum(widths), "bijection domain")
         domain = np.array(list(itertools.product(*(range(1 << w) for w in widths))))
         if len(np.unique(_map_rows(f, domain, regs, widths), axis=0)) != len(domain):
             raise ValueError("map is not a bijection on the listed registers")
@@ -203,6 +201,7 @@ def tensor(low: QuantumState, high: QuantumState) -> QuantumState:
 def register_distribution(state: QuantumState, reg: str) -> np.ndarray:
     """Marginal probability of each value of one register."""
     width = state.layout.width(reg)
+    check_budget(width, f"outcome table of register {reg}")
     return np.bincount(state.register_values(reg),
                        weights=state.branch_probabilities(), minlength=1 << width)
 

@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -16,14 +18,22 @@ def scene_files(tmp_path):
     return str(alice), str(bob)
 
 
-def cell_files(tmp_path, side, cells_a, cells_b):
+def grid_files(tmp_path, side, shapes_a, shapes_b):
     paths = []
-    for name, cells in (("alice", cells_a), ("bob", cells_b)):
+    for name, shapes in (("alice", shapes_a), ("bob", shapes_b)):
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"grid": {"rows": side, "cols": side},
-                                    "cells": list(cells)}))
+        path.write_text(json.dumps({"grid": {"rows": side, "cols": side}, **shapes}))
         paths.append(str(path))
     return paths
+
+
+def cell_files(tmp_path, side, cells_a, cells_b):
+    return grid_files(tmp_path, side, {"cells": list(cells_a)}, {"cells": list(cells_b)})
+
+
+def rect_files(tmp_path, side, rect_a, rect_b):
+    return grid_files(tmp_path, side, {"shapes": [{"rect": rect_a}]},
+                      {"shapes": [{"rect": rect_b}]})
 
 
 @pytest.fixture
@@ -143,6 +153,53 @@ class TestRun:
         assert code == 0
         assert "bits=9 engine=reduced" in out
 
+    def test_large_grid_with_few_cells(self, tmp_path, capsys):
+        # 26 qubits of registers, but only 4 branches in the joint state.
+        alice, bob = cell_files(tmp_path, 64, [1, 2], [2, 3])
+        code = main(["run", "--alice", alice, "--bob", bob])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "verdict=INTERSECT t=1" in out
+
+    def test_large_sets_give_the_classical_count(self, tmp_path, capsys):
+        rng = random.Random(5)
+        cells_a = rng.sample(range(1, 256 * 256), 256)
+        cells_b = rng.sample(range(1, 256 * 256), 200) + rng.sample(cells_a, 56)
+        expected = len(set(cells_a) & set(cells_b))
+        alice, bob = cell_files(tmp_path, 256, sorted(cells_a), sorted(set(cells_b)))
+        code = main(["run", "--alice", alice, "--bob", bob])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"verdict=INTERSECT t={expected}\n" in out
+        assert "engine=reduced" in out
+
+    @pytest.mark.parametrize("side, rect_a, rect_b, message", [
+        (128, [0, 0, 63, 127], [63, 0, 126, 127],
+         "8192 x 8192 = 67108864 table-row pairs exceed the cap of 16777216"),
+        (65536, [0, 0, 0, 0], [0, 1, 0, 1],
+         "layout requires 66 qubits, exceeding the 63"),
+        (8192, [0, 0, 0, 0], [0, 1, 0, 1],
+         "outcome table of register data_a of 26 qubits exceeds the cap of 24"),
+        (65536, [0, 0, 65535, 65535], [0, 1, 0, 1],
+         "scene shapes list 4294967296 cells, exceeding the cap of 16777216"),
+    ])
+    def test_over_budget_inputs_exit_before_allocating(self, tmp_path, capsys,
+                                                       side, rect_a, rect_b,
+                                                       message):
+        alice, bob = rect_files(tmp_path, side, rect_a, rect_b)
+        tracemalloc.start()
+        try:
+            code = main(["run", "--alice", alice, "--bob", bob])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+        assert peak < 32 << 20
+
     def test_unknown_adversary(self, scene_files, capsys):
         code = main(["run", "--alice", scene_files[0], "--bob", scene_files[1],
                      "--adversary", "eve"])
@@ -165,6 +222,16 @@ class TestRasterize:
         out = capsys.readouterr().out
         assert code == 0
         assert f"cells=[{','.join(str(i) for i in range(1, 17))}]" in out
+
+    def test_serials_beyond_int64(self, tmp_path, capsys):
+        side = 10 ** 10
+        scene = tmp_path / "huge.json"
+        scene.write_text(json.dumps({
+            "grid": {"rows": side, "cols": side}, "cells": [side * side, 5],
+            "shapes": [{"rect": [side - 1, side - 2, side - 1, side - 1]}]}))
+        code = main(["rasterize", str(scene)])
+        assert code == 0
+        assert f"cells=[5,{side * side - 1},{side * side}] M=3" in capsys.readouterr().out
 
     def test_empty_shape_list_is_an_input_error(self, tmp_path, capsys):
         scene = tmp_path / "empty.json"
@@ -210,6 +277,14 @@ class TestAnalyze:
         assert "== leakage ==" not in out
 
 
+    def test_all_sections_on_a_large_grid(self, tmp_path, capsys):
+        alice, bob = cell_files(tmp_path, 64, [1, 2], [2, 3])
+        code = main(["analyze", "--alice", alice, "--bob", bob])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "ensemble entropy 1.000000 bits" in out
+        assert "bob-tamper:1         detection_probability=1.0" in out
+
     def test_leakage_of_a_large_ensemble(self, tmp_path, capsys):
         # 32 rows on 8 value bits: a 2^13-square density matrix, a 32-square Gram.
         alice, bob = cell_files(tmp_path, 16, range(1, 33), [1, 2])
@@ -220,13 +295,14 @@ class TestAnalyze:
 
     def test_a_failing_section_prints_no_partial_report(self, tmp_path,
                                                         capsys):
-        alice, bob = cell_files(tmp_path, 64, [1, 2], [2, 3])
+        # The cost section succeeds; the leakage Gram matrix refuses M = 4097.
+        alice, bob = cell_files(tmp_path, 128, range(1, 4098), [1])
         code = main(["analyze", "--alice", alice, "--bob", bob])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert "layout requires 26 qubits" in captured.err
+        assert "ensemble of 4097 states exceeds the cap of 4096" in captured.err
 
 
 def test_argument_errors_exit_one(capsys):

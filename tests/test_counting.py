@@ -167,6 +167,11 @@ class TestPhaseEstimate:
         est = phase_estimate(spec)
         assert est.engine == "reduced"
 
+    def test_auto_picks_the_circuit_up_to_twenty_qubits(self):
+        # The worked instance has 12 data qubits.
+        assert phase_estimate(WORKED, CountingConfig(bits=8)).engine == "circuit"
+        assert phase_estimate(WORKED, CountingConfig(bits=9)).engine == "reduced"
+
     def test_counting_bits_above_the_cap_rejected_for_both_engines(self):
         for engine in ("circuit", "reduced"):
             with pytest.raises(ValueError, match="25 qubits exceeds the cap of 24"):

@@ -223,8 +223,8 @@ class TestPrivacyBoundaries:
         spec, _, _ = build_preparation(*worked_scenes)
         alice = AliceParty(spec.table_a)
         bob = BobParty(spec.table_b)
-        assert vars(alice) == {"table": spec.table_a, "max_qubits": alice.max_qubits}
-        assert vars(bob) == {"table": spec.table_b, "max_qubits": bob.max_qubits}
+        assert vars(alice) == {"table": spec.table_a}
+        assert vars(bob) == {"table": spec.table_b}
 
     def test_alice_output_ignores_bobs_table(self):
         alice = AliceParty(DataTable((1, 2, 5, 6), 4))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qgi import RegisterLayout
+from qgi import RegisterLayout, basis_state
 
 
 def test_first_register_takes_least_significant_bits():
@@ -43,9 +43,13 @@ def test_zero_width_rejected():
 
 
 def test_qubit_cap_enforced():
-    with pytest.raises(ValueError, match="25 qubits"):
-        RegisterLayout([("a", 25)])
-    RegisterLayout([("a", 25)], max_qubits=26)
+    # Packed int64 indices bound the layout; the budget bounds dense views.
+    with pytest.raises(ValueError, match="64 qubits"):
+        RegisterLayout([("a", 32), ("b", 32)])
+    RegisterLayout([("a", 31), ("b", 32)])
+    state = basis_state(RegisterLayout([("a", 25)]), {"a": 3})
+    with pytest.raises(ValueError, match="dense view of 25 qubits exceeds the cap of 24"):
+        state.amplitudes
 
 
 def test_unknown_register_lookup():
