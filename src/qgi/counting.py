@@ -8,11 +8,11 @@ the measured integer y to a count via t = K * sin^2(pi * y / 2^p).
 Two exact engines compute the outcome distribution for any initial
 state, honest or disturbed:
 
-* ``circuit`` materializes the counting register next to the data
-  registers, applies the controlled iterate powers by repeated
-  application, and applies the inverse Fourier transform on the counting
-  register.  It is the literal textbook circuit and is capped by the
-  qubit budget.
+* ``circuit`` is the literal textbook circuit: the controlled iterate
+  powers by repeated application, then the inverse Fourier transform on
+  the counting register.  It runs on the union of the initial state's
+  and the preparation's branches, which G never leaves (see
+  ``GroverIterate``), and is capped by the qubit budget.
 * ``reduced`` uses the iterate's eigenspaces: it rotates the initial
   state's component in the plane spanned by the marked and unmarked parts
   of the preparation, and places the marked and unmarked mass outside
@@ -26,7 +26,6 @@ otherwise.  Both engines agree to machine precision wherever both run.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from .oracles import DATA_B, COUNT, PreparationSpec, prepare_joint
 from .registers import QUBIT_BUDGET, check_budget
-from .state import QuantumState
+from .state import QuantumState, align, apply_phase_flip, reflect, reflect_about
 
 EIGHT_OVER_PI_SQ = 8.0 / math.pi ** 2
 CIRCUIT_AUTO_LIMIT = 20
@@ -115,18 +114,14 @@ class GroverIterate:
     |psi> is the joint preparation and a branch is marked when its second
     data register is zero.  The reflection about |psi> equals conjugating
     the all-zero-state reflection by the preparation pipeline, for any
-    unitary completion of that pipeline, so it is applied directly.
+    unitary completion of that pipeline, so it is applied directly.  As S
+    is diagonal and the reflection adds a multiple of |psi>, G maps the
+    span of any branches that include |psi>'s into itself.
     """
 
     def __init__(self, spec: PreparationSpec):
         self.spec = spec
         self.prepared = prepare_joint(spec)
-
-    @functools.cached_property
-    def _signs(self) -> np.ndarray:
-        """Dense sign vector of S; only the circuit engine needs it."""
-        values = self.prepared.layout.index_values(DATA_B)
-        return np.where(values == 0, -1.0, 1.0)
 
     @property
     def marked_mass(self) -> float:
@@ -139,25 +134,23 @@ class GroverIterate:
         """Angle theta with sin^2(theta / 2) equal to the marked mass."""
         return 2.0 * math.asin(math.sqrt(min(1.0, max(0.0, self.marked_mass))))
 
-    def apply_amplitudes(self, amps: np.ndarray) -> np.ndarray:
-        axis = self.prepared.amplitudes
-        flipped = amps * self._signs
-        return 2.0 * np.vdot(axis, flipped) * axis - flipped
-
-    def _check_layout(self, state: QuantumState):
+    def on_support(self, state: QuantumState) -> tuple[np.ndarray, ...]:
+        """The state's and |psi>'s values and the signs of S, on the union of
+        their branches."""
         if state.layout != self.prepared.layout:
             raise ValueError("state layout does not match the preparation")
+        support, (values, axis) = align(state, self.prepared)
+        signs = np.where(state.layout.extract(support, DATA_B) == 0, -1.0, 1.0)
+        return values, axis, signs
 
     def apply(self, state: QuantumState) -> QuantumState:
-        self._check_layout(state)
-        return QuantumState(state.layout, self.apply_amplitudes(state.amplitudes))
+        flipped = apply_phase_flip(state, [DATA_B], lambda v: v[0] == 0)
+        return reflect_about(flipped, self.prepared)
 
     def apply_inverse(self, state: QuantumState) -> QuantumState:
-        # G^-1 = S (2|psi><psi| - I) = S G S, because S is its own inverse.
-        self._check_layout(state)
-        signs = self._signs
-        return QuantumState(state.layout,
-                            signs * self.apply_amplitudes(signs * state.amplitudes))
+        # G^-1 = S (2|psi><psi| - I) = S G S: S and the reflection are involutions.
+        return apply_phase_flip(reflect_about(state, self.prepared), [DATA_B],
+                                lambda v: v[0] == 0)
 
 
 def grover_iterate(spec: PreparationSpec) -> GroverIterate:
@@ -196,47 +189,41 @@ def _distribution_reduced(iterate: GroverIterate, bits: int,
     plane lands on outcomes 0 and 2^bits / 2.
     """
     size = 1 << bits
-    prepared = iterate.prepared
-    pos = np.minimum(np.searchsorted(initial.indices, prepared.indices),
-                     len(initial.indices) - 1)
-    overlap = np.where(initial.indices[pos] == prepared.indices,
-                       initial.values[pos], 0) * prepared.values.conj()
-    prep_marked = prepared.register_values(DATA_B) == 0
-    prep_probs = prepared.branch_probabilities()
-    init_marked = initial.register_values(DATA_B) == 0
-    init_probs = initial.branch_probabilities()
-    coords = []
-    for part in (prep_marked, ~prep_marked):
-        norm = math.sqrt(float(prep_probs[part].sum()))
+    values, axis, signs = iterate.on_support(initial)
+    overlap = values * axis.conj()
+    axis_probs, init_probs = np.abs(axis) ** 2, np.abs(values) ** 2
+    coords, masses = [], []
+    for part in (signs < 0, signs > 0):
+        norm = math.sqrt(float(axis_probs[part].sum()))
         coords.append(complex(overlap[part].sum()) / norm if norm > 0 else 0j)
+        masses.append(float(init_probs[part].sum()))
     a, b = coords
     angles = iterate.rotation_angle * np.arange(size)
     cos, sin = np.cos(angles), np.sin(angles)
     rows = np.stack([a * cos + b * sin, b * cos - a * sin], axis=1)
     transformed = np.fft.fft(rows, axis=0) / size
     probs = np.sum(np.abs(transformed) ** 2, axis=1)
-    probs[0] += max(0.0, float(init_probs[init_marked].sum()) - abs(a) ** 2)
-    probs[size // 2] += max(0.0, float(init_probs[~init_marked].sum()) - abs(b) ** 2)
+    probs[0] += max(0.0, masses[0] - abs(a) ** 2)
+    probs[size // 2] += max(0.0, masses[1] - abs(b) ** 2)
     return probs
 
 
 def _distribution_circuit(iterate: GroverIterate, bits: int,
                           initial: QuantumState) -> np.ndarray:
-    """Phase-estimation outcome distribution from the materialized circuit.
+    """Phase-estimation outcome distribution from the circuit, on branches.
 
     The joint state after the controlled iterate powers is sum_z |z> (x)
     G^z |initial> / sqrt(2^bits); rows are filled by repeated application
     of the iterate and the inverse Fourier transform acts on the counting
-    index.
+    index.  Its columns are the union of the initial state's and the
+    preparation's branches, as G^z |initial> is zero on every other one.
     """
     size = 1 << bits
-    dim = initial.layout.dim
-    rows = np.empty((size, dim), dtype=np.complex128)
-    current = initial.amplitudes.copy()
-    for z in range(size):
-        rows[z] = current
-        if z + 1 < size:
-            current = iterate.apply_amplitudes(current)
+    current, axis, signs = iterate.on_support(initial)
+    rows = np.empty((size, len(current)), dtype=np.complex128)
+    rows[0] = current
+    for z in range(1, size):
+        rows[z] = current = reflect(current * signs, axis)
     transformed = np.fft.fft(rows, axis=0) / size
     return np.sum(np.abs(transformed) ** 2, axis=1)
 
@@ -262,9 +249,6 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     check_budget(bits, "counting register")
     size = 1 << bits
     iterate = GroverIterate(spec)
-
-    if initial_state is not None and initial_state.layout != spec.layout():
-        raise ValueError("initial state layout does not match the preparation")
     initial = initial_state or iterate.prepared
 
     data_qubits = spec.layout().total_qubits

@@ -180,13 +180,29 @@ def apply_phase_flip(state: QuantumState, regs: Sequence[str],
                                       state.values * signs)
 
 
+def align(*states: QuantumState) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Sorted union of the states' branch indices, and each state's values on it."""
+    merged = np.sort(np.concatenate([s.indices for s in states]))
+    support = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+    aligned = [np.zeros(len(support), dtype=np.complex128) for _ in states]
+    for values, s in zip(aligned, states):
+        values[np.searchsorted(support, s.indices)] = s.values
+    return support, aligned
+
+
+def reflect(values: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """2|axis><axis| - I on amplitude arrays aligned with each other."""
+    return 2.0 * np.vdot(axis, values) * axis - values
+
+
 def reflect_about(state: QuantumState, axis: QuantumState) -> QuantumState:
-    """Apply 2|axis><axis| - I."""
+    """Apply 2|axis><axis| - I on the union of both states' branches."""
     if state.layout != axis.layout:
         raise ValueError("states live on different layouts")
-    overlap = np.vdot(axis.amplitudes, state.amplitudes)
-    return QuantumState(state.layout,
-                        2.0 * overlap * axis.amplitudes - state.amplitudes)
+    support, (values, axis_values) = align(state, axis)
+    reflected = reflect(values, axis_values)
+    keep = reflected != 0  # a state holds only its nonzero branches
+    return QuantumState.from_branches(state.layout, support[keep], reflected[keep])
 
 
 def tensor(low: QuantumState, high: QuantumState) -> QuantumState:

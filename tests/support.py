@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from qgi import DataTable, PreparationSpec, QuantumState
+from qgi import DATA_B, DataTable, PreparationSpec, QuantumState, prepare_joint
 
 
 def random_state(layout, rng) -> QuantumState:
@@ -25,3 +25,25 @@ def xor_pairs(entries_a, entries_b) -> dict[tuple[int, int], int]:
     return {(i, j): a ^ b
             for i, a in enumerate(entries_a)
             for j, b in enumerate(entries_b)}
+
+
+def dense_circuit_distribution(spec, bits, initial) -> np.ndarray:
+    """Phase-estimation outcome distribution from the literal dense circuit.
+
+    Every row G^z |initial> spans all 2^data basis states: S is a dense
+    sign vector over the layout and the reflection uses the dense
+    preparation.  The inverse Fourier transform acts on the counting index.
+    """
+    size = 1 << bits
+    layout = spec.layout()
+    axis = prepare_joint(spec).amplitudes
+    signs = np.where(layout.index_values(DATA_B) == 0, -1.0, 1.0)
+    rows = np.empty((size, layout.dim), dtype=np.complex128)
+    current = initial.amplitudes.copy()
+    for z in range(size):
+        rows[z] = current
+        if z + 1 < size:
+            flipped = current * signs
+            current = 2.0 * np.vdot(axis, flipped) * axis - flipped
+    transformed = np.fft.fft(rows, axis=0) / size
+    return np.sum(np.abs(transformed) ** 2, axis=1)

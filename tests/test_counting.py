@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qgi import (CountingConfig, DataTable, PreparationSpec, QuantumState,
-                 Verdict, decide_intersection, decode_count,
-                 default_counting_bits, exact_count, grover_iterate,
-                 phase_estimate, prepare_joint)
+from qgi import (DATA_B, AdversaryStrategy, CountingConfig, DataTable,
+                 PreparationSpec, QuantumState, RegisterLayout, Verdict,
+                 decide_intersection, decode_count, default_counting_bits,
+                 exact_count, grover_iterate, phase_estimate, prepare_joint,
+                 run_protocol)
 from qgi.counting import EIGHT_OVER_PI_SQ, counting_layout
-from support import random_spec, random_state
+from support import dense_circuit_distribution, random_spec, random_state
 
 WORKED = PreparationSpec(DataTable((1, 2, 5, 6), 4), DataTable((6, 7, 10, 11), 4))
 DISJOINT = PreparationSpec(DataTable((1, 2), 4), DataTable((3, 4), 4))
@@ -79,11 +81,19 @@ class TestGroverIterate:
             assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
 
     def test_raw_and_state_application_agree(self, rng):
-        iterate = grover_iterate(WORKED)
-        state = random_state(WORKED.layout(), rng)
-        via_state = iterate.apply(state).amplitudes
-        via_raw = iterate.apply_amplitudes(state.amplitudes)
-        assert np.max(np.abs(via_state - via_raw)) < 1e-12
+        # G = (2|psi><psi| - I) S as a dense matrix, on a 6-qubit instance.
+        spec = PreparationSpec(DataTable((1, 2), 2), DataTable((2, 3), 2))
+        layout = spec.layout()
+        iterate = grover_iterate(spec)
+        psi = iterate.prepared.amplitudes
+        signs = np.where(layout.index_values(DATA_B) == 0, -1.0, 1.0)
+        matrix = (2.0 * np.outer(psi, psi.conj()) - np.eye(layout.dim)) * signs
+        for _ in range(5):
+            state = random_state(layout, rng)
+            assert np.max(np.abs(iterate.apply(state).amplitudes
+                                 - matrix @ state.amplitudes)) < 1e-12
+            assert np.max(np.abs(iterate.apply_inverse(state).amplitudes
+                                 - matrix.conj().T @ state.amplitudes)) < 1e-12
 
 
 class TestExactCount:
@@ -219,6 +229,50 @@ class TestPhaseEstimate:
                 assert np.max(np.abs(circuit.distribution
                                      - reduced.distribution)) < 1e-12
                 assert circuit.y == reduced.y
+
+    @pytest.mark.parametrize("bits", [1, 3, 6])
+    def test_circuit_matches_the_dense_literal_circuit(self, bits):
+        gen = np.random.default_rng(5300 + bits)
+        specs = [random_spec(gen) for _ in range(12)]
+        specs += [DISJOINT, PreparationSpec(DataTable((5,), 3), DataTable((5,), 3))]
+        for spec in specs:
+            layout = spec.layout()
+            prepared = prepare_joint(spec)
+            # Part of the prepared support plus three stray branches.
+            stray = np.setdiff1d(np.arange(layout.dim), prepared.indices)
+            kept = prepared.indices[gen.random(len(prepared.indices)) < 0.5]
+            indices = np.concatenate([kept, gen.choice(stray, 3, replace=False)])
+            amps = gen.normal(size=len(indices)) + 1j * gen.normal(size=len(indices))
+            sparse = QuantumState.from_branches(layout, indices,
+                                                amps / np.linalg.norm(amps))
+            for state in (None, random_state(layout, gen), sparse):
+                est = phase_estimate(spec, CountingConfig(bits=bits, engine="circuit"),
+                                     initial_state=state)
+                dense = dense_circuit_distribution(spec, bits, state or prepared)
+                assert est.engine == "circuit"
+                assert np.max(np.abs(est.distribution - dense)) < 1e-12
+                assert est.y == np.flatnonzero(dense >= dense.max() - 1e-12)[0]
+
+    def test_circuit_peak_memory_stays_on_the_branches(self):
+        # 256 rows over the 16 branches; a dense 256 x 4096 row matrix is 16 MB.
+        tracemalloc.start()
+        try:
+            phase_estimate(WORKED, CountingConfig(bits=8, engine="circuit"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+    def test_circuit_runs_build_no_dense_view(self, worked_scenes, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense view built")
+        monkeypatch.setattr(QuantumState, "amplitudes", property(refuse))
+        monkeypatch.setattr(RegisterLayout, "index_values", refuse)
+        for label in ("honest", "bob-measure-all", "bob-measure-data",
+                      "alice-measure-result"):
+            transcript = run_protocol(*worked_scenes, seed=3,
+                                      adversary=AdversaryStrategy.parse(label))
+            assert transcript.estimate.engine == "circuit"
 
     def test_exact_estimate_is_the_lower_of_mirror_peaks(self):
         # An honest distribution is symmetric under y -> 2^bits - y.

@@ -121,6 +121,29 @@ def test_reflection_fixes_axis_and_negates_orthogonal():
     assert np.allclose(reflect_about(other, axis).amplitudes, -other.amplitudes)
 
 
+def test_reflection_runs_on_branches_above_the_dense_budget():
+    # 30 qubits: the dense view is refused, the reflection needs only the
+    # three branches of both states.
+    layout = RegisterLayout([("a", 15), ("b", 15)])
+    i1, i2, i3 = (layout.pack({"a": a, "b": b})
+                  for a, b in ((7, 0), (1, 9000), (32767, 5)))
+    state = QuantumState.from_branches(layout, [i1, i2], [0.6, 0.8j])
+    axis = QuantumState.from_branches(layout, [i2, i3], [0.6, 0.8])
+    out = reflect_about(state, axis)
+    # <axis|state> = 0.48j, so the result is 0.96j|axis> - |state>.
+    assert out.layout == layout
+    assert out.indices.tolist() == sorted([i1, i2, i3])
+    expected = {i1: -0.6, i2: 0.576j - 0.8j, i3: 0.768j}
+    got = dict(zip(out.indices.tolist(), out.values))
+    assert max(abs(got[i] - v) for i, v in expected.items()) < 1e-12
+    with pytest.raises(ValueError, match="dense view of 30 qubits"):
+        out.amplitudes
+    # Orthogonal to the axis: negated, and the axis's branch is not stored.
+    lone = QuantumState.from_branches(layout, [i1], [1.0])
+    negated = reflect_about(lone, QuantumState.from_branches(layout, [i3], [1.0]))
+    assert negated.indices.tolist() == [i1] and negated.values.tolist() == [-1.0]
+
+
 def test_norm_preserved_through_operation_chain(pair_layout, rng):
     state = random_state(pair_layout, rng)
     axis = random_state(pair_layout, rng)
