@@ -117,11 +117,20 @@ class GroverIterate:
     unitary completion of that pipeline, so it is applied directly.  As S
     is diagonal and the reflection adds a multiple of |psi>, G maps the
     span of any branches that include |psi>'s into itself.
+
+    ``prepared`` is |psi> when the caller already holds it, as Alice does
+    after an undisturbed cheat check; its layout must be the spec's.
+    Without it the preparation pipeline runs here.
     """
 
-    def __init__(self, spec: PreparationSpec):
+    def __init__(self, spec: PreparationSpec, prepared: QuantumState | None = None):
+        if prepared is None:
+            prepared = prepare_joint(spec)
+        elif prepared.layout != spec.layout():
+            raise ValueError(f"prepared state layout {prepared.layout!r} does not "
+                             f"match the spec's {spec.layout()!r}")
         self.spec = spec
-        self.prepared = prepare_joint(spec)
+        self.prepared = prepared
 
     @property
     def marked_mass(self) -> float:
@@ -233,33 +242,49 @@ def counting_layout(spec: PreparationSpec, bits: int):
     return spec.layout().extend(COUNT, bits)
 
 
-def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
-                   initial_state: QuantumState | None = None,
-                   rng: np.random.Generator | None = None) -> CountEstimate:
-    """Estimate the marked count of the joint preparation.
+def plan_counting(spec: PreparationSpec,
+                  cfg: CountingConfig) -> tuple[int, str]:
+    """Counting-register width and engine for a spec, refused above the budget.
 
-    ``initial_state`` overrides the honest preparation (used to study runs
-    where the in-flight state was disturbed).  Both engines take it, and
-    the engine choice does not depend on it; it disables the
-    success-probability report, since the true count is then undefined.
+    Depends only on the spec's sizes, so a run can call it before any
+    state is prepared.
     """
-    cfg = cfg or CountingConfig()
-    search_space = spec.size_k
-    bits = cfg.bits if cfg.bits is not None else default_counting_bits(search_space)
+    bits = cfg.bits if cfg.bits is not None else default_counting_bits(spec.size_k)
     check_budget(bits, "counting register")
-    size = 1 << bits
-    iterate = GroverIterate(spec)
-    initial = initial_state or iterate.prepared
-
     data_qubits = spec.layout().total_qubits
     engine = cfg.engine
     if engine == "auto":
         engine = "circuit" if data_qubits + bits <= CIRCUIT_AUTO_LIMIT else "reduced"
+    if engine == "circuit" and data_qubits + bits > QUBIT_BUDGET:
+        raise ValueError(
+            f"circuit engine needs {data_qubits + bits} qubits "
+            f"({data_qubits} data + {bits} counting), cap is {QUBIT_BUDGET}")
+    return bits, engine
+
+
+def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
+                   initial_state: QuantumState | None = None,
+                   rng: np.random.Generator | None = None,
+                   prepared: QuantumState | None = None) -> CountEstimate:
+    """Estimate the marked count of the joint preparation.
+
+    The iterate reflects about ``prepared``, the joint preparation the
+    caller already holds, or about a freshly built one when it is not
+    given (see ``GroverIterate``).  ``initial_state`` overrides the
+    preparation as the state counted (used to study runs where the
+    in-flight state was disturbed).  Both engines take it, and the engine
+    choice does not depend on it; it disables the success-probability
+    report, since the true count is then undefined.  Exact mode reads the
+    true count off the preparation with ``exact_count``, which refuses a
+    state whose branch magnitudes are not uniform.
+    """
+    cfg = cfg or CountingConfig()
+    search_space = spec.size_k
+    bits, engine = plan_counting(spec, cfg)
+    size = 1 << bits
+    iterate = GroverIterate(spec, prepared)
+    initial = initial_state or iterate.prepared
     if engine == "circuit":
-        if data_qubits + bits > QUBIT_BUDGET:
-            raise ValueError(
-                f"circuit engine needs {data_qubits + bits} qubits "
-                f"({data_qubits} data + {bits} counting), cap is {QUBIT_BUDGET}")
         probs = _distribution_circuit(iterate, bits, initial)
     else:
         probs = _distribution_reduced(iterate, bits, initial)

@@ -9,14 +9,15 @@ zero there marks a matching pair of serials.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .registers import QUBIT_BUDGET, RegisterLayout
-from .state import (QuantumState, basis_state, measure_distribution,
-                    measure_register, xor_register)
+from .state import (QuantumState, basis_state, measure_register, project,
+                    xor_register)
 
 ADDR_A = "addr_a"
 DATA_A = "data_a"
@@ -96,6 +97,12 @@ class PreparationSpec:
         return self.table_a.size * self.table_b.size
 
     def layout(self) -> RegisterLayout:
+        return self._layout
+
+    @functools.cached_property
+    def _layout(self) -> RegisterLayout:
+        # Built on first use, not with the spec: a spec whose layout
+        # exceeds the packed-index width still reports its costs.
         r = self.value_bits
         return RegisterLayout(
             [(ADDR_A, self.table_a.address_bits), (DATA_A, r),
@@ -191,14 +198,12 @@ def cheat_check(state: QuantumState, table_a: DataTable,
 
     Without an rng the exact pass probability is returned together with the
     state collapsed onto the passing outcome (``None`` if passing is
-    impossible).  With an rng one outcome is sampled and a boolean verdict
-    is returned with the collapsed state.
+    impossible); no other outcome is collapsed.  With an rng one outcome is
+    sampled and a boolean verdict is returned with the collapsed state.
     """
     uncomputed = oracle_load(state, ADDR_A, DATA_A, table_a)
     if rng is None:
-        probs, collapsed = measure_distribution(uncomputed, DATA_A)
-        pass_prob = float(probs[0]) / float(probs.sum())
-        return pass_prob, collapsed.get(0)
+        return project(uncomputed, DATA_A, 0)
     outcome, post = measure_register(uncomputed, DATA_A, rng)
     return outcome == 0, post
 

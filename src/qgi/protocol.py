@@ -6,10 +6,14 @@ and sends everything back; Alice uncomputes her table and measures her
 data register (a nonzero outcome aborts the run); Alice counts matching
 pairs with phase estimation; Alice announces the verdict.
 
-Party objects hold only their own table.  The counting step consumes the
-joint preparation description, modeling the shared oracle access the
-counting algorithm assumes; everything a party computes before the final
-count touches its own table alone.
+Party objects hold only their own table; everything a party computes
+before the final count touches its own table alone.  The counting step's
+Grover iterate reflects about the joint preparation.  On an undisturbed
+run that is the state Alice holds after the cheat check, which equals
+the honest preparation, so no second copy is built.  On a disturbed run
+the state Alice holds is what gets counted, and the iterate reflects
+about the honest preparation, built once from the preparation
+description: the shared oracle access the counting algorithm assumes.
 
 A protocol run resolves adversarial measurements by drawing once from
 the seeded generator, even in exact mode, because a cheater's projective
@@ -27,7 +31,7 @@ from typing import Any
 import numpy as np
 
 from .counting import (CountEstimate, CountingConfig, Verdict,
-                       decide_intersection, phase_estimate)
+                       decide_intersection, phase_estimate, plan_counting)
 from .geometry import GridSet, Scene, rasterize
 from .oracles import (ADDR_A, ADDR_B, DATA_A, DATA_B, DataTable,
                       PreparationSpec, address_bits, cheat_check,
@@ -292,8 +296,12 @@ def run_protocol(scene_a: Scene, scene_b: Scene,
     give identical transcripts.
     """
     cfg = cfg or CountingConfig()
-    rng = np.random.default_rng(0 if seed is None else seed)
     spec, set_a, set_b = build_preparation(scene_a, scene_b)
+    plan_counting(spec, cfg)  # refuse an over-budget register before any state
+    # An exact honest run draws nothing.
+    rng = (np.random.default_rng(0 if seed is None else seed)
+           if cfg.mode == "sample" or adversary.attack is not Attack.HONEST
+           else None)
     cost = comm_cost(len(set_a), len(set_b), scene_a.grid.total_cells)
     alice = AliceParty(spec.table_a)
     bob = BobParty(spec.table_b)
@@ -351,9 +359,10 @@ def run_protocol(scene_a: Scene, scene_b: Scene,
                     "note": "one address-pair xor; the raw serial stays hidden"}))
         disturbed = True
 
-    estimate = phase_estimate(spec, cfg,
-                              initial_state=alice_state if disturbed else None,
-                              rng=rng)
+    if disturbed:
+        estimate = phase_estimate(spec, cfg, initial_state=alice_state, rng=rng)
+    else:
+        estimate = phase_estimate(spec, cfg, rng=rng, prepared=alice_state)
     verdict = decide_intersection(estimate)
     steps.append(StepRecord(
         4, "alice", "quantum_count",
@@ -388,9 +397,8 @@ def detection_probability(scene_a: Scene, scene_b: Scene,
         for reg in regs:
             expanded = []
             for prob, st in branches:
-                dist, collapsed = measure_distribution(st, reg)
-                for outcome, sub in collapsed.items():
-                    expanded.append((prob * float(dist[outcome]), sub))
+                for outcome_prob, sub in measure_distribution(st, reg).values():
+                    expanded.append((prob * outcome_prob, sub))
             branches = expanded
     if adversary.attack is Attack.BOB_TAMPER:
         _check_mask(adversary.tamper_mask, spec.value_bits)

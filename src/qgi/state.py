@@ -8,6 +8,7 @@ point of view: every operation returns a fresh ``QuantumState``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -19,6 +20,17 @@ NORM_TOL = 1e-12
 COLLAPSE_FLOOR = 1e-15
 DENSITY_DIM_CAP = 1 << (QUBIT_BUDGET // 2)
 ENTROPY_EIG_FLOOR = 1e-12
+
+
+def _norm_sq(values: np.ndarray) -> float:
+    """Squared norm of contiguous complex amplitudes by pairwise summation.
+
+    Its rounding error grows with log2(n) rather than with n, as a BLAS
+    dot product's does (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 4.2), so a state of millions of branches still
+    passes the 1e-12 norm check.
+    """
+    return float(np.add.reduce(np.square(values.view(np.float64))))
 
 
 class QuantumState:
@@ -35,12 +47,23 @@ class QuantumState:
         if amps.shape != (layout.dim,):
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, layout needs ({layout.dim},)")
-        self._set(layout, np.flatnonzero(amps), amps[amps != 0])
+        self.layout, self.indices = layout, np.flatnonzero(amps)
+        self.values, self._dense = amps[amps != 0], None
+        self._check_norm()
 
     @classmethod
     def from_branches(cls, layout: RegisterLayout, indices: np.ndarray,
                       values: np.ndarray) -> "QuantumState":
         """State from distinct basis indices, in any order, and their amplitudes."""
+        state = cls._moved(layout, indices, values)
+        state._check_norm()
+        return state
+
+    @classmethod
+    def _moved(cls, layout: RegisterLayout, indices: np.ndarray,
+               values: np.ndarray) -> "QuantumState":
+        """``from_branches`` without the norm check, for the values of a
+        checked state moved to new indices."""
         indices = np.asarray(indices, dtype=np.int64)
         order = np.argsort(indices)
         indices = indices[order]
@@ -49,17 +72,15 @@ class QuantumState:
             raise ValueError(f"two branches land on basis index {indices[clash[0]]}: "
                              f"the map is not injective on the state's support")
         state = cls.__new__(cls)
-        state._set(layout, indices, np.asarray(values, dtype=np.complex128)[order])
+        state.layout, state.indices = layout, indices
+        state.values = np.asarray(values, dtype=np.complex128)[order]
+        state._dense = None
         return state
 
-    def _set(self, layout: RegisterLayout, indices: np.ndarray, values: np.ndarray):
-        norm_sq = float(np.vdot(values, values).real)
+    def _check_norm(self):
+        norm_sq = _norm_sq(self.values)
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}")
-        self.layout = layout
-        self.indices = indices
-        self.values = values
-        self._dense = None
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -165,7 +186,8 @@ def xor_register(state: QuantumState, reg: str, values) -> QuantumState:
     values = np.asarray(values, dtype=np.int64)
     if np.any((values < 0) | (values > register.mask)):
         raise ValueError(f"xor value exceeds register {reg} width {register.width}")
-    return QuantumState.from_branches(
+    # Branches only move, so their values keep the norm already checked.
+    return QuantumState._moved(
         state.layout, state.indices ^ (values << register.offset), state.values)
 
 
@@ -214,41 +236,59 @@ def tensor(low: QuantumState, high: QuantumState) -> QuantumState:
     return QuantumState.from_branches(layout, indices.ravel(), values.ravel())
 
 
-def register_distribution(state: QuantumState, reg: str) -> np.ndarray:
-    """Marginal probability of each value of one register."""
-    width = state.layout.width(reg)
-    check_budget(width, f"outcome table of register {reg}")
-    return np.bincount(state.register_values(reg),
-                       weights=state.branch_probabilities(), minlength=1 << width)
+def register_distribution(state: QuantumState, reg: str
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Values one register takes in the state, ascending, and their probabilities.
+
+    Only values present in some branch are listed, so no table of all
+    2^width values is built; each probability is a pairwise sum.
+    """
+    values = state.register_values(reg)
+    order = np.argsort(values, kind="stable")
+    grouped = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+    return grouped[starts], np.add.reduceat(state.branch_probabilities()[order], starts)
 
 
-def _collapse(state: QuantumState, reg: str, outcome: int,
-              prob: float) -> QuantumState:
-    if prob < COLLAPSE_FLOOR:
-        raise ValueError(
-            f"cannot renormalize onto {reg}={outcome}: probability {prob!r} underflows")
+def project(state: QuantumState, reg: str,
+            outcome: int) -> tuple[float, QuantumState | None]:
+    """Probability of one register outcome, and the state collapsed onto it.
+
+    The collapsed state is renormalized by the norm of the branches it
+    keeps; it is ``None`` when the probability is below COLLAPSE_FLOOR.
+    """
     keep = state.register_values(reg) == outcome
-    return QuantumState.from_branches(state.layout, state.indices[keep],
-                                      state.values[keep] / np.sqrt(prob))
+    kept = state.values[keep]
+    kept_sq = _norm_sq(kept)
+    prob = kept_sq / _norm_sq(state.values)
+    if prob < COLLAPSE_FLOOR:
+        return prob, None
+    return prob, QuantumState.from_branches(state.layout, state.indices[keep],
+                                            kept / math.sqrt(kept_sq))
 
 
 def measure_register(state: QuantumState, reg: str,
                      rng: np.random.Generator) -> tuple[int, QuantumState]:
     """Sample one computational-basis outcome for a register and collapse."""
-    probs = register_distribution(state, reg)
-    outcome = int(rng.choice(len(probs), p=probs / probs.sum()))
-    return outcome, _collapse(state, reg, outcome, float(probs[outcome]))
+    outcomes, probs = register_distribution(state, reg)
+    outcome = int(outcomes[rng.choice(len(outcomes), p=probs / probs.sum())])
+    prob, post = project(state, reg, outcome)
+    if post is None:
+        raise ValueError(
+            f"cannot renormalize onto {reg}={outcome}: probability {prob!r} underflows")
+    return outcome, post
 
 
 def measure_distribution(state: QuantumState, reg: str
-                         ) -> tuple[np.ndarray, dict[int, QuantumState]]:
-    """Exact outcome distribution plus the collapsed state per reachable outcome."""
-    probs = register_distribution(state, reg)
-    collapsed = {
-        int(v): _collapse(state, reg, int(v), float(probs[v]))
-        for v in np.flatnonzero(probs >= COLLAPSE_FLOOR)
-    }
-    return probs, collapsed
+                         ) -> dict[int, tuple[float, QuantumState]]:
+    """Probability and collapsed state of every outcome at or above COLLAPSE_FLOOR."""
+    outcomes, _ = register_distribution(state, reg)
+    reachable = {}
+    for outcome in outcomes.tolist():
+        prob, post = project(state, reg, outcome)
+        if post is not None:
+            reachable[outcome] = (prob, post)
+    return reachable
 
 
 @dataclass(frozen=True)

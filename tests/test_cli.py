@@ -178,8 +178,8 @@ class TestRun:
          "8192 x 8192 = 67108864 table-row pairs exceed the cap of 16777216"),
         (65536, [0, 0, 0, 0], [0, 1, 0, 1],
          "layout requires 66 qubits, exceeding the 63"),
-        (8192, [0, 0, 0, 0], [0, 1, 0, 1],
-         "outcome table of register data_a of 26 qubits exceeds the cap of 24"),
+        (512, [0, 0, 63, 63], [1, 1, 64, 64],
+         "counting register of 27 qubits exceeds the cap of 24"),
         (65536, [0, 0, 65535, 65535], [0, 1, 0, 1],
          "scene shapes list 4294967296 cells, exceeding the cap of 16777216"),
     ])
@@ -199,6 +199,28 @@ class TestRun:
         assert captured.err.count("\n") == 1
         assert message in captured.err
         assert peak < 32 << 20
+
+    def test_one_cell_per_party_on_a_grid_above_the_budget(self, tmp_path, capsys):
+        # 2^26 cells: measurements list only the outcomes present, so no
+        # table over the 26-qubit data register is built.
+        alice, bob = rect_files(tmp_path, 8192, [0, 0, 0, 0], [0, 1, 0, 1])
+        code = main(["run", "--alice", alice, "--bob", bob])
+        assert code == 0
+        assert "verdict=DISJOINT t=0" in capsys.readouterr().out
+        code = main(["analyze", "--alice", alice, "--bob", bob])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "honest               detection_probability=0.0" in out
+        assert "bob-tamper:1         detection_probability=1.0" in out
+
+    @pytest.mark.parametrize("k, expected", [(18, 289), (24, 529)])
+    def test_shifted_squares_pass_the_norm_check(self, tmp_path, capsys, k,
+                                                 expected):
+        # k*k branches per party: the norm sums must stay within 1e-12.
+        alice, bob = rect_files(tmp_path, 64, [0, 0, k - 1, k - 1], [1, 1, k, k])
+        code = main(["run", "--alice", alice, "--bob", bob])
+        assert code == 0
+        assert f"verdict=INTERSECT t={expected}\n" in capsys.readouterr().out
 
     def test_unknown_adversary(self, scene_files, capsys):
         code = main(["run", "--alice", scene_files[0], "--bob", scene_files[1],

@@ -283,6 +283,22 @@ class TestPhaseEstimate:
                 est = phase_estimate(spec, CountingConfig(engine=engine))
                 assert est.y <= 1 << (est.bits - 1)
 
+    def test_a_held_preparation_replaces_a_fresh_one(self):
+        held = prepare_joint(WORKED)
+        for engine in ("circuit", "reduced"):
+            cfg = CountingConfig(engine=engine)
+            est = phase_estimate(WORKED, cfg, prepared=held)
+            fresh = phase_estimate(WORKED, cfg)
+            assert (est.y, est.success_prob) == (fresh.y, fresh.success_prob)
+            assert np.array_equal(est.distribution, fresh.distribution)
+
+    def test_a_held_preparation_is_checked(self):
+        with pytest.raises(ValueError, match="layout"):
+            phase_estimate(DISJOINT, prepared=prepare_joint(WORKED))
+        skewed = random_state(WORKED.layout(), np.random.default_rng(8))
+        with pytest.raises(ValueError, match="not uniform"):
+            phase_estimate(WORKED, prepared=skewed)
+
     def test_counting_layout_appends_register(self):
         layout = counting_layout(WORKED, 7)
         assert layout.names == ("addr_a", "data_a", "addr_b", "data_b", "count")

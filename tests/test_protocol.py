@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import qgi.counting
 from qgi import (HONEST, AdversaryStrategy, Attack, CountingConfig, DataTable,
-                 GridConfig, ProtocolTranscript, Scene, Verdict,
+                 GridConfig, ProtocolTranscript, Rect, Scene, Verdict,
                  build_preparation, classical_intersect, comm_cost,
-                 detection_probability, leakage_report, rasterize,
-                 run_protocol)
+                 detection_probability, leakage_report, phase_estimate,
+                 rasterize, run_protocol)
 from qgi.protocol import AliceParty, BobParty, StepRecord
 
 
@@ -216,6 +217,76 @@ class TestLeakageReport:
             report = leakage_report(DataTable.from_serials(entries, 4), 16)
             assert report.holevo_bound_bits == report.ensemble_entropy_bits
             assert abs(report.ensemble_entropy_bits - math.log2(size)) < 1e-9
+
+
+def criterion_3_scene_pairs():
+    """The acceptance sweep's pairs: every 4x4 rectangle of at most four
+    encodable cells against every other, then 200 random 8x8 instances."""
+    grid = GridConfig(4, 4)
+    rects = [Rect(r0, c0, r1, c1)
+             for r0 in range(4) for r1 in range(r0, 4)
+             for c0 in range(4) for c1 in range(c0, 4)
+             if (r1 - r0 + 1) * (c1 - c0 + 1) <= 4 and (r1, c1) != (3, 3)]
+    scenes = [Scene(grid, rects=(rect,)) for rect in rects]
+    assert len(scenes) == 65
+    pairs = [(a, b) for a in scenes for b in scenes]
+    rng = np.random.default_rng(240811)
+    grid8 = GridConfig(8, 8)
+    top8 = (1 << grid8.value_bits) - 1
+    for _ in range(200):
+        sizes = rng.integers(1, 9, size=2)
+        cells = [tuple(sorted(int(c) for c in
+                              rng.choice(np.arange(1, top8 + 1), n, replace=False)))
+                 for n in sizes]
+        pairs.append((Scene(grid8, cells=cells[0]), Scene(grid8, cells=cells[1])))
+    return pairs
+
+
+class TestOnePreparationPerRun:
+    @pytest.fixture
+    def preparations(self, monkeypatch):
+        calls = []
+        original = qgi.counting.prepare_joint
+
+        def counted(spec):
+            calls.append(spec)
+            return original(spec)
+        monkeypatch.setattr(qgi.counting, "prepare_joint", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    def test_honest_run_counts_on_the_state_alice_holds(self, worked_scenes,
+                                                        preparations, mode):
+        transcript = run_protocol(*worked_scenes,
+                                  cfg=CountingConfig(mode=mode, seed=3), seed=3)
+        assert transcript.estimate is not None
+        assert preparations == []
+
+    @pytest.mark.parametrize("attack", [Attack.BOB_MEASURE_ALL,
+                                        Attack.BOB_MEASURE_DATA,
+                                        Attack.ALICE_MEASURE_RESULT])
+    def test_disturbed_run_prepares_the_axis_once(self, worked_scenes,
+                                                  preparations, attack):
+        transcript = run_protocol(*worked_scenes,
+                                  adversary=AdversaryStrategy(attack), seed=5)
+        assert transcript.estimate is not None
+        assert len(preparations) == 1
+
+    def test_exact_honest_run_builds_no_generator(self, worked_scenes,
+                                                  monkeypatch):
+        def refuse(*args):
+            raise AssertionError("generator built")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert run_protocol(*worked_scenes, seed=4).verdict is Verdict.INTERSECT
+
+    def test_honest_runs_equal_counting_on_a_fresh_preparation(self):
+        for scene_a, scene_b in criterion_3_scene_pairs():
+            spec, _, _ = build_preparation(scene_a, scene_b)
+            run = run_protocol(scene_a, scene_b).estimate
+            fresh = phase_estimate(spec)
+            assert (run.y, run.t_rounded) == (fresh.y, fresh.t_rounded)
+            assert np.max(np.abs(run.distribution - fresh.distribution)) < 1e-12
+            assert abs(run.success_prob - fresh.success_prob) < 1e-12
 
 
 class TestPrivacyBoundaries:

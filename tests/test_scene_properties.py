@@ -3,14 +3,19 @@
 A document either parses or raises ``SceneFormatError``; a parsed scene
 on a 4x4 or 8x8 grid either is refused by the protocol (no cells, or a
 serial that does not fit the data register) or gets the classical verdict.
+Rectangle pairs on grids up to 64x64 get the classical count or are
+refused on the qubit budget.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgi import (Scene, SceneFormatError, classical_intersect, grid_serial,
-                 rasterize, run_protocol, scene_from_dict)
+from qgi import (GridConfig, Rect, Scene, SceneFormatError,
+                 classical_intersect, grid_serial, rasterize, run_protocol,
+                 scene_from_dict)
 
 # Mostly small integers, plus the JSON values the parser must refuse.
 values = st.one_of(st.integers(-1, 9), st.integers(-1, 9), st.booleans(),
@@ -106,3 +111,47 @@ def test_parsed_scenes_get_the_classical_verdict(data, side):
     transcript = run_protocol(scene_a, scene_b)
     assert transcript.verdict.value == ("INTERSECT" if hit else "DISJOINT")
     assert transcript.estimate.t_rounded == len(common)
+
+
+# A rectangle of at most SMALL_AREA cells per party keeps K <= 324^2 and
+# the counting register at <= 20 qubits; at least LARGE_AREA cells per
+# party puts K above 2^21, so the default register of ceil(log2 K) + 3
+# qubits exceeds the 24-qubit budget.  Sizes in between would spend up to
+# seconds and a gigabyte on the 2^bits-row counting distribution.
+SMALL_AREA = 18 * 18
+LARGE_AREA = math.isqrt(1 << 21) + 1
+
+
+@st.composite
+def rects(draw, side, min_area, max_area):
+    height = draw(st.integers(max(1, -(-min_area // side)), min(side, max_area)))
+    width = draw(st.integers(max(1, -(-min_area // height)),
+                             min(side, max_area // height)))
+    r0 = draw(st.integers(0, side - height))
+    c0 = draw(st.integers(0, side - width))
+    return Rect(r0, c0, r0 + height - 1, c0 + width - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), large=st.booleans())
+def test_rectangle_pairs_get_the_classical_count_or_a_budget_refusal(data, large):
+    if large:
+        side = data.draw(st.integers(math.isqrt(LARGE_AREA - 1) + 1, 64))
+        area = (LARGE_AREA, side * side)
+    else:
+        side = data.draw(st.integers(1, 64))
+        area = (1, SMALL_AREA)
+    grid = GridConfig(side, side)
+    scenes = [Scene(grid, rects=(data.draw(rects(side, *area)),)) for _ in "ab"]
+    sets = [rasterize(scene) for scene in scenes]
+    if max(s.serials[-1] for s in sets) >= 1 << grid.value_bits:
+        # Serial 0 is reserved, so the last cell of a 2^k grid does not fit.
+        with pytest.raises(ValueError, match="does not fit"):
+            run_protocol(*scenes)
+    elif large:
+        with pytest.raises(ValueError, match="counting register of 2[5-7] "
+                                             "qubits exceeds the cap of 24"):
+            run_protocol(*scenes)
+    else:
+        _, common = classical_intersect(*sets)
+        assert run_protocol(*scenes).estimate.t_rounded == len(common)
