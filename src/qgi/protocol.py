@@ -17,8 +17,10 @@ description: the shared oracle access the counting algorithm assumes.
 
 A protocol run resolves adversarial measurements by drawing once from
 the seeded generator, even in exact mode, because a cheater's projective
-measurement happens once per execution.  ``detection_probability``
-instead enumerates every measurement branch and is sampling-free.
+measurement happens once per execution.  ``detection_probability`` is
+sampling-free and needs no branch per outcome: every step between Bob's
+measurement and Alice's check only moves branches, so it runs that
+pipeline once on the unmeasured message.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .oracles import (ADDR_A, ADDR_B, DATA_A, DATA_B, DataTable,
                       oracle_xor, prepare_encoded)
 from .registers import RegisterLayout
 from .state import (DENSITY_DIM_CAP, DensityMatrix, QuantumState,
-                    measure_distribution, measure_register, tensor,
-                    von_neumann_entropy, xor_register)
+                    measure_register, tensor, von_neumann_entropy,
+                    xor_register)
 
 
 class Attack(str, enum.Enum):
@@ -382,32 +384,22 @@ def detection_probability(scene_a: Scene, scene_b: Scene,
                           adversary: AdversaryStrategy = HONEST) -> float:
     """Exact probability that the data check catches the strategy.
 
-    Adversarial measurements are expanded into all their outcome branches
-    with their exact Born weights; nothing is sampled.
+    Bob's response and Alice's check run once, on the unmeasured message,
+    for every strategy.  A measurement attack needs no branch of its own:
+    a computational-basis measurement followed only by steps that move
+    branches can be deferred to the end (Nielsen & Chuang, section 4.4).
+    Tensoring, XOR loads and tampering send distinct branches to distinct
+    indices (``xor_register`` refuses a collision), so the images of the
+    measurement's outcome branches stay disjoint and the check's failure
+    mass on the whole message is the sum over outcomes of their Born
+    weight times their failure probability.  Nothing is sampled.
     """
     spec, _, _ = build_preparation(scene_a, scene_b)
-    alice = AliceParty(spec.table_a)
-    bob = BobParty(spec.table_b)
-    message = alice.prepare_message()
-
-    branches: list[tuple[float, QuantumState]] = [(1.0, message)]
-    if adversary.attack in (Attack.BOB_MEASURE_ALL, Attack.BOB_MEASURE_DATA):
-        regs = ([ADDR_A, DATA_A] if adversary.attack is Attack.BOB_MEASURE_ALL
-                else [DATA_A])
-        for reg in regs:
-            expanded = []
-            for prob, st in branches:
-                for outcome_prob, sub in measure_distribution(st, reg).values():
-                    expanded.append((prob * outcome_prob, sub))
-            branches = expanded
     if adversary.attack is Attack.BOB_TAMPER:
         _check_mask(adversary.tamper_mask, spec.value_bits)
-
-    failure = 0.0
-    for prob, st in branches:
-        joint = bob.respond(st)
-        if adversary.attack is Attack.BOB_TAMPER:
-            joint = _tamper(joint, adversary.tamper_mask)
-        pass_prob, _ = cheat_check(joint, spec.table_a)
-        failure += prob * (1.0 - pass_prob)
-    return failure
+    message = AliceParty(spec.table_a).prepare_message()
+    joint = BobParty(spec.table_b).respond(message)
+    if adversary.attack is Attack.BOB_TAMPER:
+        joint = _tamper(joint, adversary.tamper_mask)
+    pass_prob, _ = cheat_check(joint, spec.table_a)
+    return 1.0 - pass_prob

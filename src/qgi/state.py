@@ -279,18 +279,6 @@ def measure_register(state: QuantumState, reg: str,
     return outcome, post
 
 
-def measure_distribution(state: QuantumState, reg: str
-                         ) -> dict[int, tuple[float, QuantumState]]:
-    """Probability and collapsed state of every outcome at or above COLLAPSE_FLOOR."""
-    outcomes, _ = register_distribution(state, reg)
-    reachable = {}
-    for outcome in outcomes.tolist():
-        prob, post = project(state, reg, outcome)
-        if post is not None:
-            reachable[outcome] = (prob, post)
-    return reachable
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace matrix over a packed register subspace."""
@@ -346,4 +334,5 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy in bits: -sum(lam * log2 lam) over eigenvalues above 1e-12."""
     eig = rho.eigenvalues()
     eig = eig[eig > ENTROPY_EIG_FLOOR]
-    return float(-np.sum(eig * np.log2(eig)))
+    # 0.0 - x, not -x: a pure state's sum is +0.0 and must not print as -0.0.
+    return float(0.0 - np.sum(eig * np.log2(eig)))

@@ -2,7 +2,11 @@
 
 import numpy as np
 
-from qgi import DATA_B, DataTable, PreparationSpec, QuantumState, prepare_joint
+from qgi import (ADDR_A, DATA_A, DATA_B, HONEST, Attack, DataTable,
+                 PreparationSpec, QuantumState, build_preparation,
+                 cheat_check, prepare_joint)
+from qgi.protocol import AliceParty, BobParty, _check_mask, _tamper
+from qgi.state import project, register_distribution
 
 
 def random_state(layout, rng) -> QuantumState:
@@ -47,3 +51,45 @@ def dense_circuit_distribution(spec, bits, initial) -> np.ndarray:
             current = 2.0 * np.vdot(axis, flipped) * axis - flipped
     transformed = np.fft.fft(rows, axis=0) / size
     return np.sum(np.abs(transformed) ** 2, axis=1)
+
+
+def measure_distribution(state, reg) -> dict[int, tuple[float, QuantumState]]:
+    """Probability and collapsed state of every outcome whose collapse is
+    defined (probability at or above ``COLLAPSE_FLOOR``)."""
+    outcomes, _ = register_distribution(state, reg)
+    reachable = {}
+    for outcome in outcomes.tolist():
+        prob, post = project(state, reg, outcome)
+        if post is not None:
+            reachable[outcome] = (prob, post)
+    return reachable
+
+
+def expanded_detection_probability(scene_a, scene_b, adversary=HONEST) -> float:
+    """Detection probability by literal branch expansion.
+
+    Bob's measurements split the message into every outcome branch with
+    its Born weight, and Bob's response and Alice's check run once per
+    branch.  ``detection_probability`` must equal this sum.
+    """
+    spec, _, _ = build_preparation(scene_a, scene_b)
+    alice = AliceParty(spec.table_a)
+    bob = BobParty(spec.table_b)
+    branches = [(1.0, alice.prepare_message())]
+    if adversary.attack in (Attack.BOB_MEASURE_ALL, Attack.BOB_MEASURE_DATA):
+        regs = ([ADDR_A, DATA_A] if adversary.attack is Attack.BOB_MEASURE_ALL
+                else [DATA_A])
+        for reg in regs:
+            branches = [(prob * sub_prob, sub)
+                        for prob, st in branches
+                        for sub_prob, sub in measure_distribution(st, reg).values()]
+    if adversary.attack is Attack.BOB_TAMPER:
+        _check_mask(adversary.tamper_mask, spec.value_bits)
+    failure = 0.0
+    for prob, st in branches:
+        joint = bob.respond(st)
+        if adversary.attack is Attack.BOB_TAMPER:
+            joint = _tamper(joint, adversary.tamper_mask)
+        pass_prob, _ = cheat_check(joint, spec.table_a)
+        failure += prob * (1.0 - pass_prob)
+    return failure

@@ -307,6 +307,16 @@ class TestAnalyze:
         assert "ensemble entropy 1.000000 bits" in out
         assert "bob-tamper:1         detection_probability=1.0" in out
 
+    def test_leakage_of_one_row_prints_no_negative_zero(self, tmp_path,
+                                                        capsys):
+        alice, bob = cell_files(tmp_path, 4, [6], [6])
+        code = main(["analyze", "--alice", alice, "--bob", bob, "--leakage"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "ensemble entropy 0.000000 bits" in out
+        assert "holevo bound 0.000000 bits" in out
+        assert "-0.000000" not in out
+
     def test_leakage_of_a_large_ensemble(self, tmp_path, capsys):
         # 32 rows on 8 value bits: a 2^13-square density matrix, a 32-square Gram.
         alice, bob = cell_files(tmp_path, 16, range(1, 33), [1, 2])

@@ -1,15 +1,18 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
 import qgi.counting
+import qgi.protocol
 from qgi import (HONEST, AdversaryStrategy, Attack, CountingConfig, DataTable,
                  GridConfig, ProtocolTranscript, Rect, Scene, Verdict,
                  build_preparation, classical_intersect, comm_cost,
                  detection_probability, leakage_report, phase_estimate,
                  rasterize, run_protocol)
 from qgi.protocol import AliceParty, BobParty, StepRecord
+from support import expanded_detection_probability, random_state
 
 
 class TestHonestRuns:
@@ -166,6 +169,61 @@ class TestDetectionProbability:
         first = detection_probability(*worked_scenes, adversary)
         second = detection_probability(*worked_scenes, adversary)
         assert first == second == 0.0
+
+
+DETECTION_STRATEGIES = ["honest", "bob-measure-all", "bob-measure-data",
+                        "bob-tamper:1"]
+
+
+def random_cell_scenes(rng, side, max_cells):
+    grid = GridConfig(side, side)
+    top = (1 << grid.value_bits) - 1
+    cells = [tuple(int(c) for c in rng.choice(np.arange(1, top + 1), n,
+                                                replace=False))
+             for n in rng.integers(1, max_cells + 1, size=2)]
+    return Scene(grid, cells=cells[0]), Scene(grid, cells=cells[1])
+
+
+class TestDetectionInOnePipeline:
+    @pytest.mark.parametrize("side, max_cells", [(4, 4), (8, 8)])
+    def test_equals_branch_expansion_on_dense_messages(self, monkeypatch,
+                                                       side, max_cells):
+        # A random dense message fails the check with a fractional
+        # probability, so the measured branches carry unequal weights.
+        rng = np.random.default_rng(7000 + side)
+        for _ in range(8):
+            scene_a, scene_b = random_cell_scenes(rng, side, max_cells)
+            spec, _, _ = build_preparation(scene_a, scene_b)
+            message = random_state(spec.alice_layout(), rng)
+            monkeypatch.setattr(AliceParty, "prepare_message",
+                                lambda self: message)
+            for label in DETECTION_STRATEGIES:
+                strategy = AdversaryStrategy.parse(label)
+                prob = detection_probability(scene_a, scene_b, strategy)
+                if label == "honest":
+                    assert 0.0 < prob < 1.0
+                reference = expanded_detection_probability(scene_a, scene_b,
+                                                           strategy)
+                assert abs(prob - reference) < 1e-12
+
+    @pytest.mark.parametrize("label", DETECTION_STRATEGIES
+                             + ["alice-measure-result"])
+    def test_one_response_and_one_check_per_call(self, worked_scenes,
+                                                 monkeypatch, label):
+        calls = collections.Counter()
+        respond, check = BobParty.respond, qgi.protocol.cheat_check
+
+        def counted_respond(self, incoming):
+            calls["respond"] += 1
+            return respond(self, incoming)
+
+        def counted_check(*args):
+            calls["cheat_check"] += 1
+            return check(*args)
+        monkeypatch.setattr(BobParty, "respond", counted_respond)
+        monkeypatch.setattr(qgi.protocol, "cheat_check", counted_check)
+        detection_probability(*worked_scenes, AdversaryStrategy.parse(label))
+        assert calls == {"respond": 1, "cheat_check": 1}
 
 
 class TestCostSummary:

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from qgi import (DensityMatrix, QuantumState, RegisterLayout,
                  apply_permutation, apply_phase_flip, basis_state,
-                 measure_distribution, measure_register, reduced_density,
-                 reflect_about, tensor, von_neumann_entropy)
+                 measure_register, reduced_density, reflect_about, tensor,
+                 von_neumann_entropy)
 from qgi.state import _norm_sq, project
-from support import random_state
+from support import measure_distribution, random_state
 
 
 @pytest.fixture
@@ -280,7 +282,9 @@ def test_entropy_of_rank_one_projector_is_zero():
     vec = np.zeros(8, dtype=complex)
     vec[5] = 1.0
     rho = DensityMatrix(np.outer(vec, vec.conj()))
-    assert von_neumann_entropy(rho) == 0.0
+    entropy = von_neumann_entropy(rho)
+    # +0.0, not -(1 * log2 1) = -0.0, which prints as "-0.000000".
+    assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
 
 def test_entropy_of_pure_state_density_is_zero(pair_layout, rng):
