@@ -7,6 +7,7 @@ input errors, 2 when the protocol aborts on a failed check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -16,7 +17,7 @@ from .geometry import SceneFormatError, load_scene, rasterize
 from .oracles import address_bits
 from .protocol import (HONEST, AdversaryStrategy, Attack, CostSummary,
                        ProtocolTranscript, build_preparation, comm_cost,
-                       detection_probability, leakage_report, run_protocol)
+                       _detection, leakage_report, run_protocol)
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,8 @@ class RunConfig:
             raise ValueError("sample mode needs --seed for reproducible runs")
         if self.counting_bits is not None and self.counting_bits < 1:
             raise ValueError("--counting-bits must be >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("--seed must be >= 0")
 
 
 def _cost_lines(cost: CostSummary) -> list[str]:
@@ -129,9 +132,13 @@ def cmd_analyze(alice: str, bob: str, show_cost: bool, show_leakage: bool,
             AdversaryStrategy(Attack.BOB_MEASURE_DATA),
             AdversaryStrategy(Attack.BOB_TAMPER, 1),
         ]
+        # The untampered strategies share one check pipeline (see
+        # detection_probability), so each distinct tamper mask runs once.
+        detection = {mask: _detection(spec, mask)
+                     for mask in {strat.tamper_mask for strat in strategies}}
         for strat in strategies:
-            prob = detection_probability(scene_a, scene_b, strat)
-            lines.append(f"{strat.label:<20} detection_probability={prob}")
+            lines.append(f"{strat.label:<20} "
+                         f"detection_probability={detection[strat.tamper_mask]}")
         lines.append("note: measurement attacks pass the uncompute check exactly "
                      "(detection 0.0); the nominal claim that they are caught does "
                      "not hold in exact simulation")
@@ -146,7 +153,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qgi`` parser, built once per process (parses share no state)."""
     parser = _Parser(prog="qgi",
                      description="Quantum two-party geometric-intersection simulator")
     sub = parser.add_subparsers(dest="command", required=True)

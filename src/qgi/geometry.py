@@ -226,6 +226,8 @@ def load_scene(path: str) -> Scene:
             raise SceneFormatError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}") from None
+        except RecursionError:
+            raise SceneFormatError(f"{path}: JSON nested too deeply") from None
     try:
         return scene_from_dict(doc)
     except SceneFormatError as exc:

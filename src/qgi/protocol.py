@@ -395,11 +395,17 @@ def detection_probability(scene_a: Scene, scene_b: Scene,
     weight times their failure probability.  Nothing is sampled.
     """
     spec, _, _ = build_preparation(scene_a, scene_b)
-    if adversary.attack is Attack.BOB_TAMPER:
-        _check_mask(adversary.tamper_mask, spec.value_bits)
+    return _detection(spec, adversary.tamper_mask)
+
+
+def _detection(spec: PreparationSpec, tamper_mask: int) -> float:
+    """Failure probability of the check after Bob's response, XORing
+    ``tamper_mask`` into the checked register when it is nonzero."""
+    if tamper_mask:
+        _check_mask(tamper_mask, spec.value_bits)
     message = AliceParty(spec.table_a).prepare_message()
     joint = BobParty(spec.table_b).respond(message)
-    if adversary.attack is Attack.BOB_TAMPER:
-        joint = _tamper(joint, adversary.tamper_mask)
+    if tamper_mask:
+        joint = _tamper(joint, tamper_mask)
     pass_prob, _ = cheat_check(joint, spec.table_a)
     return 1.0 - pass_prob

@@ -1,10 +1,18 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import qgi
+from qgi import cli, protocol
 from qgi.cli import main
+from qgi.geometry import load_scene
+from qgi.protocol import HONEST, AdversaryStrategy, Attack, detection_probability
 
 
 @pytest.fixture
@@ -222,6 +230,28 @@ class TestRun:
         assert code == 0
         assert f"verdict=INTERSECT t={expected}\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra", [
+        ["--mode", "sample", "--seed", "-3"],
+        ["--adversary", "bob-measure-all", "--seed", "-3"],
+    ])
+    def test_negative_seed_names_the_flag(self, scene_files, capsys, extra):
+        code = main(["run", "--alice", scene_files[0], "--bob", scene_files[1],
+                     *extra])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be >= 0\n"
+
+    def test_deeply_nested_json_is_a_one_line_error(self, scene_files,
+                                                    tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        code = main(["run", "--alice", str(deep), "--bob", scene_files[1]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {deep}: JSON nested too deeply\n"
+
     def test_unknown_adversary(self, scene_files, capsys):
         code = main(["run", "--alice", scene_files[0], "--bob", scene_files[1],
                      "--adversary", "eve"])
@@ -290,6 +320,39 @@ class TestAnalyze:
         assert "measurement attacks pass the uncompute check exactly" in out
         assert "== cost ==" not in out
 
+    @pytest.mark.parametrize("pair", ["scene_files", "disjoint_files"])
+    def test_attack_lines_match_detection_probability(self, request, pair,
+                                                      capsys):
+        alice, bob = request.getfixturevalue(pair)
+        strategies = [HONEST,
+                      AdversaryStrategy(Attack.BOB_MEASURE_ALL),
+                      AdversaryStrategy(Attack.BOB_MEASURE_DATA),
+                      AdversaryStrategy(Attack.BOB_TAMPER, 1)]
+        scene_a, scene_b = load_scene(alice), load_scene(bob)
+        expected = [f"{s.label:<20} detection_probability="
+                    f"{detection_probability(scene_a, scene_b, s)}"
+                    for s in strategies]
+        code = main(["analyze", "--alice", alice, "--bob", bob, "--attacks"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[1:5] == expected
+
+    def test_attacks_run_one_check_per_tamper_mask(self, scene_files,
+                                                   monkeypatch, capsys):
+        calls = []
+        check = protocol.cheat_check
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "cheat_check", counted)
+        code = main(["analyze", "--alice", scene_files[0],
+                     "--bob", scene_files[1], "--attacks"])
+        capsys.readouterr()
+        assert code == 0
+        assert len(calls) == 2
+
     def test_cost_flag_only(self, scene_files, capsys):
         code = main(["analyze", "--alice", scene_files[0],
                      "--bob", scene_files[1], "--cost"])
@@ -344,3 +407,49 @@ def test_argument_errors_exit_one(capsys):
     except SystemExit as exc:
         code = exc.code
     assert code == 1
+
+
+class TestRepeatedMain:
+    def run_args(self, scene_files, trace, *extra):
+        return ["run", "--alice", scene_files[0], "--bob", scene_files[1],
+                "--trace", str(trace), *extra]
+
+    def test_parser_is_built_once_and_keeps_no_state(self, scene_files,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+        roots = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            if kwargs.get("prog") == "qgi":
+                roots.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        t1, t2 = tmp_path / "t1.json", tmp_path / "t2.json"
+        assert main(self.run_args(scene_files, t1, "--verbose")) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--alice", scene_files[0], "--no-such-flag"])
+        assert exc.value.code == 1
+        assert main(self.run_args(scene_files, t2)) == 0
+        capsys.readouterr()
+        assert len(roots) <= 1
+        assert "distribution" in json.loads(t1.read_text())["transcript"]["estimate"]
+        doc = json.loads(t2.read_text())
+        assert "distribution" not in doc["transcript"]["estimate"]
+        assert doc["config"]["verbose"] is False
+
+    def test_repeated_call_writes_the_subprocess_trace(self, scene_files,
+                                                       tmp_path, capsys):
+        in_process = tmp_path / "in.json"
+        child = tmp_path / "child.json"
+        extra = ["--mode", "sample", "--seed", "5"]
+        for _ in range(2):
+            assert main(self.run_args(scene_files, in_process, *extra)) == 0
+        capsys.readouterr()
+        src = str(Path(qgi.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-m", "qgi.cli",
+                        *self.run_args(scene_files, child, *extra)],
+                       env=env, check=True, capture_output=True)
+        assert in_process.read_bytes() == child.read_bytes()
