@@ -2,11 +2,8 @@
 geometric-intersection protocol."""
 
 from .registers import QUBIT_BUDGET, RegisterLayout
-from .state import (DensityMatrix, QuantumState, apply_permutation,
-                    apply_phase_flip, basis_state, measure_register,
-                    reduced_density, reflect_about, tensor,
-                    von_neumann_entropy)
-from .oracles import (ADDR_A, ADDR_B, COUNT, DATA_A, DATA_B, DataTable,
+from .state import QuantumState, basis_state, measure_register, tensor
+from .oracles import (ADDR_A, ADDR_B, DATA_A, DATA_B, DataTable,
                       PreparationSpec, address_bits, cheat_check, oracle_load,
                       oracle_xor, prepare_encoded, prepare_joint,
                       prepare_uniform)

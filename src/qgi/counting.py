@@ -31,9 +31,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .oracles import DATA_B, COUNT, PreparationSpec, prepare_joint
+from .oracles import DATA_B, PreparationSpec, prepare_joint
 from .registers import QUBIT_BUDGET, check_budget
-from .state import QuantumState, align, apply_phase_flip, reflect, reflect_about
+from .state import QuantumState, align, reflect
 
 EIGHT_OVER_PI_SQ = 8.0 / math.pi ** 2
 CIRCUIT_AUTO_LIMIT = 20
@@ -144,22 +144,19 @@ class GroverIterate:
         return 2.0 * math.asin(math.sqrt(min(1.0, max(0.0, self.marked_mass))))
 
     def on_support(self, state: QuantumState) -> tuple[np.ndarray, ...]:
-        """The state's and |psi>'s values and the signs of S, on the union of
-        their branches."""
+        """The union of the state's and |psi>'s branches, and on it their
+        values and the signs of S."""
         if state.layout != self.prepared.layout:
             raise ValueError("state layout does not match the preparation")
         support, (values, axis) = align(state, self.prepared)
         signs = np.where(state.layout.extract(support, DATA_B) == 0, -1.0, 1.0)
-        return values, axis, signs
+        return support, values, axis, signs
 
     def apply(self, state: QuantumState) -> QuantumState:
-        flipped = apply_phase_flip(state, [DATA_B], lambda v: v[0] == 0)
-        return reflect_about(flipped, self.prepared)
-
-    def apply_inverse(self, state: QuantumState) -> QuantumState:
-        # G^-1 = S (2|psi><psi| - I) = S G S: S and the reflection are involutions.
-        return apply_phase_flip(reflect_about(state, self.prepared), [DATA_B],
-                                lambda v: v[0] == 0)
+        support, values, axis, signs = self.on_support(state)
+        out = reflect(values * signs, axis)
+        keep = out != 0  # a state holds only its nonzero branches
+        return QuantumState.from_branches(state.layout, support[keep], out[keep])
 
 
 def grover_iterate(spec: PreparationSpec) -> GroverIterate:
@@ -198,7 +195,7 @@ def _distribution_reduced(iterate: GroverIterate, bits: int,
     plane lands on outcomes 0 and 2^bits / 2.
     """
     size = 1 << bits
-    values, axis, signs = iterate.on_support(initial)
+    _, values, axis, signs = iterate.on_support(initial)
     overlap = values * axis.conj()
     axis_probs, init_probs = np.abs(axis) ** 2, np.abs(values) ** 2
     coords, masses = [], []
@@ -228,18 +225,13 @@ def _distribution_circuit(iterate: GroverIterate, bits: int,
     preparation's branches, as G^z |initial> is zero on every other one.
     """
     size = 1 << bits
-    current, axis, signs = iterate.on_support(initial)
+    _, current, axis, signs = iterate.on_support(initial)
     rows = np.empty((size, len(current)), dtype=np.complex128)
     rows[0] = current
     for z in range(1, size):
         rows[z] = current = reflect(current * signs, axis)
     transformed = np.fft.fft(rows, axis=0) / size
     return np.sum(np.abs(transformed) ** 2, axis=1)
-
-
-def counting_layout(spec: PreparationSpec, bits: int):
-    """Layout of the circuit engine: data registers plus the counting register."""
-    return spec.layout().extend(COUNT, bits)
 
 
 def plan_counting(spec: PreparationSpec,

@@ -23,7 +23,6 @@ ADDR_A = "addr_a"
 DATA_A = "data_a"
 ADDR_B = "addr_b"
 DATA_B = "data_b"
-COUNT = "count"
 
 
 def address_bits(count: int) -> int:
@@ -107,10 +106,6 @@ class PreparationSpec:
         return RegisterLayout(
             [(ADDR_A, self.table_a.address_bits), (DATA_A, r),
              (ADDR_B, self.table_b.address_bits), (DATA_B, r)])
-
-    def alice_layout(self) -> RegisterLayout:
-        return RegisterLayout(
-            [(ADDR_A, self.table_a.address_bits), (DATA_A, self.value_bits)])
 
 
 def prepare_uniform(state: QuantumState, reg: str, count: int) -> QuantumState:
@@ -209,7 +204,7 @@ def cheat_check(state: QuantumState, table_a: DataTable,
 
 
 __all__ = [
-    "ADDR_A", "DATA_A", "ADDR_B", "DATA_B", "COUNT",
+    "ADDR_A", "DATA_A", "ADDR_B", "DATA_B",
     "DataTable", "PreparationSpec", "address_bits",
     "prepare_uniform", "oracle_load", "oracle_xor",
     "prepare_encoded", "prepare_joint", "cheat_check",

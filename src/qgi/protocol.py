@@ -38,10 +38,7 @@ from .geometry import GridSet, Scene, rasterize
 from .oracles import (ADDR_A, ADDR_B, DATA_A, DATA_B, DataTable,
                       PreparationSpec, address_bits, cheat_check,
                       oracle_xor, prepare_encoded)
-from .registers import RegisterLayout
-from .state import (DENSITY_DIM_CAP, DensityMatrix, QuantumState,
-                    measure_register, tensor, von_neumann_entropy,
-                    xor_register)
+from .state import QuantumState, measure_register, tensor, xor_register
 
 
 class Attack(str, enum.Enum):
@@ -79,7 +76,12 @@ class AdversaryStrategy:
         if attack is Attack.BOB_TAMPER:
             if not arg:
                 raise ValueError("bob-tamper needs a mask, e.g. bob-tamper:1")
-            return cls(attack, int(arg))
+            try:
+                mask = int(arg)
+            except ValueError:
+                raise ValueError(
+                    f"bob-tamper mask must be an integer, got {arg!r}") from None
+            return cls(attack, mask)
         if arg:
             raise ValueError(f"{name} does not take an argument")
         return cls(attack)
@@ -157,21 +159,13 @@ def leakage_report(table: DataTable, total_cells: int) -> LeakageReport:
     """Holevo accounting for the equal-weight ensemble of encoded rows.
 
     Each row i contributes the pure state |i>|table[i]>, whose own entropy
-    is 0.  The ensemble entropy comes from the M x M Gram matrix
-    sqrt(p_i p_j) <psi_i|psi_j>, which has the nonzero spectrum of the
-    ensemble average (Jozsa & Schlienz, Phys. Rev. A 62, 012301).  Distinct
-    rows are orthogonal, so it is log2(M); the nominal bound
-    log2(M * total_cells) is reported alongside.
+    is 0.  The rows differ in their address, so they are orthonormal and
+    the ensemble average is I/M on their span (Nielsen & Chuang section
+    11.3): its entropy, and so the Holevo bound, is exactly log2(M) for
+    every M.  The nominal bound log2(M * total_cells) is reported
+    alongside.
     """
-    if table.size > DENSITY_DIM_CAP:
-        raise ValueError(
-            f"ensemble of {table.size} states exceeds the cap of {DENSITY_DIM_CAP}")
-    layout = RegisterLayout([(ADDR_A, table.address_bits),
-                             (DATA_A, table.value_bits)])
-    rows = np.array([layout.pack({ADDR_A: i, DATA_A: entry})
-                     for i, entry in enumerate(table.entries)])
-    gram = (rows[:, None] == rows[None, :]) / table.size
-    ensemble = von_neumann_entropy(DensityMatrix(gram))
+    ensemble = math.log2(table.size)
     return LeakageReport(
         set_size=table.size, total_cells=total_cells,
         ensemble_entropy_bits=ensemble,

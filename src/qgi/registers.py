@@ -99,11 +99,6 @@ class RegisterLayout:
     def unpack(self, index: int) -> dict[str, int]:
         return {r.name: (index >> r.offset) & r.mask for r in self._registers}
 
-    def extend(self, name: str, width: int) -> "RegisterLayout":
-        """New layout with an extra register appended above the existing ones."""
-        return RegisterLayout(
-            [(r.name, r.width) for r in self._registers] + [(name, width)])
-
     def concat(self, other: "RegisterLayout") -> "RegisterLayout":
         """New layout with ``other``'s registers above this layout's."""
         return RegisterLayout(

@@ -7,19 +7,15 @@ point of view: every operation returns a fresh ``QuantumState``.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .registers import QUBIT_BUDGET, RegisterLayout, check_budget
+from .registers import RegisterLayout, check_budget
 
 NORM_TOL = 1e-12
 COLLAPSE_FLOOR = 1e-15
-DENSITY_DIM_CAP = 1 << (QUBIT_BUDGET // 2)
-ENTROPY_EIG_FLOOR = 1e-12
 
 
 def _norm_sq(values: np.ndarray) -> float:
@@ -115,66 +111,6 @@ def basis_state(layout: RegisterLayout,
     return QuantumState.from_branches(layout, [layout.pack(assignment or {})], [1.0])
 
 
-def _local_widths(layout: RegisterLayout, regs: Sequence[str]) -> list[int]:
-    if not regs:
-        raise ValueError("need at least one register name")
-    if len(set(regs)) != len(regs):
-        raise ValueError(f"register names repeat in {list(regs)}")
-    return [layout.width(r) for r in regs]
-
-
-def _support_rows(state: QuantumState, regs: Sequence[str]):
-    """Distinct rows of listed-register values in the support, and each branch's row."""
-    columns = np.stack([state.register_values(r) for r in regs], axis=1)
-    rows, inverse = np.unique(columns, axis=0, return_inverse=True)
-    return rows, inverse.reshape(-1)
-
-
-def _map_rows(f: Callable[[tuple[int, ...]], Sequence[int]], rows: np.ndarray,
-              regs: Sequence[str], widths: Sequence[int]) -> np.ndarray:
-    """f applied to each row of register values, checking arity and range."""
-    mapped = []
-    for row in rows.tolist():
-        out = tuple(f(tuple(row)))
-        if len(out) != len(widths):
-            raise ValueError(
-                f"permutation returned {len(out)} values for {len(widths)} registers")
-        for v, w, name in zip(out, widths, regs):
-            if not 0 <= v < (1 << w):
-                raise ValueError(
-                    f"permutation output {v} exceeds register {name} width {w}")
-        mapped.append(out)
-    return np.array(mapped, dtype=np.int64).reshape(len(mapped), len(widths))
-
-
-def apply_permutation(state: QuantumState, regs: Sequence[str],
-                      f: Callable[[tuple[int, ...]], Sequence[int]],
-                      verify: bool = False) -> QuantumState:
-    """Route amplitudes along a classical bijection of the listed registers.
-
-    ``f`` maps a tuple of register values (ordered as ``regs``) to a tuple
-    of new values; all other registers pass through untouched.  The output
-    amplitude at f(x) equals the input amplitude at x.  ``f`` is evaluated
-    once per distinct value in the state's support, and a map that sends
-    two branches to one index is rejected.  With ``verify`` set, ``f`` must
-    also be a bijection over all joint values of the listed registers.
-    """
-    layout = state.layout
-    widths = _local_widths(layout, regs)
-    if verify:
-        check_budget(sum(widths), "bijection domain")
-        domain = np.array(list(itertools.product(*(range(1 << w) for w in widths))))
-        if len(np.unique(_map_rows(f, domain, regs, widths), axis=0)) != len(domain):
-            raise ValueError("map is not a bijection on the listed registers")
-    rows, inverse = _support_rows(state, regs)
-    mapped = _map_rows(f, rows, regs, widths)[inverse]
-    new_idx = state.indices
-    for column, name in enumerate(regs):
-        reg = layout.register(name)
-        new_idx = (new_idx & ~(reg.mask << reg.offset)) | (mapped[:, column] << reg.offset)
-    return QuantumState.from_branches(layout, new_idx, state.values)
-
-
 def xor_register(state: QuantumState, reg: str, values) -> QuantumState:
     """XOR ``values`` (one per branch, or one for all) into a register.
 
@@ -191,17 +127,6 @@ def xor_register(state: QuantumState, reg: str, values) -> QuantumState:
         state.layout, state.indices ^ (values << register.offset), state.values)
 
 
-def apply_phase_flip(state: QuantumState, regs: Sequence[str],
-                     predicate: Callable[[tuple[int, ...]], bool]) -> QuantumState:
-    """Flip the sign of every branch whose listed-register values satisfy the predicate."""
-    _local_widths(state.layout, regs)
-    rows, inverse = _support_rows(state, regs)
-    flips = np.array([bool(predicate(tuple(row))) for row in rows.tolist()])
-    signs = np.where(flips, -1.0, 1.0)[inverse]
-    return QuantumState.from_branches(state.layout, state.indices,
-                                      state.values * signs)
-
-
 def align(*states: QuantumState) -> tuple[np.ndarray, list[np.ndarray]]:
     """Sorted union of the states' branch indices, and each state's values on it."""
     merged = np.sort(np.concatenate([s.indices for s in states]))
@@ -215,16 +140,6 @@ def align(*states: QuantumState) -> tuple[np.ndarray, list[np.ndarray]]:
 def reflect(values: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """2|axis><axis| - I on amplitude arrays aligned with each other."""
     return 2.0 * np.vdot(axis, values) * axis - values
-
-
-def reflect_about(state: QuantumState, axis: QuantumState) -> QuantumState:
-    """Apply 2|axis><axis| - I on the union of both states' branches."""
-    if state.layout != axis.layout:
-        raise ValueError("states live on different layouts")
-    support, (values, axis_values) = align(state, axis)
-    reflected = reflect(values, axis_values)
-    keep = reflected != 0  # a state holds only its nonzero branches
-    return QuantumState.from_branches(state.layout, support[keep], reflected[keep])
 
 
 def tensor(low: QuantumState, high: QuantumState) -> QuantumState:
@@ -277,62 +192,3 @@ def measure_register(state: QuantumState, reg: str,
         raise ValueError(
             f"cannot renormalize onto {reg}={outcome}: probability {prob!r} underflows")
     return outcome, post
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace matrix over a packed register subspace."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        trace = complex(np.trace(m))
-        if abs(trace - 1.0) > 1e-10:
-            raise ValueError(f"density matrix trace {trace!r} is not 1 within 1e-10")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        eig = np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2.0)
-        if eig.min() < -1e-10:
-            raise ValueError(f"density matrix has eigenvalue {eig.min()!r} < -1e-10")
-        return eig
-
-
-def reduced_density(state: QuantumState, regs: Sequence[str]) -> DensityMatrix:
-    """Partial trace keeping the listed registers.
-
-    Row/column indices of the result pack the kept registers with the same
-    convention as layouts: regs[0] in the least-significant bits.
-    """
-    layout = state.layout
-    _local_widths(layout, regs)
-    keep_dim = 1 << sum(layout.width(r) for r in regs)
-    if keep_dim > DENSITY_DIM_CAP:
-        raise ValueError(
-            f"reduced density dimension {keep_dim} exceeds the cap of {DENSITY_DIM_CAP}")
-    registers = layout.registers
-    n = len(registers)
-    # Axis i of the reshaped tensor is register n-1-i (row-major puts the
-    # last register, the most significant bits, on axis 0).
-    tensor_view = state.amplitudes.reshape([1 << r.width for r in reversed(registers)])
-    axis_of = {r.name: n - 1 - i for i, r in enumerate(registers)}
-    keep_axes = [axis_of[name] for name in reversed(regs)]
-    rest_axes = [axis_of[r.name] for r in registers if r.name not in set(regs)]
-    flat = tensor_view.transpose(keep_axes + rest_axes).reshape(keep_dim, -1)
-    return DensityMatrix(flat @ flat.conj().T)
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy in bits: -sum(lam * log2 lam) over eigenvalues above 1e-12."""
-    eig = rho.eigenvalues()
-    eig = eig[eig > ENTROPY_EIG_FLOOR]
-    # 0.0 - x, not -x: a pure state's sum is +0.0 and must not print as -0.0.
-    return float(0.0 - np.sum(eig * np.log2(eig)))

@@ -3,8 +3,8 @@
 import numpy as np
 
 from qgi import (ADDR_A, DATA_A, DATA_B, HONEST, Attack, DataTable,
-                 PreparationSpec, QuantumState, build_preparation,
-                 cheat_check, prepare_joint)
+                 PreparationSpec, QuantumState, RegisterLayout,
+                 build_preparation, cheat_check, prepare_joint)
 from qgi.protocol import AliceParty, BobParty, _check_mask, _tamper
 from qgi.state import project, register_distribution
 
@@ -51,6 +51,29 @@ def dense_circuit_distribution(spec, bits, initial) -> np.ndarray:
             current = 2.0 * np.vdot(axis, flipped) * axis - flipped
     transformed = np.fft.fft(rows, axis=0) / size
     return np.sum(np.abs(transformed) ** 2, axis=1)
+
+
+def encoded_gram(table: DataTable) -> np.ndarray:
+    """Gram matrix sqrt(p_i p_j) <psi_i|psi_j> of the equal-weight
+    ensemble of encoded rows |i>|table[i]>.
+
+    It has the nonzero spectrum of the ensemble average (Jozsa & Schlienz,
+    Phys. Rev. A 62, 012301), so its entropy is the ensemble's.
+    """
+    layout = RegisterLayout([(ADDR_A, table.address_bits),
+                             (DATA_A, table.value_bits)])
+    rows = np.array([layout.pack({ADDR_A: i, DATA_A: entry})
+                     for i, entry in enumerate(table.entries)])
+    return (rows[:, None] == rows[None, :]) / table.size
+
+
+def gram_entropy(table: DataTable) -> float:
+    """Ensemble entropy in bits from the dense Gram spectrum: the reference
+    for ``leakage_report``.  Eigenvalues at or below 1e-12 are dropped."""
+    eig = np.linalg.eigvalsh(encoded_gram(table))
+    eig = eig[eig > 1e-12]
+    # 0.0 - x, not -x: a pure state's sum is +0.0 and must not print as -0.0.
+    return float(0.0 - np.sum(eig * np.log2(eig)))
 
 
 def measure_distribution(state, reg) -> dict[int, tuple[float, QuantumState]]:

@@ -258,6 +258,17 @@ class TestRun:
         assert code == 1
         assert "unknown adversary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mask", ["abc", "1e3"])
+    def test_non_integer_tamper_mask_is_a_one_line_error(self, scene_files,
+                                                         capsys, mask):
+        code = main(["run", "--alice", scene_files[0], "--bob", scene_files[1],
+                     "--adversary", f"bob-tamper:{mask}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (f"error: bob-tamper mask must be an integer, "
+                                f"got {mask!r}\n")
+
 
 class TestRasterize:
     def test_worked_scene(self, scene_files, capsys):
@@ -390,14 +401,22 @@ class TestAnalyze:
 
     def test_a_failing_section_prints_no_partial_report(self, tmp_path,
                                                         capsys):
-        # The cost section succeeds; the leakage Gram matrix refuses M = 4097.
-        alice, bob = cell_files(tmp_path, 128, range(1, 4098), [1])
+        # Cost and leakage succeed; the attacks section's joint layout needs
+        # 126 qubits, more than a packed basis index holds.
+        alice, bob = cell_files(tmp_path, 1 << 31, [1], [2])
         code = main(["analyze", "--alice", alice, "--bob", bob])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert "ensemble of 4097 states exceeds the cap of 4096" in captured.err
+        assert "layout requires 126 qubits, exceeding the 63" in captured.err
+
+    def test_leakage_has_no_cap_on_the_ensemble_size(self, tmp_path, capsys):
+        alice, bob = cell_files(tmp_path, 128, range(1, 4098), [1])
+        code = main(["analyze", "--alice", alice, "--bob", bob])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "ensemble entropy 12.000352 bits" in out
 
 
 def test_argument_errors_exit_one(capsys):

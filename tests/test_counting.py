@@ -9,11 +9,18 @@ from qgi import (DATA_B, AdversaryStrategy, CountingConfig, DataTable,
                  decide_intersection, decode_count, default_counting_bits,
                  exact_count, grover_iterate, phase_estimate, prepare_joint,
                  run_protocol)
-from qgi.counting import EIGHT_OVER_PI_SQ, counting_layout
+from qgi.counting import EIGHT_OVER_PI_SQ, _distribution_circuit
 from support import dense_circuit_distribution, random_spec, random_state
 
 WORKED = PreparationSpec(DataTable((1, 2, 5, 6), 4), DataTable((6, 7, 10, 11), 4))
 DISJOINT = PreparationSpec(DataTable((1, 2), 4), DataTable((3, 4), 4))
+
+
+def flip_marked(state):
+    """S: negate the branches whose second data register is zero."""
+    signs = np.where(state.register_values(DATA_B) == 0, -1.0, 1.0)
+    return QuantumState.from_branches(state.layout, state.indices,
+                                      state.values * signs)
 
 
 class TestDefaults:
@@ -74,10 +81,11 @@ class TestGroverIterate:
             assert abs(norm_sq - 1.0) < 1e-12
 
     def test_inverse_composes_to_identity(self, rng):
+        # G^-1 = S G S: S and the reflection are both involutions.
         iterate = grover_iterate(WORKED)
         for _ in range(20):
             state = random_state(WORKED.layout(), rng)
-            back = iterate.apply_inverse(iterate.apply(state))
+            back = flip_marked(iterate.apply(flip_marked(iterate.apply(state))))
             assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
 
     def test_raw_and_state_application_agree(self, rng):
@@ -92,8 +100,44 @@ class TestGroverIterate:
             state = random_state(layout, rng)
             assert np.max(np.abs(iterate.apply(state).amplitudes
                                  - matrix @ state.amplitudes)) < 1e-12
-            assert np.max(np.abs(iterate.apply_inverse(state).amplitudes
+            inverse = flip_marked(iterate.apply(flip_marked(state)))
+            assert np.max(np.abs(inverse.amplitudes
                                  - matrix.conj().T @ state.amplitudes)) < 1e-12
+
+    def test_repeated_application_gives_the_circuit_distribution(self, rng):
+        # The circuit engine's rows are the iterate's powers on the initial state.
+        bits = 4
+        for _ in range(5):
+            spec = random_spec(rng)
+            iterate = grover_iterate(spec)
+            initial = random_state(spec.layout(), rng)
+            support = iterate.on_support(initial)[0]
+            rows = np.zeros((1 << bits, len(support)), dtype=np.complex128)
+            state = initial
+            for z in range(1 << bits):
+                rows[z, np.searchsorted(support, state.indices)] = state.values
+                state = iterate.apply(state)
+            probs = np.sum(np.abs(np.fft.fft(rows, axis=0) / (1 << bits)) ** 2,
+                           axis=1)
+            engine = _distribution_circuit(iterate, bits, initial)
+            assert np.max(np.abs(probs - engine)) < 1e-12
+
+    def test_apply_keeps_only_nonzero_branches(self):
+        # |psi> has 16 unmarked branches of amplitude 1/4.  With 12 of them
+        # at +1/4 and 4 at -1/4, <psi|x> = 1/2, so G x = |psi> - x cancels
+        # the 12 exactly and doubles the 4.
+        spec = PreparationSpec(DataTable((1, 2, 5, 6), 4), DataTable((3, 4, 7, 8), 4))
+        iterate = grover_iterate(spec)
+        branches = iterate.prepared.indices
+        state = QuantumState.from_branches(spec.layout(), branches,
+                                           [0.25] * 12 + [-0.25] * 4)
+        out = iterate.apply(state)
+        assert out.indices.tolist() == branches[12:].tolist()
+        assert out.values.tolist() == [0.5] * 4
+
+    def test_apply_refuses_another_layout(self):
+        with pytest.raises(ValueError, match="layout does not match"):
+            grover_iterate(DISJOINT).apply(prepare_joint(WORKED))
 
 
 class TestExactCount:
@@ -298,8 +342,3 @@ class TestPhaseEstimate:
         skewed = random_state(WORKED.layout(), np.random.default_rng(8))
         with pytest.raises(ValueError, match="not uniform"):
             phase_estimate(WORKED, prepared=skewed)
-
-    def test_counting_layout_appends_register(self):
-        layout = counting_layout(WORKED, 7)
-        assert layout.names == ("addr_a", "data_a", "addr_b", "data_b", "count")
-        assert layout.total_qubits == 12 + 7

@@ -224,10 +224,10 @@ class TestCheatCheck:
             post.probabilities() > 1e-14] == 0)
 
     def test_tampered_data_register_always_fails(self):
-        from qgi.state import apply_permutation
+        from qgi.state import xor_register
         spec = worked_spec()
         state = honest_message_state(spec)
-        tampered = apply_permutation(state, [DATA_A], lambda v: (v[0] ^ 0b0011,))
+        tampered = xor_register(state, DATA_A, 0b0011)
         pass_prob, post = cheat_check(tampered, spec.table_a)
         assert pass_prob == 0.0
         assert post is None
@@ -236,7 +236,7 @@ class TestCheatCheck:
         # Collapse to one loaded row before the XOR step; the uncompute
         # still clears the data register on that branch.
         spec = worked_spec()
-        layout_a = spec.alice_layout()
+        layout_a = prepare_encoded(spec.table_a, ADDR_A, DATA_A).layout
         tau = 2
         collapsed = basis_state(layout_a, {ADDR_A: tau, DATA_A: WORKED_A[tau]})
         bob = prepare_encoded(spec.table_b, ADDR_B, DATA_B)

@@ -6,13 +6,13 @@ import pytest
 
 import qgi.counting
 import qgi.protocol
-from qgi import (HONEST, AdversaryStrategy, Attack, CountingConfig, DataTable,
-                 GridConfig, ProtocolTranscript, Rect, Scene, Verdict,
-                 build_preparation, classical_intersect, comm_cost,
-                 detection_probability, leakage_report, phase_estimate,
-                 rasterize, run_protocol)
+from qgi import (ADDR_A, DATA_A, HONEST, AdversaryStrategy, Attack,
+                 CountingConfig, DataTable, GridConfig, ProtocolTranscript,
+                 Rect, Scene, Verdict, build_preparation, classical_intersect,
+                 comm_cost, detection_probability, leakage_report,
+                 phase_estimate, prepare_encoded, rasterize, run_protocol)
 from qgi.protocol import AliceParty, BobParty, StepRecord
-from support import expanded_detection_probability, random_state
+from support import expanded_detection_probability, gram_entropy, random_state
 
 
 class TestHonestRuns:
@@ -84,6 +84,8 @@ class TestAdversaries:
             AdversaryStrategy.parse("eve")
         with pytest.raises(ValueError, match="needs a mask"):
             AdversaryStrategy.parse("bob-tamper")
+        with pytest.raises(ValueError, match="mask must be an integer, got 'x1'"):
+            AdversaryStrategy.parse("bob-tamper:x1")
         with pytest.raises(ValueError, match="does not take"):
             AdversaryStrategy.parse("honest:1")
 
@@ -194,7 +196,8 @@ class TestDetectionInOnePipeline:
         for _ in range(8):
             scene_a, scene_b = random_cell_scenes(rng, side, max_cells)
             spec, _, _ = build_preparation(scene_a, scene_b)
-            message = random_state(spec.alice_layout(), rng)
+            layout_a = prepare_encoded(spec.table_a, ADDR_A, DATA_A).layout
+            message = random_state(layout_a, rng)
             monkeypatch.setattr(AliceParty, "prepare_message",
                                 lambda self: message)
             for label in DETECTION_STRATEGIES:
@@ -267,6 +270,19 @@ class TestLeakageReport:
     def test_single_entry_table_has_no_entropy(self):
         report = leakage_report(DataTable((5,), 4), 16)
         assert abs(report.ensemble_entropy_bits) < 1e-12
+
+    def test_equals_the_dense_gram_spectrum(self, rng):
+        for size in [1, 2, 3, 5, 8, 13, 32, 63, 64]:
+            entries = rng.choice(np.arange(1, 256), size, replace=False)
+            table = DataTable.from_serials(entries, 8)
+            report = leakage_report(table, 255)
+            assert abs(report.ensemble_entropy_bits - gram_entropy(table)) < 1e-12
+
+    def test_has_no_cap_on_the_ensemble_size(self):
+        table = DataTable(tuple(range(1, 4098)), 13)
+        report = leakage_report(table, 8191)
+        assert report.ensemble_entropy_bits == math.log2(4097)
+        assert report.holevo_bound_bits == report.ensemble_entropy_bits
 
     def test_holevo_equals_ensemble_for_pure_states(self, rng):
         for _ in range(10):

@@ -58,10 +58,8 @@ def test_unknown_register_lookup():
         layout.width("b")
 
 
-def test_extend_and_concat_preserve_order():
-    layout = RegisterLayout([("a", 2)]).extend("b", 3)
-    assert layout.names == ("a", "b")
-    assert layout.offset("b") == 2
+def test_concat_preserves_order():
+    layout = RegisterLayout([("a", 2), ("b", 3)])
     other = RegisterLayout([("c", 1)])
     combined = layout.concat(other)
     assert combined.names == ("a", "b", "c")

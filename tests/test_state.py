@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qgi import (DensityMatrix, QuantumState, RegisterLayout,
-                 apply_permutation, apply_phase_flip, basis_state,
-                 measure_register, reduced_density, reflect_about, tensor,
-                 von_neumann_entropy)
-from qgi.state import _norm_sq, project
-from support import measure_distribution, random_state
+from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, QUBIT_BUDGET, DataTable,
+                 GroverIterate, PreparationSpec, QuantumState, RegisterLayout,
+                 basis_state, leakage_report, measure_register, tensor)
+from qgi.state import _norm_sq, project, reflect, xor_register
+from support import (encoded_gram, gram_entropy, measure_distribution,
+                     random_spec, random_state)
 
 
 @pytest.fixture
@@ -42,119 +42,121 @@ def test_state_must_be_normalized(pair_layout):
 
 def test_identity_permutation_is_noop(pair_layout, rng):
     state = random_state(pair_layout, rng)
-    out = apply_permutation(state, ["addr_a", "data_a"], lambda v: v)
+    out = xor_register(state, "data_a", 0)
     assert np.array_equal(out.amplitudes, state.amplitudes)
 
 
 def test_bit_flip_permutation():
     layout = RegisterLayout([("q", 1)])
-    flipped = apply_permutation(basis_state(layout), ["q"], lambda v: (v[0] ^ 1,))
+    flipped = xor_register(basis_state(layout), "q", 1)
     assert flipped.amplitudes[1] == 1.0
 
 
 def test_self_inverse_permutation_twice_is_identity(pair_layout, rng):
     state = random_state(pair_layout, rng)
-    flip = lambda v: (v[0], v[1] ^ 0b1010)
-    twice = apply_permutation(apply_permutation(state, ["addr_a", "data_a"], flip),
-                              ["addr_a", "data_a"], flip)
+    values = state.register_values("addr_a") ^ 0b1010
+    twice = xor_register(xor_register(state, "data_a", values), "data_a", values)
     assert np.max(np.abs(twice.amplitudes - state.amplitudes)) < 1e-12
 
 
 def test_permutation_moves_amplitude_to_image(pair_layout):
     state = basis_state(pair_layout, {"addr_a": 1, "data_a": 3})
-    out = apply_permutation(state, ["data_a"], lambda v: ((v[0] + 5) % 16,))
+    out = xor_register(state, "data_a", 0b1011)
     assert out.amplitudes[pair_layout.pack({"addr_a": 1, "data_a": 8})] == 1.0
 
 
 def test_permutation_distributes_over_superpositions(pair_layout, rng):
     # Compare vectorized application against moving each basis amplitude by hand.
     state = random_state(pair_layout, rng)
-    shuffle = lambda v: ((v[0] + 1) % 4, v[1] ^ 0b0110)
-    out = apply_permutation(state, ["addr_a", "data_a"], shuffle)
+    key = lambda i: (5 * i + 3) % 16
+    out = xor_register(state, "data_a", key(state.register_values("addr_a")))
     expected = np.zeros_like(state.amplitudes)
     for index in range(pair_layout.dim):
         values = pair_layout.unpack(index)
-        i, x = shuffle((values["addr_a"], values["data_a"]))
+        i, x = values["addr_a"], values["data_a"] ^ key(values["addr_a"])
         expected[pair_layout.pack({"addr_a": i, "data_a": x})] += state.amplitudes[index]
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
 
 
-def test_non_bijective_map_rejected_in_verify_mode(pair_layout):
-    state = basis_state(pair_layout)
-    with pytest.raises(ValueError, match="bijection"):
-        apply_permutation(state, ["data_a"], lambda v: (v[0] & 0b1110,), verify=True)
-
-
 def test_map_colliding_on_the_support_is_rejected(pair_layout):
-    amps = np.zeros(pair_layout.dim, dtype=complex)
-    amps[pair_layout.pack({"data_a": 2})] = amps[pair_layout.pack({"data_a": 3})] = 0.5 ** 0.5
-    state = QuantumState(pair_layout, amps)
+    index = pair_layout.pack({"data_a": 2})
     with pytest.raises(ValueError, match="not injective on the state's support"):
-        apply_permutation(state, ["data_a"], lambda v: (v[0] & 0b1110,))
+        QuantumState.from_branches(pair_layout, [index, index], [0.5 ** 0.5] * 2)
 
 
-def test_map_is_evaluated_only_on_the_support(pair_layout):
-    seen = []
-    state = basis_state(pair_layout, {"addr_a": 1, "data_a": 3})
-    apply_permutation(state, ["addr_a", "data_a"], lambda v: seen.append(v) or v)
-    assert seen == [(1, 3)]
+def test_map_is_evaluated_only_on_the_support():
+    # 40 qubits: no table over the register's values is built, only the
+    # two branches move.
+    layout = RegisterLayout([("a", 20), ("b", 20)])
+    i1, i2 = layout.pack({"a": 3, "b": 9}), layout.pack({"a": 1 << 19, "b": 0})
+    state = QuantumState.from_branches(layout, [i1, i2], [0.6, 0.8j])
+    out = xor_register(state, "b", state.register_values("a"))
+    assert out.indices.tolist() == sorted(
+        [layout.pack({"a": 3, "b": 9 ^ 3}), layout.pack({"a": 1 << 19, "b": 1 << 19})])
+    assert out.values.tolist() == [0.6, 0.8j]
 
 
-def test_permutation_arity_and_range_checked(pair_layout):
-    state = basis_state(pair_layout)
-    with pytest.raises(ValueError, match="exceeds register data_a"):
-        apply_permutation(state, ["data_a"], lambda v: (16,))
-    with pytest.raises(ValueError, match="2 values for 1 registers"):
-        apply_permutation(state, ["data_a"], lambda v: (0, 0))
-
-
-def test_phase_flip_flips_only_matching_branches(pair_layout, rng):
+def test_permutation_arity_and_range_checked(pair_layout, rng):
+    # One value for all branches acts as that value repeated per branch.
     state = random_state(pair_layout, rng)
-    out = apply_phase_flip(state, ["data_a"], lambda v: v[0] == 0)
-    values = pair_layout.index_values("data_a")
-    assert np.array_equal(out.amplitudes[values == 0], -state.amplitudes[values == 0])
-    assert np.array_equal(out.amplitudes[values != 0], state.amplitudes[values != 0])
+    one = xor_register(state, "data_a", 5)
+    each = xor_register(state, "data_a", np.full(len(state.indices), 5))
+    assert np.array_equal(one.indices, each.indices)
+    assert np.array_equal(one.values, each.values)
+    for value in (16, -1):
+        with pytest.raises(ValueError, match="exceeds register data_a width 4"):
+            xor_register(state, "data_a", value)
+
+
+def test_phase_flip_flips_only_matching_branches(rng):
+    spec = random_spec(rng)
+    iterate = GroverIterate(spec)
+    state = random_state(spec.layout(), rng)
+    support, values, _, signs = iterate.on_support(state)
+    assert np.array_equal(support, np.union1d(state.indices, iterate.prepared.indices))
+    marked = spec.layout().extract(support, DATA_B) == 0
+    assert np.array_equal(signs, np.where(marked, -1.0, 1.0))
+    assert np.array_equal(values[np.searchsorted(support, state.indices)], state.values)
 
 
 def test_reflection_fixes_axis_and_negates_orthogonal():
-    layout = RegisterLayout([("q", 1)])
-    axis = basis_state(layout, {"q": 0})
-    other = basis_state(layout, {"q": 1})
-    assert np.allclose(reflect_about(axis, axis).amplitudes, axis.amplitudes)
-    assert np.allclose(reflect_about(other, axis).amplitudes, -other.amplitudes)
+    axis = np.array([1.0, 0.0], dtype=complex)
+    other = np.array([0.0, 1.0], dtype=complex)
+    assert np.array_equal(reflect(axis, axis), axis)
+    assert np.array_equal(reflect(other, axis), -other)
 
 
 def test_reflection_runs_on_branches_above_the_dense_budget():
-    # 30 qubits: the dense view is refused, the reflection needs only the
-    # three branches of both states.
-    layout = RegisterLayout([("a", 15), ("b", 15)])
-    i1, i2, i3 = (layout.pack({"a": a, "b": b})
-                  for a, b in ((7, 0), (1, 9000), (32767, 5)))
-    state = QuantumState.from_branches(layout, [i1, i2], [0.6, 0.8j])
-    axis = QuantumState.from_branches(layout, [i2, i3], [0.6, 0.8])
-    out = reflect_about(state, axis)
-    # <axis|state> = 0.48j, so the result is 0.96j|axis> - |state>.
-    assert out.layout == layout
-    assert out.indices.tolist() == sorted([i1, i2, i3])
-    expected = {i1: -0.6, i2: 0.576j - 0.8j, i3: 0.768j}
-    got = dict(zip(out.indices.tolist(), out.values))
-    assert max(abs(got[i] - v) for i, v in expected.items()) < 1e-12
-    with pytest.raises(ValueError, match="dense view of 30 qubits"):
+    # 26 qubits: the dense view is refused, the iterate needs only the
+    # branches of the state and of the preparation.
+    spec = PreparationSpec(DataTable((1, 2), 12), DataTable((3, 4), 12))
+    layout = spec.layout()
+    assert layout.total_qubits > QUBIT_BUDGET
+    iterate = GroverIterate(spec)
+    psi = iterate.prepared
+    # Disjoint tables mark no branch, so |psi> is a fixed point.
+    out = iterate.apply(psi)
+    assert np.array_equal(out.indices, psi.indices)
+    assert np.max(np.abs(out.values - psi.values)) < 1e-12
+    with pytest.raises(ValueError, match="dense view of 26 qubits"):
         out.amplitudes
-    # Orthogonal to the axis: negated, and the axis's branch is not stored.
-    lone = QuantumState.from_branches(layout, [i1], [1.0])
-    negated = reflect_about(lone, QuantumState.from_branches(layout, [i3], [1.0]))
-    assert negated.indices.tolist() == [i1] and negated.values.tolist() == [-1.0]
+    # An unmarked branch orthogonal to |psi> is negated, and |psi>'s
+    # branches are not stored.
+    lone = layout.pack({ADDR_A: 1, DATA_A: 5, ADDR_B: 0, DATA_B: 7})
+    assert lone not in psi.indices
+    negated = iterate.apply(QuantumState.from_branches(layout, [lone], [1.0]))
+    assert negated.indices.tolist() == [lone] and negated.values.tolist() == [-1.0]
 
 
-def test_norm_preserved_through_operation_chain(pair_layout, rng):
-    state = random_state(pair_layout, rng)
-    axis = random_state(pair_layout, rng)
+def test_norm_preserved_through_operation_chain(rng):
+    spec = random_spec(rng)
+    iterate = GroverIterate(spec)
+    state = random_state(spec.layout(), rng)
+    mask = (1 << spec.value_bits) - 1
     for _ in range(25):
-        state = apply_permutation(state, ["addr_a", "data_a"],
-                                  lambda v: (v[0] ^ 3, (v[1] + 7) % 16))
-        state = apply_phase_flip(state, ["data_a"], lambda v: v[0] % 3 == 1)
-        state = reflect_about(state, axis)
+        state = xor_register(state, DATA_B,
+                             (state.register_values(ADDR_A) * 7 + 3) & mask)
+        state = iterate.apply(state)
         norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
         assert abs(norm_sq - 1.0) < 1e-12
 
@@ -229,75 +231,16 @@ def test_projection_renormalizes_by_the_kept_branches(pair_layout):
     assert project(single, "addr_a", 0) == (0.0, None)
 
 
-def test_reduced_density_of_product_state_is_rank_one(rng):
-    layout_a = RegisterLayout([("a", 2)])
-    layout_b = RegisterLayout([("b", 3)])
-    part_a = random_state(layout_a, rng)
-    part_b = random_state(layout_b, rng)
-    rho = reduced_density(tensor(part_a, part_b), ["a"])
-    expected = np.outer(part_a.amplitudes, part_a.amplitudes.conj())
-    assert np.max(np.abs(rho.matrix - expected)) < 1e-12
-
-
-def test_reduced_density_of_bell_pair_is_maximally_mixed():
-    layout = RegisterLayout([("q0", 1), ("q1", 1)])
-    amps = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    rho = reduced_density(QuantumState(layout, amps), ["q0"])
-    assert np.max(np.abs(rho.matrix - np.eye(2) / 2)) < 1e-12
-    assert abs(von_neumann_entropy(rho) - 1.0) < 1e-12
-
-
-def test_reduced_density_over_all_registers_is_outer_product(pair_layout, rng):
-    state = random_state(pair_layout, rng)
-    rho = reduced_density(state, ["addr_a", "data_a"])
-    expected = np.outer(state.amplitudes, state.amplitudes.conj())
-    assert np.max(np.abs(rho.matrix - expected)) < 1e-12
-
-
 def test_reduced_density_of_encoded_superposition_is_uniform_diagonal():
-    # 1/2 sum_i |i>|a_i> kept entirely: four 1/4 diagonal entries.
-    layout = RegisterLayout([("addr_a", 2), ("data_a", 4)])
-    table = [1, 2, 5, 6]
-    amps = np.zeros(layout.dim, dtype=complex)
-    indices = [layout.pack({"addr_a": i, "data_a": a}) for i, a in enumerate(table)]
-    amps[indices] = 0.5
-    mixed = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for idx in indices:
-        vec = np.zeros(layout.dim, dtype=complex)
-        vec[idx] = 1.0
-        mixed += np.outer(vec, vec.conj()) / 4
-    rho = DensityMatrix(mixed)
-    assert np.allclose(np.diag(rho.matrix)[indices], 0.25, atol=1e-12)
-    assert abs(von_neumann_entropy(rho) - 2.0) < 1e-9
-
-
-def test_reduced_density_respects_dimension_cap():
-    layout = RegisterLayout([("wide", 13)])
-    state = basis_state(layout)
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        reduced_density(state, ["wide"])
+    # 1/2 sum_i |i>|a_i>: the Gram matrix of its rows is I/4, entropy 2 bits.
+    table = DataTable((1, 2, 5, 6), 4)
+    assert np.array_equal(encoded_gram(table), np.eye(4) / 4)
+    assert abs(gram_entropy(table) - 2.0) < 1e-12
 
 
 def test_entropy_of_rank_one_projector_is_zero():
-    vec = np.zeros(8, dtype=complex)
-    vec[5] = 1.0
-    rho = DensityMatrix(np.outer(vec, vec.conj()))
-    entropy = von_neumann_entropy(rho)
     # +0.0, not -(1 * log2 1) = -0.0, which prints as "-0.000000".
-    assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
-
-
-def test_entropy_of_pure_state_density_is_zero(pair_layout, rng):
-    state = random_state(pair_layout, rng)
-    rho = reduced_density(state, ["addr_a", "data_a"])
-    assert abs(von_neumann_entropy(rho)) < 1e-9
-
-
-def test_density_matrix_validation():
-    with pytest.raises(ValueError, match="Hermitian"):
-        DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
-    with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(np.eye(2, dtype=complex))
-    bad = np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex)
-    with pytest.raises(ValueError, match="eigenvalue"):
-        DensityMatrix(bad).eigenvalues()
+    table = DataTable((5,), 4)
+    for entropy in (gram_entropy(table),
+                    leakage_report(table, 16).ensemble_entropy_bits):
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
