@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass
 
 from .counting import CountingConfig, Verdict
 from .geometry import SceneFormatError, load_scene, rasterize
@@ -20,26 +19,9 @@ from .protocol import (HONEST, AdversaryStrategy, Attack, CostSummary,
                        _detection, leakage_report, run_protocol)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    alice: str
-    bob: str
-    counting_bits: int | None = None
-    mode: str = "exact"
-    seed: int | None = None
-    adversary: str = "honest"
-    trace: str | None = None
-    verbose: bool = False
-
-    def validate(self):
-        if self.mode not in ("exact", "sample"):
-            raise ValueError(f"--mode must be exact or sample, got {self.mode!r}")
-        if self.mode == "sample" and self.seed is None:
-            raise ValueError("sample mode needs --seed for reproducible runs")
-        if self.counting_bits is not None and self.counting_bits < 1:
-            raise ValueError("--counting-bits must be >= 1")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError("--seed must be >= 0")
+# The ``run`` flags a trace records under "config", in this order.
+TRACE_CONFIG = ("alice", "bob", "counting_bits", "mode", "seed", "adversary",
+                "verbose")
 
 
 def _cost_lines(cost: CostSummary) -> list[str]:
@@ -52,28 +34,33 @@ def _cost_lines(cost: CostSummary) -> list[str]:
     ]
 
 
-def _write_trace(cfg: RunConfig, transcript: ProtocolTranscript):
-    if cfg.trace is None:
+def _write_trace(args: argparse.Namespace, transcript: ProtocolTranscript):
+    if args.trace is None:
         return
-    config = {k: v for k, v in asdict(cfg).items() if k != "trace"}
-    doc = {"config": config, "transcript": transcript.to_dict(verbose=cfg.verbose)}
-    with open(cfg.trace, "w", encoding="utf-8") as fh:
+    doc = {"config": {key: getattr(args, key) for key in TRACE_CONFIG},
+           "transcript": transcript.to_dict(verbose=args.verbose)}
+    with open(args.trace, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    cfg.validate()
-    scene_a = load_scene(cfg.alice)
-    scene_b = load_scene(cfg.bob)
-    adversary = AdversaryStrategy.parse(cfg.adversary)
-    counting = CountingConfig(bits=cfg.counting_bits, mode=cfg.mode, seed=cfg.seed)
-    transcript = run_protocol(scene_a, scene_b, counting, adversary, seed=cfg.seed)
-    _write_trace(cfg, transcript)
+def cmd_run(args: argparse.Namespace) -> int:
+    if args.mode == "sample" and args.seed is None:
+        raise ValueError("sample mode needs --seed for reproducible runs")
+    if args.counting_bits is not None and args.counting_bits < 1:
+        raise ValueError("--counting-bits must be >= 1")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError("--seed must be >= 0")
+    scene_a = load_scene(args.alice)
+    scene_b = load_scene(args.bob)
+    adversary = AdversaryStrategy.parse(args.adversary)
+    counting = CountingConfig(bits=args.counting_bits, mode=args.mode)
+    transcript = run_protocol(scene_a, scene_b, counting, adversary, seed=args.seed)
+    _write_trace(args, transcript)
     if transcript.verdict is Verdict.ABORT:
         print("ABORT: cheat check failed")
-        if cfg.trace:
-            print(f"trace written to {cfg.trace}")
+        if args.trace:
+            print(f"trace written to {args.trace}")
         return 2
     est = transcript.estimate
     print(f"verdict={transcript.verdict} t={est.t_rounded}")
@@ -84,8 +71,8 @@ def cmd_run(cfg: RunConfig) -> int:
     print(line)
     for text in _cost_lines(transcript.cost):
         print(text)
-    if cfg.trace:
-        print(f"trace written to {cfg.trace}")
+    if args.trace:
+        print(f"trace written to {args.trace}")
     return 0
 
 
@@ -190,11 +177,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(RunConfig(
-                alice=args.alice, bob=args.bob,
-                counting_bits=args.counting_bits, mode=args.mode,
-                seed=args.seed, adversary=args.adversary,
-                trace=args.trace, verbose=args.verbose))
+            return cmd_run(args)
         if args.command == "rasterize":
             return cmd_rasterize(args.scene)
         return cmd_analyze(args.alice, args.bob,

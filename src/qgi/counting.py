@@ -35,7 +35,6 @@ from .oracles import DATA_B, PreparationSpec, prepare_joint
 from .registers import QUBIT_BUDGET, check_budget
 from .state import QuantumState, align, reflect
 
-EIGHT_OVER_PI_SQ = 8.0 / math.pi ** 2
 CIRCUIT_AUTO_LIMIT = 20
 _BRANCH_FLOOR = 1e-14
 _PEAK_TIE = 1e-12
@@ -64,12 +63,11 @@ class CountingConfig:
     ``bits`` defaults to ceil(log2 K) + 3 for the instance at hand.  In
     ``exact`` mode the estimate is the lowest outcome whose probability in
     the exactly computed distribution is within 1e-12 of the maximum;
-    ``sample`` mode draws one outcome with the seeded generator instead.
+    ``sample`` mode draws one outcome with the run's generator instead.
     """
 
     bits: int | None = None
     mode: str = "exact"
-    seed: int | None = None
     engine: str = "auto"
 
     def __post_init__(self):
@@ -118,18 +116,11 @@ class GroverIterate:
     is diagonal and the reflection adds a multiple of |psi>, G maps the
     span of any branches that include |psi>'s into itself.
 
-    ``prepared`` is |psi> when the caller already holds it, as Alice does
-    after an undisturbed cheat check; its layout must be the spec's.
-    Without it the preparation pipeline runs here.
+    ``prepared`` is |psi>; a protocol run passes the preparation Alice
+    already holds, and ``grover_iterate`` builds one from a spec.
     """
 
-    def __init__(self, spec: PreparationSpec, prepared: QuantumState | None = None):
-        if prepared is None:
-            prepared = prepare_joint(spec)
-        elif prepared.layout != spec.layout():
-            raise ValueError(f"prepared state layout {prepared.layout!r} does not "
-                             f"match the spec's {spec.layout()!r}")
-        self.spec = spec
+    def __init__(self, prepared: QuantumState):
         self.prepared = prepared
 
     @property
@@ -160,7 +151,7 @@ class GroverIterate:
 
 
 def grover_iterate(spec: PreparationSpec) -> GroverIterate:
-    return GroverIterate(spec)
+    return GroverIterate(prepare_joint(spec))
 
 
 def exact_count(state: QuantumState) -> int:
@@ -261,36 +252,44 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     """Estimate the marked count of the joint preparation.
 
     The iterate reflects about ``prepared``, the joint preparation the
-    caller already holds, or about a freshly built one when it is not
-    given (see ``GroverIterate``).  ``initial_state`` overrides the
-    preparation as the state counted (used to study runs where the
-    in-flight state was disturbed).  Both engines take it, and the engine
-    choice does not depend on it; it disables the success-probability
-    report, since the true count is then undefined.  Exact mode reads the
-    true count off the preparation with ``exact_count``, which refuses a
-    state whose branch magnitudes are not uniform.
+    caller already holds after checking its layout against the spec; when
+    it is not given, the preparation pipeline runs here.
+    ``initial_state`` overrides the preparation as the state counted
+    (used to study runs where the in-flight state was disturbed).  Both
+    engines take it, and the engine choice does not depend on it; it
+    disables the success-probability report, since the true count is
+    then undefined.  Exact mode reads the true count off the preparation
+    with ``exact_count``, which refuses a state whose branch magnitudes
+    are not uniform.  Sample mode draws the outcome from ``rng``, the
+    run's generator, and needs one.
     """
     cfg = cfg or CountingConfig()
+    if cfg.mode == "sample" and rng is None:
+        raise ValueError("sample mode needs a generator to draw the outcome")
     search_space = spec.size_k
     bits, engine = plan_counting(spec, cfg)
     size = 1 << bits
-    iterate = GroverIterate(spec, prepared)
-    initial = initial_state or iterate.prepared
+    if prepared is None:
+        prepared = prepare_joint(spec)
+    elif prepared.layout != spec.layout():
+        raise ValueError(f"prepared state layout {prepared.layout!r} does not "
+                         f"match the spec's {spec.layout()!r}")
+    iterate = GroverIterate(prepared)
+    initial = initial_state or prepared
     if engine == "circuit":
         probs = _distribution_circuit(iterate, bits, initial)
     else:
         probs = _distribution_reduced(iterate, bits, initial)
 
     if cfg.mode == "sample":
-        gen = rng if rng is not None else np.random.default_rng(cfg.seed)
-        y = int(gen.choice(size, p=probs / probs.sum()))
+        y = int(rng.choice(size, p=probs / probs.sum()))
         success = None
     else:
         # Rounding noise must not choose between equal peaks, such as the
         # mirrors y and 2^bits - y.
         y = int(np.flatnonzero(probs >= probs.max() - _PEAK_TIE)[0])
         if initial_state is None:
-            true_t = exact_count(iterate.prepared)
+            true_t = exact_count(prepared)
             decoded = np.round(np.clip(
                 search_space * np.sin(np.pi * np.arange(size) / size) ** 2,
                 0, search_space)).astype(int)

@@ -126,20 +126,9 @@ def rasterize(scene: Scene) -> GridSet:
 
 
 def classical_intersect(a: GridSet, b: GridSet) -> tuple[bool, GridSet]:
-    """Exact set intersection by merging the two sorted serial lists."""
-    common = []
-    i = j = 0
-    sa, sb = a.serials, b.serials
-    while i < len(sa) and j < len(sb):
-        if sa[i] == sb[j]:
-            common.append(sa[i])
-            i += 1
-            j += 1
-        elif sa[i] < sb[j]:
-            i += 1
-        else:
-            j += 1
-    return bool(common), GridSet(tuple(common))
+    """Exact set intersection of the two serial sets."""
+    common = tuple(sorted(set(a.serials) & set(b.serials)))
+    return bool(common), GridSet(common)
 
 
 class SceneFormatError(ValueError):
@@ -217,17 +206,28 @@ def scene_from_dict(doc: dict) -> Scene:
         raise SceneFormatError(str(exc)) from None
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's fields, refusing a key given twice."""
+    doc = {}
+    for key, value in pairs:
+        _require(key not in doc, f"duplicate key {json.dumps(key)}")
+        doc[key] = value
+    return doc
+
+
 def load_scene(path: str) -> Scene:
     """Parse a scene file, reporting the offending line or field on failure."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise SceneFormatError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}") from None
         except RecursionError:
             raise SceneFormatError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # a duplicate key, or an over-long integer
+            raise SceneFormatError(f"{path}: {exc}") from None
     try:
         return scene_from_dict(doc)
     except SceneFormatError as exc:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .registers import QUBIT_BUDGET, RegisterLayout
-from .state import (QuantumState, basis_state, measure_register, project,
-                    xor_register)
+from .state import QuantumState, basis_state, project, xor_register
 
 ADDR_A = "addr_a"
 DATA_A = "data_a"
@@ -187,20 +186,16 @@ def prepare_joint(spec: PreparationSpec) -> QuantumState:
     return oracle_load(state, ADDR_A, DATA_A, spec.table_a)
 
 
-def cheat_check(state: QuantumState, table_a: DataTable,
-                rng: np.random.Generator | None = None):
+def cheat_check(state: QuantumState, table_a: DataTable
+                ) -> tuple[float, QuantumState | None]:
     """Uncompute the first data register and measure it; 0 means clean.
 
-    Without an rng the exact pass probability is returned together with the
-    state collapsed onto the passing outcome (``None`` if passing is
-    impossible); no other outcome is collapsed.  With an rng one outcome is
-    sampled and a boolean verdict is returned with the collapsed state.
+    Returns the exact pass probability and the state collapsed onto the
+    passing outcome (``None`` if passing is impossible); no other outcome
+    is collapsed.  A sampled check is one Bernoulli(pass probability)
+    draw, which the caller makes.
     """
-    uncomputed = oracle_load(state, ADDR_A, DATA_A, table_a)
-    if rng is None:
-        return project(uncomputed, DATA_A, 0)
-    outcome, post = measure_register(uncomputed, DATA_A, rng)
-    return outcome == 0, post
+    return project(oracle_load(state, ADDR_A, DATA_A, table_a), DATA_A, 0)
 
 
 __all__ = [

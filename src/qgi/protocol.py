@@ -66,7 +66,7 @@ class AdversaryStrategy:
 
     @classmethod
     def parse(cls, text: str) -> "AdversaryStrategy":
-        name, _, arg = text.partition(":")
+        name, colon, arg = text.partition(":")
         try:
             attack = Attack(name)
         except ValueError:
@@ -77,12 +77,16 @@ class AdversaryStrategy:
             if not arg:
                 raise ValueError("bob-tamper needs a mask, e.g. bob-tamper:1")
             try:
+                # int() alone would also take spaces, signs, underscores
+                # and non-ASCII digits.
+                if not (arg.isascii() and arg.isdigit()):
+                    raise ValueError
                 mask = int(arg)
             except ValueError:
                 raise ValueError(
                     f"bob-tamper mask must be an integer, got {arg!r}") from None
             return cls(attack, mask)
-        if arg:
+        if colon:
             raise ValueError(f"{name} does not take an argument")
         return cls(attack)
 
@@ -150,9 +154,6 @@ class LeakageReport:
     mean_state_entropy_bits: float
     holevo_bound_bits: float
     nominal_bound_bits: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def leakage_report(table: DataTable, total_cells: int) -> LeakageReport:
@@ -287,22 +288,24 @@ def run_protocol(scene_a: Scene, scene_b: Scene,
                  seed: int | None = None) -> ProtocolTranscript:
     """Execute one protocol run and return its transcript.
 
-    ``seed`` drives every sampled choice (adversarial measurements, and
-    the check and counting measurements in sample mode); identical inputs
-    give identical transcripts.
+    ``seed`` starts the run's one generator, which drives every sampled
+    choice: adversarial measurements, and in sample mode the check (one
+    Bernoulli draw on its exact pass probability) and the counting
+    outcome.  Identical inputs give identical transcripts.
     """
     cfg = cfg or CountingConfig()
     spec, set_a, set_b = build_preparation(scene_a, scene_b)
-    plan_counting(spec, cfg)  # refuse an over-budget register before any state
+    # Refuse an over-budget register or an over-wide mask before any state.
+    plan_counting(spec, cfg)
+    if adversary.attack is Attack.BOB_TAMPER:
+        _check_mask(adversary.tamper_mask, spec.value_bits)
+    honest = adversary.attack is Attack.HONEST
     # An exact honest run draws nothing.
     rng = (np.random.default_rng(0 if seed is None else seed)
-           if cfg.mode == "sample" or adversary.attack is not Attack.HONEST
-           else None)
-    cost = comm_cost(len(set_a), len(set_b), scene_a.grid.total_cells)
+           if cfg.mode == "sample" or not honest else None)
     alice = AliceParty(spec.table_a)
     bob = BobParty(spec.table_b)
     steps: list[StepRecord] = []
-    disturbed = False
 
     message = alice.prepare_message()
     steps.append(StepRecord(1, "alice", "prepare_and_send",
@@ -317,58 +320,51 @@ def run_protocol(scene_a: Scene, scene_b: Scene,
         detail["data_outcome"] = outcome
         steps.append(StepRecord(2, "bob", f"attack:{adversary.attack.value}",
                                 detail=detail))
-        disturbed = True
 
     joint = bob.respond(message)
     if adversary.attack is Attack.BOB_TAMPER:
-        _check_mask(adversary.tamper_mask, spec.value_bits)
         joint = _tamper(joint, adversary.tamper_mask)
         steps.append(StepRecord(2, "bob", "attack:bob-tamper",
                                 detail={"mask": adversary.tamper_mask}))
-        disturbed = True
     steps.append(StepRecord(2, "bob", "entangle_and_send",
                             qubits_sent=joint.layout.total_qubits))
 
+    pass_prob, alice_state = cheat_check(joint, alice.table)
     if cfg.mode == "exact":
-        pass_prob, post = cheat_check(joint, alice.table)
         passed = pass_prob >= 0.5
         check_detail: dict[str, Any] = {"pass_probability": float(pass_prob),
                                         "passed": passed}
     else:
-        passed, post = cheat_check(joint, alice.table, rng)
+        passed = rng.random() < pass_prob
         check_detail = {"passed": passed}
     steps.append(StepRecord(3, "alice", "uncompute_and_check",
                             detail=check_detail))
-    if not passed:
-        transcript = ProtocolTranscript(
-            steps=steps, verdict=Verdict.ABORT, estimate=None, cost=cost,
-            adversary=adversary.label, seed=seed, mode=cfg.mode)
-        transcript.validate()
-        return transcript
 
-    alice_state = post
-    if adversary.attack is Attack.ALICE_MEASURE_RESULT:
-        learned, alice_state = measure_register(alice_state, DATA_B, rng)
+    verdict, estimate = Verdict.ABORT, None
+    if passed:
+        if adversary.attack is Attack.ALICE_MEASURE_RESULT:
+            learned, alice_state = measure_register(alice_state, DATA_B, rng)
+            steps.append(StepRecord(
+                4, "alice", "attack:alice-measure-result",
+                detail={"measured_xor_value": learned,
+                        "note": "one address-pair xor; the raw serial stays hidden"}))
+        # Undisturbed, Alice holds the preparation itself; otherwise the
+        # iterate reflects about a fresh one and her state is counted.
+        if honest:
+            estimate = phase_estimate(spec, cfg, rng=rng, prepared=alice_state)
+        else:
+            estimate = phase_estimate(spec, cfg, initial_state=alice_state, rng=rng)
+        verdict = decide_intersection(estimate)
         steps.append(StepRecord(
-            4, "alice", "attack:alice-measure-result",
-            detail={"measured_xor_value": learned,
-                    "note": "one address-pair xor; the raw serial stays hidden"}))
-        disturbed = True
-
-    if disturbed:
-        estimate = phase_estimate(spec, cfg, initial_state=alice_state, rng=rng)
-    else:
-        estimate = phase_estimate(spec, cfg, rng=rng, prepared=alice_state)
-    verdict = decide_intersection(estimate)
-    steps.append(StepRecord(
-        4, "alice", "quantum_count",
-        detail=dict(estimate.to_dict(),
-                    note="counting runs on alice's side; she learns the count")))
-    steps.append(StepRecord(5, "alice", "announce_verdict",
-                            detail={"verdict": verdict.value}))
+            4, "alice", "quantum_count",
+            detail=dict(estimate.to_dict(),
+                        note="counting runs on alice's side; she learns the count")))
+        steps.append(StepRecord(5, "alice", "announce_verdict",
+                                detail={"verdict": verdict.value}))
 
     transcript = ProtocolTranscript(
-        steps=steps, verdict=verdict, estimate=estimate, cost=cost,
+        steps=steps, verdict=verdict, estimate=estimate,
+        cost=comm_cost(len(set_a), len(set_b), scene_a.grid.total_cells),
         adversary=adversary.label, seed=seed, mode=cfg.mode)
     transcript.validate()
     return transcript

@@ -32,20 +32,11 @@ def _norm_sq(values: np.ndarray) -> float:
 class QuantumState:
     """Normalized state over a register layout, held as its nonzero branches.
 
-    The constructor keeps the nonzero entries of a dense amplitude vector;
-    ``amplitudes`` rebuilds that vector on first access and caches it.
+    Build one with ``from_branches``; ``amplitudes`` is a dense view
+    built on each access.
     """
 
-    __slots__ = ("layout", "indices", "values", "_dense")
-
-    def __init__(self, layout: RegisterLayout, amplitudes: np.ndarray):
-        amps = np.asarray(amplitudes, dtype=np.complex128)
-        if amps.shape != (layout.dim,):
-            raise ValueError(
-                f"amplitude vector has shape {amps.shape}, layout needs ({layout.dim},)")
-        self.layout, self.indices = layout, np.flatnonzero(amps)
-        self.values, self._dense = amps[amps != 0], None
-        self._check_norm()
+    __slots__ = ("layout", "indices", "values")
 
     @classmethod
     def from_branches(cls, layout: RegisterLayout, indices: np.ndarray,
@@ -70,7 +61,6 @@ class QuantumState:
         state = cls.__new__(cls)
         state.layout, state.indices = layout, indices
         state.values = np.asarray(values, dtype=np.complex128)[order]
-        state._dense = None
         return state
 
     def _check_norm(self):
@@ -80,17 +70,13 @@ class QuantumState:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """Dense, read-only amplitude vector of length ``layout.dim``."""
-        if self._dense is None:
-            check_budget(self.layout.total_qubits, "dense view")
-            dense = np.zeros(self.layout.dim, dtype=np.complex128)
-            dense[self.indices] = self.values
-            dense.flags.writeable = False
-            self._dense = dense
-        return self._dense
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        """Dense, read-only amplitude vector of length ``layout.dim``, built
+        on each access."""
+        check_budget(self.layout.total_qubits, "dense view")
+        dense = np.zeros(self.layout.dim, dtype=np.complex128)
+        dense[self.indices] = self.values
+        dense.flags.writeable = False
+        return dense
 
     def branch_probabilities(self) -> np.ndarray:
         """Probability of each stored branch, aligned with ``indices``."""
@@ -120,6 +106,9 @@ def xor_register(state: QuantumState, reg: str, values) -> QuantumState:
     """
     register = state.layout.register(reg)
     values = np.asarray(values, dtype=np.int64)
+    if values.shape not in ((), (1,), state.indices.shape):
+        raise ValueError(f"xor into {reg} got {values.size} values for "
+                         f"{len(state.indices)} branches; give one or one per branch")
     if np.any((values < 0) | (values > register.mask)):
         raise ValueError(f"xor value exceeds register {reg} width {register.width}")
     # Branches only move, so their values keep the norm already checked.

@@ -9,9 +9,16 @@ from qgi.protocol import AliceParty, BobParty, _check_mask, _tamper
 from qgi.state import project, register_distribution
 
 
+def dense_state(layout, amplitudes) -> QuantumState:
+    """State holding the nonzero entries of a dense amplitude vector."""
+    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    support = np.flatnonzero(amplitudes)
+    return QuantumState.from_branches(layout, support, amplitudes[support])
+
+
 def random_state(layout, rng) -> QuantumState:
     vec = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
-    return QuantumState(layout, vec / np.linalg.norm(vec))
+    return dense_state(layout, vec / np.linalg.norm(vec))
 
 
 def random_spec(rng, value_bits=4, max_size=4) -> PreparationSpec:

@@ -258,7 +258,9 @@ class TestRun:
         assert code == 1
         assert "unknown adversary" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mask", ["abc", "1e3"])
+    # int() would read " 1", "1_0", "+1" and a full-width digit as masks.
+    @pytest.mark.parametrize("mask", ["abc", "1e3", " 1", "1_0", "+1", "-1",
+                                      "\uff101"])
     def test_non_integer_tamper_mask_is_a_one_line_error(self, scene_files,
                                                          capsys, mask):
         code = main(["run", "--alice", scene_files[0], "--bob", scene_files[1],
@@ -268,6 +270,42 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == (f"error: bob-tamper mask must be an integer, "
                                 f"got {mask!r}\n")
+
+    @pytest.mark.parametrize("name", ["honest", "bob-measure-all"])
+    def test_empty_adversary_argument_is_a_one_line_error(self, scene_files,
+                                                          capsys, name):
+        code = main(["run", "--alice", scene_files[0], "--bob", scene_files[1],
+                     "--adversary", f"{name}:"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {name} does not take an argument\n"
+
+    def test_duplicate_scene_key_is_a_one_line_error(self, scene_files,
+                                                     tmp_path, capsys):
+        dup = tmp_path / "dup.json"
+        dup.write_text('{"grid": {"rows": 4, "cols": 4}, '
+                       '"grid": {"rows": 8, "cols": 8}, "cells": [1]}')
+        code = main(["run", "--alice", str(dup), "--bob", scene_files[1]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f'error: {dup}: duplicate key "grid"\n'
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no integer-string digit limit")
+    def test_overlong_scene_integer_is_a_one_line_error(self, scene_files,
+                                                        tmp_path, capsys):
+        digits = sys.get_int_max_str_digits() + 1
+        big = tmp_path / "big.json"
+        big.write_text('{"grid": {"rows": 4, "cols": %s}, "cells": [1]}'
+                       % ("9" * digits))
+        code = main(["run", "--alice", str(big), "--bob", scene_files[1]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {big}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestRasterize:
@@ -472,3 +510,16 @@ class TestRepeatedMain:
                         *self.run_args(scene_files, child, *extra)],
                        env=env, check=True, capture_output=True)
         assert in_process.read_bytes() == child.read_bytes()
+
+
+def test_readme_worked_pair_output(scene_files, capsys):
+    """The README's worked-pair result lines are what ``qgi run`` prints."""
+    expected = ["verdict=INTERSECT t=1",
+                "y=10 bits=7 engine=circuit theta_hat=0.490874 t_hat=0.944630 "
+                "success_prob=0.949044"]
+    assert main(["run", "--alice", scene_files[0], "--bob", scene_files[1]]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == expected
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    for line in expected:
+        assert f"# {line}\n" in text

@@ -9,9 +9,11 @@ from qgi import (DATA_B, AdversaryStrategy, CountingConfig, DataTable,
                  decide_intersection, decode_count, default_counting_bits,
                  exact_count, grover_iterate, phase_estimate, prepare_joint,
                  run_protocol)
-from qgi.counting import EIGHT_OVER_PI_SQ, _distribution_circuit
-from support import dense_circuit_distribution, random_spec, random_state
+from qgi.counting import _distribution_circuit
+from support import (dense_circuit_distribution, dense_state, random_spec,
+                     random_state)
 
+EIGHT_OVER_PI_SQ = 8.0 / math.pi ** 2
 WORKED = PreparationSpec(DataTable((1, 2, 5, 6), 4), DataTable((6, 7, 10, 11), 4))
 DISJOINT = PreparationSpec(DataTable((1, 2), 4), DataTable((3, 4), 4))
 
@@ -158,7 +160,7 @@ class TestExactCount:
         amps[0] = math.sqrt(0.75)
         amps[1] = math.sqrt(0.25)
         with pytest.raises(ValueError, match="not an honest preparation"):
-            exact_count(QuantumState(layout, amps))
+            exact_count(dense_state(layout, amps))
 
 
 class TestPhaseEstimate:
@@ -232,14 +234,19 @@ class TestPhaseEstimate:
                 phase_estimate(WORKED, CountingConfig(bits=25, engine=engine))
 
     def test_sample_mode_is_seed_deterministic(self):
-        one = phase_estimate(WORKED, CountingConfig(mode="sample", seed=5))
-        two = phase_estimate(WORKED, CountingConfig(mode="sample", seed=5))
-        other = phase_estimate(WORKED, CountingConfig(mode="sample", seed=6))
+        cfg = CountingConfig(mode="sample")
+        one = phase_estimate(WORKED, cfg, rng=np.random.default_rng(5))
+        two = phase_estimate(WORKED, cfg, rng=np.random.default_rng(5))
+        other = phase_estimate(WORKED, cfg, rng=np.random.default_rng(6))
         assert one.y == two.y
         assert one.success_prob is None
         assert 0 <= other.y < 128
 
-    def test_initial_state_forces_circuit_engine(self):
+    def test_sample_mode_needs_a_generator(self):
+        with pytest.raises(ValueError, match="sample mode needs a generator"):
+            phase_estimate(WORKED, CountingConfig(mode="sample"))
+
+    def test_auto_engine_choice_ignores_the_initial_state(self):
         collapsed = prepare_joint(WORKED)
         est = phase_estimate(WORKED, initial_state=collapsed)
         assert est.engine == "circuit"

@@ -185,7 +185,7 @@ class TestPrepareJoint:
     def test_support_and_match_count(self, table_a, table_b):
         spec = PreparationSpec(table_a, table_b)
         state = prepare_joint(spec)
-        probs = state.probabilities()
+        probs = np.abs(state.amplitudes) ** 2
         support = probs > 1e-14
         assert int(support.sum()) == spec.size_k
         assert np.max(np.abs(np.sqrt(probs[support])
@@ -208,7 +208,7 @@ class TestPrepareJoint:
         after = prepare_joint(PreparationSpec(remap(table_a), remap(table_b)))
 
         def zero_branches(state):
-            support = state.probabilities() > 1e-14
+            support = np.abs(state.amplitudes) ** 2 > 1e-14
             return int((support & (state.layout.index_values(DATA_B) == 0)).sum())
 
         assert zero_branches(before) == zero_branches(after)
@@ -221,7 +221,7 @@ class TestCheatCheck:
         assert pass_prob == 1.0
         assert post is not None
         assert np.all(post.layout.index_values(DATA_A)[
-            post.probabilities() > 1e-14] == 0)
+            np.abs(post.amplitudes) ** 2 > 1e-14] == 0)
 
     def test_tampered_data_register_always_fails(self):
         from qgi.state import xor_register
@@ -243,12 +243,6 @@ class TestCheatCheck:
         joint = oracle_xor(tensor(collapsed, bob), DATA_A, DATA_B)
         pass_prob, _ = cheat_check(joint, spec.table_a)
         assert pass_prob == 1.0
-
-    def test_sampled_mode_returns_verdict(self, rng):
-        spec = worked_spec()
-        passed, post = cheat_check(honest_message_state(spec), spec.table_a, rng)
-        assert passed is True
-        assert post is not None
 
 
 def test_spec_rejects_mismatched_value_bits():

@@ -48,10 +48,24 @@ class TestHonestRuns:
         assert doc["complete"] is True
 
     def test_sample_mode_reproducible(self, worked_scenes):
-        cfg = CountingConfig(mode="sample", seed=11)
+        cfg = CountingConfig(mode="sample")
         one = run_protocol(*worked_scenes, cfg=cfg, seed=11)
         two = run_protocol(*worked_scenes, cfg=cfg, seed=11)
         assert one.to_dict() == two.to_dict()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sampled_check_takes_one_draw_before_counting(self, worked_scenes,
+                                                          seed):
+        # Seeded sample-mode transcripts depend on the check drawing
+        # exactly one double from the run's generator.
+        cfg = CountingConfig(mode="sample")
+        run = run_protocol(*worked_scenes, cfg=cfg, seed=seed)
+        check = next(r for r in run.steps if r.action == "uncompute_and_check")
+        assert check.detail == {"passed": True}
+        rng = np.random.default_rng(seed)
+        rng.random()
+        spec, _, _ = build_preparation(*worked_scenes)
+        assert run.estimate.y == phase_estimate(spec, cfg, rng=rng).y
 
     def test_mismatched_grids_rejected(self, grid4):
         other = Scene(GridConfig(2, 2), cells=(1,))
@@ -88,6 +102,15 @@ class TestAdversaries:
             AdversaryStrategy.parse("bob-tamper:x1")
         with pytest.raises(ValueError, match="does not take"):
             AdversaryStrategy.parse("honest:1")
+        # Only ASCII decimal digits make a mask, and an empty argument
+        # after a colon is refused.
+        for mask in (" 1", "1_0", "+1", "-1", "\uff101"):
+            with pytest.raises(ValueError, match="mask must be an integer"):
+                AdversaryStrategy.parse(f"bob-tamper:{mask}")
+        for text in ("honest:", "bob-measure-all:"):
+            with pytest.raises(ValueError, match="does not take"):
+                AdversaryStrategy.parse(text)
+        assert AdversaryStrategy.parse("bob-tamper:01").tamper_mask == 1
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError, match="nonzero mask"):
@@ -332,7 +355,7 @@ class TestOnePreparationPerRun:
     def test_honest_run_counts_on_the_state_alice_holds(self, worked_scenes,
                                                         preparations, mode):
         transcript = run_protocol(*worked_scenes,
-                                  cfg=CountingConfig(mode=mode, seed=3), seed=3)
+                                  cfg=CountingConfig(mode=mode), seed=3)
         assert transcript.estimate is not None
         assert preparations == []
 

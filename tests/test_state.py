@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, QUBIT_BUDGET, DataTable,
-                 GroverIterate, PreparationSpec, QuantumState, RegisterLayout,
-                 basis_state, leakage_report, measure_register, tensor)
+                 PreparationSpec, QuantumState, RegisterLayout, basis_state,
+                 grover_iterate, leakage_report, measure_register, tensor)
 from qgi.state import _norm_sq, project, reflect, xor_register
-from support import (encoded_gram, gram_entropy, measure_distribution,
-                     random_spec, random_state)
+from support import (dense_state, encoded_gram, gram_entropy,
+                     measure_distribution, random_spec, random_state)
 
 
 @pytest.fixture
@@ -37,7 +37,8 @@ def test_basis_state_rejects_out_of_range():
 
 def test_state_must_be_normalized(pair_layout):
     with pytest.raises(ValueError, match="norm"):
-        QuantumState(pair_layout, np.ones(pair_layout.dim, dtype=complex))
+        QuantumState.from_branches(pair_layout, np.arange(pair_layout.dim),
+                                   np.ones(pair_layout.dim))
 
 
 def test_identity_permutation_is_noop(pair_layout, rng):
@@ -108,9 +109,16 @@ def test_permutation_arity_and_range_checked(pair_layout, rng):
             xor_register(state, "data_a", value)
 
 
+def test_xor_values_are_one_or_one_per_branch(pair_layout):
+    state = basis_state(pair_layout)
+    with pytest.raises(ValueError, match="got 2 values for 1 branches"):
+        xor_register(state, "data_a", [1, 2])
+    assert xor_register(state, "data_a", [3]).register_values("data_a").tolist() == [3]
+
+
 def test_phase_flip_flips_only_matching_branches(rng):
     spec = random_spec(rng)
-    iterate = GroverIterate(spec)
+    iterate = grover_iterate(spec)
     state = random_state(spec.layout(), rng)
     support, values, _, signs = iterate.on_support(state)
     assert np.array_equal(support, np.union1d(state.indices, iterate.prepared.indices))
@@ -132,7 +140,7 @@ def test_reflection_runs_on_branches_above_the_dense_budget():
     spec = PreparationSpec(DataTable((1, 2), 12), DataTable((3, 4), 12))
     layout = spec.layout()
     assert layout.total_qubits > QUBIT_BUDGET
-    iterate = GroverIterate(spec)
+    iterate = grover_iterate(spec)
     psi = iterate.prepared
     # Disjoint tables mark no branch, so |psi> is a fixed point.
     out = iterate.apply(psi)
@@ -150,7 +158,7 @@ def test_reflection_runs_on_branches_above_the_dense_budget():
 
 def test_norm_preserved_through_operation_chain(rng):
     spec = random_spec(rng)
-    iterate = GroverIterate(spec)
+    iterate = grover_iterate(spec)
     state = random_state(spec.layout(), rng)
     mask = (1 << spec.value_bits) - 1
     for _ in range(25):
@@ -183,7 +191,7 @@ def test_uniform_marginal_distribution():
     amps = np.zeros(layout.dim, dtype=complex)
     for i, a in enumerate(table):
         amps[layout.pack({"addr_a": i, "data_a": a})] = 0.5
-    reachable = measure_distribution(QuantumState(layout, amps), "addr_a")
+    reachable = measure_distribution(dense_state(layout, amps), "addr_a")
     assert set(reachable) == {0, 1, 2, 3}
     for i, (prob, post) in reachable.items():
         assert abs(prob - 0.25) < 1e-12
