@@ -78,7 +78,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_rasterize(path: str) -> int:
     scene = load_scene(path)
-    cells = rasterize(scene)
+    try:
+        cells = rasterize(scene)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     serials = ",".join(str(s) for s in cells.serials)
     print(f"cells=[{serials}] M={len(cells)} m={address_bits(len(cells))} "
           f"r={scene.grid.value_bits}")

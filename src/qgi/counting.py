@@ -12,7 +12,12 @@ state, honest or disturbed:
   powers by repeated application, then the inverse Fourier transform on
   the counting register.  It runs on the union of the initial state's
   and the preparation's branches, which G never leaves (see
-  ``GroverIterate``), and is capped by the qubit budget.
+  ``GroverIterate``), and is capped by the qubit budget.  The rows
+  G^z |x> also never leave a span of at most four dimensions: S is
+  diagonal with S^2 = I, so G = 2|psi><S psi| - S maps
+  span{x, Sx, psi, S psi} into itself.  Rows 0-3 therefore span every
+  row; three steps on the branches give them, and each later row is one
+  step of G written in an orthonormal basis of that span.
 * ``reduced`` uses the iterate's eigenspaces: it rotates the initial
   state's component in the plane spanned by the marked and unmarked parts
   of the preparation, and places the marked and unmarked mass outside
@@ -137,9 +142,12 @@ class GroverIterate:
     def on_support(self, state: QuantumState) -> tuple[np.ndarray, ...]:
         """The union of the state's and |psi>'s branches, and on it their
         values and the signs of S."""
-        if state.layout != self.prepared.layout:
+        if state is self.prepared:  # its own branches; no union to sort
+            support, values, axis = state.indices, state.values, state.values
+        elif state.layout != self.prepared.layout:
             raise ValueError("state layout does not match the preparation")
-        support, (values, axis) = align(state, self.prepared)
+        else:
+            support, (values, axis) = align(state, self.prepared)
         signs = np.where(state.layout.extract(support, DATA_B) == 0, -1.0, 1.0)
         return support, values, axis, signs
 
@@ -214,13 +222,34 @@ def _distribution_circuit(iterate: GroverIterate, bits: int,
     of the iterate and the inverse Fourier transform acts on the counting
     index.  Its columns are the union of the initial state's and the
     preparation's branches, as G^z |initial> is zero on every other one.
+
+    Every row lies in the span of rows 0-3.  With x the initial state,
+    G x = 2 psi <S psi|x> - S x and G S x = 2 psi <psi|x> - x, and the
+    same holds with psi for x, as S^2 = I: G maps span{x, Sx, psi, S psi}
+    into itself, so the rows span at most four dimensions, and once a row
+    lies in the span of the rows before it every later row does too.
+    Rows 0-3 are steps of the iterate on the support.  Householder QR
+    gives an orthonormal basis Q of a space holding their span, also
+    when they are linearly dependent, as on an honest run's plane; each
+    later row is then one step of H = Q^H G Q on its coordinates in Q.
     """
     size = 1 << bits
     _, current, axis, signs = iterate.on_support(initial)
     rows = np.empty((size, len(current)), dtype=np.complex128)
     rows[0] = current
-    for z in range(1, size):
+    head = min(size, 4)
+    for z in range(1, head):
         rows[z] = current = reflect(current * signs, axis)
+    if size > head:
+        basis, coords = np.linalg.qr(rows[:head].T)
+        step = basis.conj().T @ np.column_stack(
+            [reflect(column * signs, axis) for column in basis.T])
+        span_rows = np.empty((size - head + 1, basis.shape[1]),
+                             dtype=np.complex128)
+        span_rows[0] = coords[:, -1]
+        for z in range(1, len(span_rows)):
+            np.dot(step, span_rows[z - 1], out=span_rows[z])
+        rows[head:] = span_rows[1:] @ basis.T
     transformed = np.fft.fft(rows, axis=0) / size
     return np.sum(np.abs(transformed) ** 2, axis=1)
 

@@ -151,6 +151,13 @@ def _integers(values, path: str) -> list[int]:
     return [_integer(v, f"{path}[{k}]") for k, v in enumerate(values)]
 
 
+def _known_fields(doc: dict, allowed: tuple[str, ...], path: str):
+    """Refuse a field the scene format does not define, such as a misspelt one."""
+    for key in doc:
+        _require(key in allowed, f"{path} has unknown field {json.dumps(key)}; "
+                                 f"expected {', '.join(allowed)}")
+
+
 def scene_from_dict(doc: dict) -> Scene:
     """Build a scene from its JSON document form.
 
@@ -161,13 +168,17 @@ def scene_from_dict(doc: dict) -> Scene:
          "cells": [3]}
 
     ``grid`` is mandatory; at least one of ``shapes`` / ``cells`` must
-    produce a cell.  Every number must be a JSON integer.
+    produce a cell.  Every number must be a JSON integer.  A field the
+    format does not define, and a shape with both ``rect`` and ``cells``,
+    are refused.
     """
     _require(isinstance(doc, dict), "scene document must be a JSON object")
+    _known_fields(doc, ("grid", "shapes", "cells"), "scene")
     _require("grid" in doc, 'scene is missing the "grid" field')
     grid_doc = doc["grid"]
     _require(isinstance(grid_doc, dict) and {"rows", "cols"} <= set(grid_doc),
              '"grid" must be an object with "rows" and "cols"')
+    _known_fields(grid_doc, ("rows", "cols"), "grid")
     rows = _integer(grid_doc["rows"], "grid.rows")
     cols = _integer(grid_doc["cols"], "grid.cols")
     try:
@@ -181,6 +192,9 @@ def scene_from_dict(doc: dict) -> Scene:
     cells: list[int] = []
     for k, shape in enumerate(shapes):
         _require(isinstance(shape, dict), f"shapes[{k}] must be an object")
+        _known_fields(shape, ("rect", "cells"), f"shapes[{k}]")
+        _require(not ("rect" in shape and "cells" in shape),
+                 f'shapes[{k}] has both "rect" and "cells"; give one per shape')
         if "rect" in shape:
             corners = shape["rect"]
             _require(isinstance(corners, list) and len(corners) == 4,

@@ -258,18 +258,25 @@ class BobParty:
 
 def build_preparation(scene_a: Scene, scene_b: Scene
                       ) -> tuple[PreparationSpec, GridSet, GridSet]:
-    """Rasterize both scenes on their shared grid into a preparation spec."""
+    """Rasterize both scenes on their shared grid into a preparation spec.
+
+    An error in one party's scene content (no cells, or a serial too
+    large for the data register) names that party.
+    """
     if scene_a.grid != scene_b.grid:
         raise ValueError(
             f"parties must share one grid partition, got "
             f"{scene_a.grid.rows}x{scene_a.grid.cols} vs "
             f"{scene_b.grid.rows}x{scene_b.grid.cols}")
-    set_a = rasterize(scene_a)
-    set_b = rasterize(scene_b)
     bits = scene_a.grid.value_bits
-    spec = PreparationSpec(DataTable.from_serials(set_a.serials, bits),
-                           DataTable.from_serials(set_b.serials, bits))
-    return spec, set_a, set_b
+    sets, tables = [], []
+    for party, scene in (("alice", scene_a), ("bob", scene_b)):
+        try:
+            sets.append(rasterize(scene))
+            tables.append(DataTable.from_serials(sets[-1].serials, bits))
+        except ValueError as exc:
+            raise ValueError(f"{party}: {exc}") from None
+    return PreparationSpec(*tables), *sets
 
 
 def _tamper(state: QuantumState, mask: int) -> QuantumState:

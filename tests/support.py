@@ -9,6 +9,25 @@ from qgi.protocol import AliceParty, BobParty, _check_mask, _tamper
 from qgi.state import project, register_distribution
 
 
+# Scene documents the parser refuses, with the reason it gives: a field
+# the format does not define, and a shape that is both a rectangle and a
+# cell list.
+GRID4 = {"rows": 4, "cols": 4}
+MALFORMED_SCENES = [
+    ({"grid": GRID4, "shapes": [{"rect": [0, 0, 0, 0], "cells": [7]}],
+      "colour": "red"},
+     'scene has unknown field "colour"; expected grid, shapes, cells'),
+    ({"grid": GRID4, "cell": [7]},
+     'scene has unknown field "cell"; expected grid, shapes, cells'),
+    ({"grid": dict(GRID4, colour="red"), "cells": [7]},
+     'grid has unknown field "colour"; expected rows, cols'),
+    ({"grid": GRID4, "shapes": [{"rect": [0, 0, 0, 0]}, {"cell": [7]}]},
+     'shapes[1] has unknown field "cell"; expected rect, cells'),
+    ({"grid": GRID4, "shapes": [{"rect": [0, 0, 0, 0], "cells": [7]}]},
+     'shapes[0] has both "rect" and "cells"; give one per shape'),
+]
+
+
 def dense_state(layout, amplitudes) -> QuantumState:
     """State holding the nonzero entries of a dense amplitude vector."""
     amplitudes = np.asarray(amplitudes, dtype=np.complex128)

@@ -13,6 +13,7 @@ from qgi import cli, protocol
 from qgi.cli import main
 from qgi.geometry import load_scene
 from qgi.protocol import HONEST, AdversaryStrategy, Attack, detection_probability
+from support import MALFORMED_SCENES
 
 
 @pytest.fixture
@@ -292,6 +293,23 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == f'error: {dup}: duplicate key "grid"\n'
 
+    @pytest.mark.parametrize("party, scene, message", [
+        ("bob", {"shapes": []},
+         "scene covers no cells; the protocol needs a nonempty set"),
+        ("alice", {"cells": [16]},
+         "entry 16 does not fit in 4 value bits (0 is reserved, max 15)"),
+    ])
+    def test_scene_content_errors_name_the_party(self, scene_files, tmp_path,
+                                                 capsys, party, scene, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"grid": {"rows": 4, "cols": 4}, **scene}))
+        files = {"alice": scene_files[0], "bob": scene_files[1], party: str(bad)}
+        code = main(["run", "--alice", files["alice"], "--bob", files["bob"]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {party}: {message}\n"
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="no integer-string digit limit")
     def test_overlong_scene_integer_is_a_one_line_error(self, scene_files,
@@ -340,7 +358,20 @@ class TestRasterize:
                                      "shapes": []}))
         code = main(["rasterize", str(scene)])
         assert code == 1
-        assert "nonempty" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {scene}: scene covers no cells; "
+            f"the protocol needs a nonempty set\n")
+
+    @pytest.mark.parametrize("doc, message", MALFORMED_SCENES)
+    def test_unknown_fields_and_mixed_shapes_are_one_line_errors(
+            self, tmp_path, capsys, doc, message):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        code = main(["rasterize", str(scene)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {scene}: {message}\n"
 
 
 class TestAnalyze:

@@ -3,7 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qgi
 from qgi import (DATA_B, AdversaryStrategy, CountingConfig, DataTable,
                  PreparationSpec, QuantumState, RegisterLayout, Verdict,
                  decide_intersection, decode_count, default_counting_bits,
@@ -23,6 +26,66 @@ def flip_marked(state):
     signs = np.where(state.register_values(DATA_B) == 0, -1.0, 1.0)
     return QuantumState.from_branches(state.layout, state.indices,
                                       state.values * signs)
+
+
+@st.composite
+def counting_cases(draw):
+    """A spec, a counting width of 1-9 bits and the state counted (None for
+    the preparation itself).
+
+    Tables overlap anyhow, not at all (t = 0) or are one identical entry
+    (t = K), and a basis or sparse state on a one-pair spec has a support
+    of one to three branches, so the iterate's orbit can span fewer than
+    four dimensions.
+    """
+    value_bits = draw(st.sampled_from([3, 2, 1]))
+    values = draw(st.permutations(range(1, 1 << value_bits)))
+    kind = draw(st.sampled_from(["any", "disjoint", "identical"]
+                                if len(values) > 1 else ["identical"]))
+    if kind == "identical":
+        table_a = table_b = values[:1]
+    elif kind == "disjoint":
+        split = draw(st.integers(1, min(3, len(values) - 1)))
+        table_a = values[:split]
+        table_b = values[split:split + draw(st.integers(1, 3))]
+    else:
+        table_a, table_b = (draw(st.lists(st.sampled_from(values), min_size=1,
+                                          max_size=3, unique=True))
+                            for _ in "ab")
+    spec = PreparationSpec(DataTable(tuple(table_a), value_bits),
+                           DataTable(tuple(table_b), value_bits))
+    layout = spec.layout()
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    initial = draw(st.sampled_from(["dense", "sparse", "basis", "prepared"]))
+    if initial == "prepared":
+        state = None
+    elif initial == "dense":
+        state = random_state(layout, gen)
+    elif initial == "basis":
+        index = draw(st.integers(0, layout.dim - 1))
+        state = QuantumState.from_branches(layout, [index], [1.0])
+    else:
+        # Part of the prepared support plus up to three stray branches.
+        prepared = prepare_joint(spec).indices
+        stray = np.setdiff1d(np.arange(layout.dim), prepared)
+        indices = np.concatenate([
+            prepared[gen.random(len(prepared)) < 0.5],
+            gen.choice(stray, draw(st.integers(1, 3)), replace=False)])
+        amps = gen.normal(size=len(indices)) + 1j * gen.normal(size=len(indices))
+        state = QuantumState.from_branches(layout, indices,
+                                           amps / np.linalg.norm(amps))
+    return spec, draw(st.integers(1, 9)), state
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=counting_cases())
+def test_circuit_equals_the_dense_literal_circuit(case):
+    spec, bits, state = case
+    est = phase_estimate(spec, CountingConfig(bits=bits, engine="circuit"),
+                         initial_state=state)
+    dense = dense_circuit_distribution(spec, bits, state or prepare_joint(spec))
+    assert np.max(np.abs(est.distribution - dense)) < 1e-12
+    assert est.y == np.flatnonzero(dense >= dense.max() - 1e-12)[0]
 
 
 class TestDefaults:
@@ -303,6 +366,20 @@ class TestPhaseEstimate:
                 assert est.engine == "circuit"
                 assert np.max(np.abs(est.distribution - dense)) < 1e-12
                 assert est.y == np.flatnonzero(dense >= dense.max() - 1e-12)[0]
+
+    def test_circuit_steps_the_support_only_to_span_the_orbit(self, monkeypatch):
+        # Three steps give rows 1-3 and four more give the iterate on their
+        # span; the other 4,092 rows are steps on that span's coordinates.
+        calls = []
+        original = qgi.counting.reflect
+
+        def counted(values, axis):
+            calls.append(len(values))
+            return original(values, axis)
+        monkeypatch.setattr(qgi.counting, "reflect", counted)
+        est = phase_estimate(WORKED, CountingConfig(bits=12, engine="circuit"))
+        assert (est.engine, est.t_rounded) == ("circuit", 1)
+        assert len(calls) <= 8
 
     def test_circuit_peak_memory_stays_on_the_branches(self):
         # 256 rows over the 16 branches; a dense 256 x 4096 row matrix is 16 MB.

@@ -369,6 +369,33 @@ class TestOnePreparationPerRun:
         assert transcript.estimate is not None
         assert len(preparations) == 1
 
+    @pytest.fixture
+    def alignments(self, monkeypatch):
+        calls = []
+        original = qgi.counting.align
+
+        def counted(*states):
+            calls.append(len(states))
+            return original(*states)
+        monkeypatch.setattr(qgi.counting, "align", counted)
+        return calls
+
+    @pytest.mark.parametrize("cfg", [CountingConfig(),
+                                     CountingConfig(mode="sample"),
+                                     CountingConfig(engine="reduced")])
+    def test_honest_run_aligns_nothing(self, worked_scenes, alignments, cfg):
+        # The counted state is the axis itself, so its branches are the support.
+        assert run_protocol(*worked_scenes, cfg=cfg, seed=3).estimate is not None
+        assert alignments == []
+
+    def test_disturbed_run_aligns_its_state_with_the_axis(self, worked_scenes,
+                                                          alignments):
+        transcript = run_protocol(
+            *worked_scenes, adversary=AdversaryStrategy(Attack.BOB_MEASURE_ALL),
+            seed=5)
+        assert transcript.estimate is not None
+        assert alignments == [2]
+
     def test_exact_honest_run_builds_no_generator(self, worked_scenes,
                                                   monkeypatch):
         def refuse(*args):

@@ -10,12 +10,13 @@ refused on the qubit budget.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgi import (GridConfig, Rect, Scene, SceneFormatError,
                  classical_intersect, grid_serial, rasterize, run_protocol,
                  scene_from_dict)
+from support import MALFORMED_SCENES
 
 # Mostly small integers, plus the JSON values the parser must refuse.
 values = st.one_of(st.integers(-1, 9), st.integers(-1, 9), st.booleans(),
@@ -65,6 +66,15 @@ def scene_documents(draw, rows, cols):
     return doc
 
 
+def with_examples(docs):
+    def decorate(test):
+        for doc in docs:
+            test = example(doc=doc)(test)
+        return test
+    return decorate
+
+
+@with_examples([doc for doc, _ in MALFORMED_SCENES])
 @settings(max_examples=200, deadline=None)
 @given(doc=st.one_of(documents(), json_values))
 def test_a_document_parses_or_raises_a_format_error(doc):
