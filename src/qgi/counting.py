@@ -8,16 +8,18 @@ the measured integer y to a count via t = K * sin^2(pi * y / 2^p).
 Two exact engines compute the outcome distribution for any initial
 state, honest or disturbed:
 
-* ``circuit`` is the literal textbook circuit: the controlled iterate
-  powers by repeated application, then the inverse Fourier transform on
-  the counting register.  It runs on the union of the initial state's
-  and the preparation's branches, which G never leaves (see
-  ``GroverIterate``), and is capped by the qubit budget.  The rows
-  G^z |x> also never leave a span of at most four dimensions: S is
-  diagonal with S^2 = I, so G = 2|psi><S psi| - S maps
-  span{x, Sx, psi, S psi} into itself.  Rows 0-3 therefore span every
-  row; three steps on the branches give them, and each later row is one
-  step of G written in an orthonormal basis of that span.
+* ``circuit`` is the textbook circuit: the controlled iterate powers,
+  then the inverse Fourier transform on the counting register.  It runs
+  on the union of the initial state's and the preparation's branches,
+  which G never leaves (see ``GroverIterate``), and is capped by the
+  qubit budget.  The rows G^z |x> also never leave a span of at most
+  four dimensions: S is diagonal with S^2 = I, so G = 2|psi><S psi| - S
+  maps span{x, Sx, psi, S psi} into itself.  Three steps on the branches
+  give rows 1-3, and an orthonormal basis Q of rows 0-3 carries every
+  row as r <= 4 coordinates.  The powers G^(2^j) written on Q come by
+  repeated squaring and fill the rows by doubling, and the transform
+  runs on the coordinates alone, as Q's columns are orthonormal.  The
+  engine holds 2^bits x r x 16 bytes.
 * ``reduced`` uses the iterate's eigenspaces: it rotates the initial
   state's component in the plane spanned by the marked and unmarked parts
   of the preparation, and places the marked and unmarked mass outside
@@ -25,7 +27,12 @@ state, honest or disturbed:
   any size.
 
 ``auto`` picks ``circuit`` when it comfortably fits and ``reduced``
-otherwise.  Both engines agree to machine precision wherever both run.
+otherwise.  The engines agree within 1e-12 up to 9 counting bits.  The
+circuit's error grows with 2^bits: its iterate reflects about psi, whose
+computed norm can be 1 - 4e-16, and its 2^bits powers compound that.
+At 12 bits, against a 40-digit reference on the worked, a disjoint and
+a 3x3-overlap spec, ``circuit`` is off by up to 3.6e-12 and ``reduced``
+by under 1e-14; over 150 random specs the two differ by up to 6.4e-12.
 """
 
 from __future__ import annotations
@@ -218,10 +225,9 @@ def _distribution_circuit(iterate: GroverIterate, bits: int,
     """Phase-estimation outcome distribution from the circuit, on branches.
 
     The joint state after the controlled iterate powers is sum_z |z> (x)
-    G^z |initial> / sqrt(2^bits); rows are filled by repeated application
-    of the iterate and the inverse Fourier transform acts on the counting
-    index.  Its columns are the union of the initial state's and the
-    preparation's branches, as G^z |initial> is zero on every other one.
+    G^z |initial> / sqrt(2^bits), and the inverse Fourier transform acts
+    on the counting index.  Every row G^z |initial> is zero off the union
+    of the initial state's and the preparation's branches.
 
     Every row lies in the span of rows 0-3.  With x the initial state,
     G x = 2 psi <S psi|x> - S x and G S x = 2 psi <psi|x> - x, and the
@@ -229,29 +235,36 @@ def _distribution_circuit(iterate: GroverIterate, bits: int,
     into itself, so the rows span at most four dimensions, and once a row
     lies in the span of the rows before it every later row does too.
     Rows 0-3 are steps of the iterate on the support.  Householder QR
-    gives an orthonormal basis Q of a space holding their span, also
-    when they are linearly dependent, as on an honest run's plane; each
-    later row is then one step of H = Q^H G Q on its coordinates in Q.
+    gives an orthonormal basis Q of r <= 4 columns holding their span,
+    also when they are linearly dependent, as on an honest run's plane,
+    and their coordinates c[0:4] in Q.  With H = Q^H G Q the later rows
+    follow by doubling, c[2^j : 2^(j+1)] = c[0 : 2^j] (H^(2^j))^T, with
+    H^(2^j) by repeated squaring: bits - 2 products, not 2^bits - 4
+    steps.  The rows are c Q^T, so with F the Fourier transform over z,
+    divided by 2^bits, their transform is (F c) Q^T, and as Q has
+    orthonormal columns the probability of outcome y,
+    sum_x |(F c) Q^T|^2[y, x], is ||(F c)[y]||^2.  The engine holds
+    2^bits x r coordinates, never a row over the union.
     """
     size = 1 << bits
     _, current, axis, signs = iterate.on_support(initial)
-    rows = np.empty((size, len(current)), dtype=np.complex128)
-    rows[0] = current
     head = min(size, 4)
+    head_rows = np.empty((len(current), head), dtype=np.complex128)
+    head_rows[:, 0] = current
     for z in range(1, head):
-        rows[z] = current = reflect(current * signs, axis)
+        head_rows[:, z] = current = reflect(current * signs, axis)
+    basis, head_coords = np.linalg.qr(head_rows)
+    coords = np.zeros((size, basis.shape[1]), dtype=np.complex128)
+    coords[:head] = head_coords.T
     if size > head:
-        basis, coords = np.linalg.qr(rows[:head].T)
         step = basis.conj().T @ np.column_stack(
             [reflect(column * signs, axis) for column in basis.T])
-        span_rows = np.empty((size - head + 1, basis.shape[1]),
-                             dtype=np.complex128)
-        span_rows[0] = coords[:, -1]
-        for z in range(1, len(span_rows)):
-            np.dot(step, span_rows[z - 1], out=span_rows[z])
-        rows[head:] = span_rows[1:] @ basis.T
-    transformed = np.fft.fft(rows, axis=0) / size
-    return np.sum(np.abs(transformed) ** 2, axis=1)
+        power = step @ step
+        for j in range(2, bits):
+            power = power @ power  # H^(2^j)
+            coords[1 << j:2 << j] = coords[:1 << j] @ power.T
+    # Scaling by the power of two 1 / size^2 after squaring is exact.
+    return (np.abs(np.fft.fft(coords, axis=0)) ** 2).sum(axis=1) / size ** 2
 
 
 def plan_counting(spec: PreparationSpec,

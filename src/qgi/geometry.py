@@ -142,8 +142,9 @@ def _require(condition: bool, message: str):
 
 def _integer(value, path: str) -> int:
     """A JSON integer; booleans, floats and strings are rejected, not coerced."""
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{path} must be an integer, got {json.dumps(value, default=repr)}")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SceneFormatError(
+            f"{path} must be an integer, got {json.dumps(value, default=repr)}")
     return value
 
 
@@ -154,8 +155,9 @@ def _integers(values, path: str) -> list[int]:
 def _known_fields(doc: dict, allowed: tuple[str, ...], path: str):
     """Refuse a field the scene format does not define, such as a misspelt one."""
     for key in doc:
-        _require(key in allowed, f"{path} has unknown field {json.dumps(key)}; "
-                                 f"expected {', '.join(allowed)}")
+        if key not in allowed:
+            raise SceneFormatError(f"{path} has unknown field {json.dumps(key)}; "
+                                   f"expected {', '.join(allowed)}")
 
 
 def scene_from_dict(doc: dict) -> Scene:
@@ -224,7 +226,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object's fields, refusing a key given twice."""
     doc = {}
     for key, value in pairs:
-        _require(key not in doc, f"duplicate key {json.dumps(key)}")
+        if key in doc:
+            raise SceneFormatError(f"duplicate key {json.dumps(key)}")
         doc[key] = value
     return doc
 

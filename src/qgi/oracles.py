@@ -68,6 +68,14 @@ class DataTable:
     def address_bits(self) -> int:
         return address_bits(self.size)
 
+    @functools.cached_property
+    def lookup(self) -> np.ndarray:
+        """Read-only entry per address; addresses beyond the table hold 0."""
+        lookup = np.zeros(1 << self.address_bits, dtype=np.int64)
+        lookup[:self.size] = self.entries
+        lookup.flags.writeable = False
+        return lookup
+
 
 @dataclass(frozen=True)
 class PreparationSpec:
@@ -123,10 +131,13 @@ def prepare_uniform(state: QuantumState, reg: str, count: int) -> QuantumState:
         raise ValueError(
             f"register {reg} must be 0 in every branch before preparation "
             f"(found probability mass {residual!r} elsewhere)")
+    # Spread-major: sorted already when the register lies above the
+    # branches' set bits, as on every protocol call.
     spread = np.arange(count, dtype=np.int64) << register.offset
-    indices = state.indices[cleared][:, None] | spread[None, :]
-    values = np.repeat(state.values[cleared] / math.sqrt(count), count)
-    return QuantumState.from_branches(layout, indices.ravel(), values)
+    indices = spread[:, None] | state.indices[cleared][None, :]
+    values = np.empty(indices.shape, dtype=np.complex128)
+    values[:] = state.values[cleared] / math.sqrt(count)
+    return QuantumState.from_branches(layout, indices.ravel(), values.ravel())
 
 
 def oracle_load(state: QuantumState, addr: str, data: str,
@@ -145,9 +156,7 @@ def oracle_load(state: QuantumState, addr: str, data: str,
         raise ValueError(
             f"register {data} has width {layout.width(data)}, table values "
             f"need {table.value_bits}")
-    lookup = np.zeros(1 << table.address_bits, dtype=np.int64)
-    lookup[:table.size] = table.entries
-    return xor_register(state, data, lookup[state.register_values(addr)])
+    return xor_register(state, data, table.lookup[state.register_values(addr)])
 
 
 def oracle_xor(state: QuantumState, src: str, dst: str) -> QuantumState:

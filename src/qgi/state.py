@@ -41,7 +41,11 @@ class QuantumState:
     @classmethod
     def from_branches(cls, layout: RegisterLayout, indices: np.ndarray,
                       values: np.ndarray) -> "QuantumState":
-        """State from distinct basis indices, in any order, and their amplitudes."""
+        """State from distinct basis indices, in any order, and their amplitudes.
+
+        Strictly increasing indices and their amplitudes are kept without
+        a copy, so the caller must not write to those arrays afterwards.
+        """
         state = cls._moved(layout, indices, values)
         state._check_norm()
         return state
@@ -50,17 +54,20 @@ class QuantumState:
     def _moved(cls, layout: RegisterLayout, indices: np.ndarray,
                values: np.ndarray) -> "QuantumState":
         """``from_branches`` without the norm check, for the values of a
-        checked state moved to new indices."""
+        checked state moved to new indices.  Indices not strictly
+        increasing are sorted and checked for a repeat."""
         indices = np.asarray(indices, dtype=np.int64)
-        order = np.argsort(indices)
-        indices = indices[order]
-        clash = np.flatnonzero(indices[1:] == indices[:-1])
-        if clash.size:
-            raise ValueError(f"two branches land on basis index {indices[clash[0]]}: "
-                             f"the map is not injective on the state's support")
+        values = np.asarray(values, dtype=np.complex128)
+        if not (indices[1:] > indices[:-1]).all():
+            order = np.argsort(indices)
+            indices = indices[order]
+            clash = np.flatnonzero(indices[1:] == indices[:-1])
+            if clash.size:
+                raise ValueError(f"two branches land on basis index {indices[clash[0]]}: "
+                                 f"the map is not injective on the state's support")
+            values = values[order]
         state = cls.__new__(cls)
-        state.layout, state.indices = layout, indices
-        state.values = np.asarray(values, dtype=np.complex128)[order]
+        state.layout, state.indices, state.values = layout, indices, values
         return state
 
     def _check_norm(self):
@@ -109,7 +116,7 @@ def xor_register(state: QuantumState, reg: str, values) -> QuantumState:
     if values.shape not in ((), (1,), state.indices.shape):
         raise ValueError(f"xor into {reg} got {values.size} values for "
                          f"{len(state.indices)} branches; give one or one per branch")
-    if np.any((values < 0) | (values > register.mask)):
+    if values.min() < 0 or values.max() > register.mask:
         raise ValueError(f"xor value exceeds register {reg} width {register.width}")
     # Branches only move, so their values keep the norm already checked.
     return QuantumState._moved(

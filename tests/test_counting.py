@@ -391,6 +391,23 @@ class TestPhaseEstimate:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
 
+    def test_circuit_memory_does_not_grow_with_the_union(self):
+        # A dense 4,096-branch state at 12 bits: the engine holds 4,096 rows
+        # of at most four coordinates, where rows over the union would
+        # take 4,096 x 4,096 x 16 B = 256 MB.
+        state = random_state(WORKED.layout(), np.random.default_rng(12))
+        tracemalloc.start()
+        try:
+            est = phase_estimate(WORKED, CountingConfig(bits=12, engine="circuit"),
+                                 initial_state=state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        reduced = phase_estimate(WORKED, CountingConfig(bits=12, engine="reduced"),
+                                 initial_state=state)
+        assert est.y == reduced.y
+
     def test_circuit_runs_build_no_dense_view(self, worked_scenes, monkeypatch):
         def refuse(*args):
             raise AssertionError("dense view built")

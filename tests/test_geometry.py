@@ -9,6 +9,7 @@ from qgi import (DataTable, GridConfig, GridSet, PreparationSpec, Rect, Scene,
                  SceneFormatError, classical_intersect, exact_count,
                  grid_serial, load_scene, prepare_joint, rasterize,
                  scene_from_dict, serial_cell)
+from support import MALFORMED_SCENES
 
 
 class TestGridSerial:
@@ -168,6 +169,42 @@ class TestSceneParsing:
     def test_non_integer_values_name_their_field(self, doc, path):
         with pytest.raises(SceneFormatError, match=path + " must be an integer"):
             scene_from_dict(doc)
+
+    def test_a_valid_document_formats_no_error_text(self, tmp_path,
+                                                    monkeypatch):
+        # Error messages are built only on failure.
+        dumped = []
+        original = json.dumps
+
+        def counted(*args, **kwargs):
+            dumped.append(args)
+            return original(*args, **kwargs)
+        doc = {"grid": {"rows": 8, "cols": 8},
+               "shapes": [{"rect": [0, 0, 1, 1]}, {"cells": [7, 12]}],
+               "cells": [3, 30]}
+        path = tmp_path / "scene.json"
+        path.write_text(original(doc))
+        monkeypatch.setattr(json, "dumps", counted)
+        for scene in (scene_from_dict(doc), load_scene(str(path))):
+            assert rasterize(scene).serials == (1, 2, 3, 7, 9, 10, 12, 30)
+        assert dumped == []
+
+    @pytest.mark.parametrize("doc, message", MALFORMED_SCENES + [
+        ({"grid": {"rows": 4, "cols": 4}, "cells": [None]},
+         "cells[0] must be an integer, got null"),
+        ({"grid": {"rows": 4, "cols": 4}, "cells": [1, True]},
+         "cells[1] must be an integer, got true"),
+        ({"grid": {"rows": "4", "cols": 4}, "cells": [1]},
+         'grid.rows must be an integer, got "4"'),
+        ({"grid": {"rows": 4, "cols": 4}, "shapes": [{"cells": [2.5]}]},
+         "shapes[0].cells[0] must be an integer, got 2.5"),
+        ({"grid": {"rows": 4, "cols": 4}, "cells": [{1}]},
+         'cells[0] must be an integer, got "{1}"'),
+    ])
+    def test_refusals_give_their_whole_message(self, doc, message):
+        with pytest.raises(SceneFormatError) as exc:
+            scene_from_dict(doc)
+        assert str(exc.value) == message
 
     def test_shapes_must_be_a_list(self):
         with pytest.raises(SceneFormatError, match='"shapes" must be a list'):

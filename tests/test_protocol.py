@@ -1,5 +1,6 @@
 import collections
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -402,6 +403,38 @@ class TestOnePreparationPerRun:
             raise AssertionError("generator built")
         monkeypatch.setattr(np.random, "default_rng", refuse)
         assert run_protocol(*worked_scenes, seed=4).verdict is Verdict.INTERSECT
+
+    @pytest.fixture
+    def state_sorts(self, monkeypatch):
+        """Call stack (function names, innermost first) of each np.argsort
+        that qgi.state makes."""
+        calls = []
+        original = np.argsort
+
+        def counted(*args, **kwargs):
+            frame = sys._getframe(1)
+            if frame.f_globals["__name__"] == "qgi.state":
+                names = []
+                while frame is not None:
+                    names.append(frame.f_code.co_name)
+                    frame = frame.f_back
+                calls.append(names)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(np, "argsort", counted)
+        return calls
+
+    @pytest.mark.parametrize("grid, shapes_a, shapes_b", [
+        (GridConfig(4, 4), ((Rect(0, 0, 1, 1),), ()), ((Rect(1, 1, 2, 2),), ())),
+        (GridConfig(8, 8), ((Rect(0, 0, 2, 3),), ()), ((Rect(1, 2, 4, 4),), (60, 7))),
+    ])
+    def test_honest_run_sorts_only_the_xored_branches(self, state_sorts, grid,
+                                                      shapes_a, shapes_b):
+        # Preparation, tensor, loads and the check keep the branches in
+        # order; only Bob's XOR moves them.
+        transcript = run_protocol(Scene(grid, *shapes_a), Scene(grid, *shapes_b))
+        assert transcript.verdict is Verdict.INTERSECT
+        assert len(state_sorts) == 1
+        assert "oracle_xor" in state_sorts[0]
 
     def test_honest_runs_equal_counting_on_a_fresh_preparation(self):
         for scene_a, scene_b in criterion_3_scene_pairs():

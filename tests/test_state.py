@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, QUBIT_BUDGET, DataTable,
                  PreparationSpec, QuantumState, RegisterLayout, basis_state,
@@ -81,8 +83,28 @@ def test_permutation_distributes_over_superpositions(pair_layout, rng):
 
 def test_map_colliding_on_the_support_is_rejected(pair_layout):
     index = pair_layout.pack({"data_a": 2})
-    with pytest.raises(ValueError, match="not injective on the state's support"):
-        QuantumState.from_branches(pair_layout, [index, index], [0.5 ** 0.5] * 2)
+    for indices in ([index, index], [index, 1, index], [1, index, index]):
+        with pytest.raises(ValueError, match=f"two branches land on basis index "
+                                             f"{index}: the map is not injective "
+                                             f"on the state's support"):
+            QuantumState.from_branches(pair_layout, indices,
+                                       [len(indices) ** -0.5] * len(indices))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_branches_in_any_order_give_the_sorted_state(data):
+    layout = RegisterLayout([("a", 20), ("b", 20)])
+    indices = sorted(data.draw(st.lists(st.integers(0, layout.dim - 1),
+                                        min_size=1, max_size=12, unique=True)))
+    values = np.array([complex(k + 1, -i % 7) for k, i in enumerate(indices)])
+    values /= np.linalg.norm(values)
+    order = data.draw(st.permutations(range(len(indices))))
+    expected = QuantumState.from_branches(layout, indices, values)
+    state = QuantumState.from_branches(
+        layout, np.array(indices)[order], values[order])
+    assert np.array_equal(state.indices, expected.indices)
+    assert np.array_equal(state.values, expected.values)
 
 
 def test_map_is_evaluated_only_on_the_support():
