@@ -2,9 +2,10 @@
 
 A party's private set is a table of distinct grid serials.  Loading XORs
 ``table[i]`` into a data register addressed by ``i``; a second load
-uncomputes it.  The pipeline below entangles both parties' tables into
-one state whose last data register holds the XOR of every pair, so a
-zero there marks a matching pair of serials.
+uncomputes it.  A party's message is built as one branch list with its
+table already loaded.  ``prepare_joint`` is the parties' steps without
+the measurement; its last data register holds the XOR of every pair, so
+a zero there marks a matching pair of serials.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .registers import QUBIT_BUDGET, RegisterLayout
-from .state import QuantumState, basis_state, project, xor_register
+from .state import QuantumState, project, tensor, xor_register
 
 ADDR_A = "addr_a"
 DATA_A = "data_a"
@@ -131,8 +132,7 @@ def prepare_uniform(state: QuantumState, reg: str, count: int) -> QuantumState:
         raise ValueError(
             f"register {reg} must be 0 in every branch before preparation "
             f"(found probability mass {residual!r} elsewhere)")
-    # Spread-major: sorted already when the register lies above the
-    # branches' set bits, as on every protocol call.
+    # Spread-major: sorted already when the register lies above the branches' set bits.
     spread = np.arange(count, dtype=np.int64) << register.offset
     indices = spread[:, None] | state.indices[cleared][None, :]
     values = np.empty(indices.shape, dtype=np.complex128)
@@ -172,27 +172,23 @@ def oracle_xor(state: QuantumState, src: str, dst: str) -> QuantumState:
 
 
 def prepare_encoded(table: DataTable, addr: str, data: str) -> QuantumState:
-    """Uniform superposition of addresses with the table loaded alongside."""
+    """A party's message (1/sqrt(M)) sum_i |i>|table[i]> as one branch list: bit
+    for bit what loading the table into a uniform superposition of M addresses gives."""
     layout = RegisterLayout([(addr, table.address_bits), (data, table.value_bits)])
-    state = basis_state(layout)
-    state = prepare_uniform(state, addr, table.size)
-    return oracle_load(state, addr, data, table)
+    indices = np.arange(table.size) | (table.lookup[:table.size] << table.address_bits)
+    values = np.full(table.size, 1 / math.sqrt(table.size), dtype=np.complex128)
+    return QuantumState.from_branches(layout, indices, values)
 
 
 def prepare_joint(spec: PreparationSpec) -> QuantumState:
-    """Run the full preparation pipeline from the all-zero state.
-
-    The result superposes every address pair (i, j) with the first data
-    register cleared and the second holding table_a[i] ^ table_b[j]; all
-    nonzero amplitudes have magnitude 1/sqrt(size_k).
-    """
-    state = basis_state(spec.layout())
-    state = prepare_uniform(state, ADDR_A, spec.table_a.size)
-    state = oracle_load(state, ADDR_A, DATA_A, spec.table_a)
-    state = prepare_uniform(state, ADDR_B, spec.table_b.size)
-    state = oracle_load(state, ADDR_B, DATA_B, spec.table_b)
-    state = oracle_xor(state, DATA_A, DATA_B)
-    return oracle_load(state, ADDR_A, DATA_A, spec.table_a)
+    """The parties' steps without the measurement: every address pair (i, j)
+    at amplitude 1/sqrt(size_k), the first data register cleared and the
+    second holding table_a[i] ^ table_b[j]."""
+    message = prepare_encoded(spec.table_a, ADDR_A, DATA_A)
+    own = prepare_encoded(spec.table_b, ADDR_B, DATA_B)
+    # Nested, so no K-branch state outlives the step it feeds.
+    return oracle_load(oracle_xor(tensor(message, own), DATA_A, DATA_B),
+                       ADDR_A, DATA_A, spec.table_a)
 
 
 def cheat_check(state: QuantumState, table_a: DataTable

@@ -4,7 +4,9 @@ The five steps: Alice prepares and sends her encoded registers; Bob
 tensors on his own encoded registers, XORs his data register with hers,
 and sends everything back; Alice uncomputes her table and measures her
 data register (a nonzero outcome aborts the run); Alice counts matching
-pairs with phase estimation; Alice announces the verdict.
+pairs with phase estimation; Alice announces the verdict.  A party's
+registers are built as one branch list, table loaded; every later step
+is an array map on whatever state arrives.
 
 Party objects hold only their own table; everything a party computes
 before the final count touches its own table alone.  The counting step's
@@ -12,8 +14,8 @@ Grover iterate reflects about the joint preparation.  On an undisturbed
 run that is the state Alice holds after the cheat check, which equals
 the honest preparation, so no second copy is built.  On a disturbed run
 the state Alice holds is what gets counted, and the iterate reflects
-about the honest preparation, built once from the preparation
-description: the shared oracle access the counting algorithm assumes.
+about ``prepare_joint``, built once: the parties' steps without the
+measurement, the shared oracle access the counting algorithm assumes.
 
 A protocol run resolves adversarial measurements by drawing once from
 the seeded generator, even in exact mode, because a cheater's projective

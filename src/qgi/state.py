@@ -47,7 +47,9 @@ class QuantumState:
         a copy, so the caller must not write to those arrays afterwards.
         """
         state = cls._moved(layout, indices, values)
-        state._check_norm()
+        norm_sq = _norm_sq(state.values)
+        if abs(norm_sq - 1.0) > NORM_TOL:
+            raise ValueError(f"state norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}")
         return state
 
     @classmethod
@@ -69,11 +71,6 @@ class QuantumState:
         state = cls.__new__(cls)
         state.layout, state.indices, state.values = layout, indices, values
         return state
-
-    def _check_norm(self):
-        norm_sq = _norm_sq(self.values)
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}")
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -167,15 +164,18 @@ def project(state: QuantumState, reg: str,
 
     The collapsed state is renormalized by the norm of the branches it
     keeps; it is ``None`` when the probability is below COLLAPSE_FLOOR.
+    Keeping every branch (an honest check) copies and re-sums nothing.
     """
     keep = state.register_values(reg) == outcome
-    kept = state.values[keep]
+    whole = keep.all()
+    kept = state.values if whole else state.values[keep]
     kept_sq = _norm_sq(kept)
-    prob = kept_sq / _norm_sq(state.values)
+    prob = 1.0 if whole else kept_sq / _norm_sq(state.values)
     if prob < COLLAPSE_FLOOR:
         return prob, None
-    return prob, QuantumState.from_branches(state.layout, state.indices[keep],
-                                            kept / math.sqrt(kept_sq))
+    return prob, QuantumState.from_branches(
+        state.layout, state.indices if whole else state.indices[keep],
+        kept / math.sqrt(kept_sq))
 
 
 def measure_register(state: QuantumState, reg: str,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qgi import GridConfig, Rect, Scene
+from qgi import GridConfig, QuantumState, Rect, Scene
 
 
 @pytest.fixture
@@ -19,3 +19,17 @@ def worked_scenes(grid4):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def states_built(monkeypatch):
+    """Class of each QuantumState built; every construction passes through
+    ``QuantumState._moved``."""
+    calls = []
+    original = QuantumState._moved.__func__
+
+    def counted(cls, *args):
+        calls.append(cls)
+        return original(cls, *args)
+    monkeypatch.setattr(QuantumState, "_moved", classmethod(counted))
+    return calls

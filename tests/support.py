@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from qgi import (ADDR_A, DATA_A, DATA_B, HONEST, Attack, DataTable,
-                 PreparationSpec, QuantumState, RegisterLayout,
-                 build_preparation, cheat_check, prepare_joint)
+from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, HONEST, Attack, DataTable,
+                 PreparationSpec, QuantumState, RegisterLayout, basis_state,
+                 build_preparation, cheat_check, oracle_load, oracle_xor,
+                 prepare_joint, prepare_uniform)
 from qgi.protocol import AliceParty, BobParty, _check_mask, _tamper
 from qgi.state import project, register_distribution
 
@@ -55,6 +56,26 @@ def xor_pairs(entries_a, entries_b) -> dict[tuple[int, int], int]:
     return {(i, j): a ^ b
             for i, a in enumerate(entries_a)
             for j, b in enumerate(entries_b)}
+
+
+def staged_encoded(table: DataTable, addr: str, data: str) -> QuantumState:
+    """A party's message by the literal staging: the cleared registers,
+    a uniform superposition of the first M addresses, then the table
+    loaded beside them."""
+    layout = RegisterLayout([(addr, table.address_bits), (data, table.value_bits)])
+    state = prepare_uniform(basis_state(layout), addr, table.size)
+    return oracle_load(state, addr, data, table)
+
+
+def staged_joint(spec: PreparationSpec) -> QuantumState:
+    """The joint preparation by the literal seven-step staging on one layout."""
+    state = basis_state(spec.layout())
+    state = prepare_uniform(state, ADDR_A, spec.table_a.size)
+    state = oracle_load(state, ADDR_A, DATA_A, spec.table_a)
+    state = prepare_uniform(state, ADDR_B, spec.table_b.size)
+    state = oracle_load(state, ADDR_B, DATA_B, spec.table_b)
+    state = oracle_xor(state, DATA_A, DATA_B)
+    return oracle_load(state, ADDR_A, DATA_A, spec.table_a)
 
 
 def dense_circuit_distribution(spec, bits, initial) -> np.ndarray:

@@ -9,7 +9,7 @@ from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, DataTable, PreparationSpec,
                  RegisterLayout, address_bits, basis_state, cheat_check,
                  oracle_load, oracle_xor, prepare_encoded, prepare_joint,
                  prepare_uniform, tensor)
-from support import random_state, xor_pairs
+from support import random_state, staged_encoded, staged_joint, xor_pairs
 
 WORKED_A = (1, 2, 5, 6)
 WORKED_B = (6, 7, 10, 11)
@@ -23,6 +23,25 @@ def tables(value_bits=4, max_size=8):
     return st.lists(st.integers(1, (1 << value_bits) - 1), min_size=1,
                     max_size=max_size, unique=True).map(
                         lambda entries: DataTable(tuple(entries), value_bits))
+
+
+@st.composite
+def wide_tables(draw, value_bits=None):
+    """Tables of 1 to 64 entries in 1 to 12 value bits, in drawn or sorted order."""
+    bits = value_bits or draw(st.integers(1, 12))
+    top = (1 << bits) - 1
+    size = draw(st.integers(1, min(top, 64)))
+    entries = draw(st.lists(st.integers(1, top), min_size=size, max_size=size,
+                            unique=True))
+    if draw(st.booleans()):
+        entries.sort()
+    return DataTable(tuple(entries), bits)
+
+
+def assert_same_state(built, staged):
+    assert built.layout == staged.layout
+    assert np.array_equal(built.indices, staged.indices)
+    assert np.array_equal(built.values, staged.values)
 
 
 class TestDataTable:
@@ -212,6 +231,27 @@ class TestPrepareJoint:
             return int((support & (state.layout.index_values(DATA_B) == 0)).sum())
 
         assert zero_branches(before) == zero_branches(after)
+
+
+class TestLiteralStaging:
+    """The one-list builders equal the literal staging bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=wide_tables(),
+           regs=st.sampled_from([(ADDR_A, DATA_A), (ADDR_B, DATA_B)]))
+    def test_prepare_encoded_equals_uniform_then_load(self, table, regs):
+        assert_same_state(prepare_encoded(table, *regs), staged_encoded(table, *regs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), bits=st.integers(1, 12))
+    def test_prepare_joint_equals_the_seven_steps(self, data, bits):
+        spec = PreparationSpec(data.draw(wide_tables(bits)),
+                               data.draw(wide_tables(bits)))
+        assert_same_state(prepare_joint(spec), staged_joint(spec))
+
+    def test_prepare_encoded_builds_one_state(self, states_built):
+        prepare_encoded(DataTable(WORKED_A, 4), ADDR_A, DATA_A)
+        assert len(states_built) == 1
 
 
 class TestCheatCheck:

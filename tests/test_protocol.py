@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qgi.counting
+import qgi.oracles
 import qgi.protocol
 from qgi import (ADDR_A, DATA_A, HONEST, AdversaryStrategy, Attack,
                  CountingConfig, DataTable, GridConfig, ProtocolTranscript,
@@ -435,6 +436,25 @@ class TestOnePreparationPerRun:
         assert transcript.verdict is Verdict.INTERSECT
         assert len(state_sorts) == 1
         assert "oracle_xor" in state_sorts[0]
+
+    def test_honest_run_builds_six_states(self, worked_scenes, states_built):
+        # Alice's message, Bob's own message, the tensor, the XOR, the
+        # uncompute and the check's collapse; counting builds none.
+        assert run_protocol(*worked_scenes).verdict is Verdict.INTERSECT
+        assert len(states_built) == 6
+
+    def test_honest_run_loads_a_table_once(self, worked_scenes, monkeypatch):
+        # Each message is built with its table in it, so only Alice's
+        # uncompute runs the loading oracle.
+        addresses = []
+        original = qgi.oracles.oracle_load
+
+        def counted(state, addr, data, table):
+            addresses.append(addr)
+            return original(state, addr, data, table)
+        monkeypatch.setattr(qgi.oracles, "oracle_load", counted)
+        assert run_protocol(*worked_scenes).verdict is Verdict.INTERSECT
+        assert addresses == [ADDR_A]
 
     def test_honest_runs_equal_counting_on_a_fresh_preparation(self):
         for scene_a, scene_b in criterion_3_scene_pairs():

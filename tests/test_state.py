@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgi.state
 from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, QUBIT_BUDGET, DataTable,
                  PreparationSpec, QuantumState, RegisterLayout, basis_state,
                  grover_iterate, leakage_report, measure_register, tensor)
@@ -259,6 +260,25 @@ def test_projection_renormalizes_by_the_kept_branches(pair_layout):
                        atol=1e-12)
     single = basis_state(pair_layout, {"addr_a": 1})
     assert project(single, "addr_a", 0) == (0.0, None)
+
+
+def test_projection_keeping_every_branch_copies_and_resums_nothing(pair_layout,
+                                                                   monkeypatch):
+    # Every branch has addr_a = 1, as every branch of an honest check has
+    # data_a = 0: the probability is exactly 1, the indices are the
+    # state's own array, and one norm sum renormalizes before the
+    # constructor's check.
+    amplitudes = np.where(pair_layout.index_values("addr_a") == 1,
+                          np.arange(pair_layout.dim) + 1j, 0)
+    state = dense_state(pair_layout, amplitudes / np.linalg.norm(amplitudes))
+    sums = []
+    monkeypatch.setattr(qgi.state, "_norm_sq",
+                        lambda values: sums.append(len(values)) or _norm_sq(values))
+    prob, post = project(state, "addr_a", 1)
+    assert prob == 1.0
+    assert post.indices is state.indices
+    assert np.array_equal(post.values, state.values / math.sqrt(_norm_sq(state.values)))
+    assert sums == [16, 16]
 
 
 def test_reduced_density_of_encoded_superposition_is_uniform_diagonal():
