@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 
 from .counting import CountingConfig, Verdict
@@ -39,9 +41,16 @@ def _write_trace(args: argparse.Namespace, transcript: ProtocolTranscript):
         return
     doc = {"config": {key: getattr(args, key) for key in TRACE_CONFIG},
            "transcript": transcript.to_dict(verbose=args.verbose)}
-    with open(args.trace, "w", encoding="utf-8") as fh:
+    # Written over the old bytes and cut to length, not truncated first:
+    # truncating an existing trace makes the filesystem free (and, where
+    # mounted with discard, discard) its blocks on every run.  Pipes and
+    # devices such as /dev/stdout cannot be cut and are written through.
+    with open(os.open(args.trace, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+              encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def cmd_run(args: argparse.Namespace) -> int:

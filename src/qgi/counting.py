@@ -237,12 +237,13 @@ def _distribution_circuit(iterate: GroverIterate, bits: int,
     Rows 0-3 are steps of the iterate on the support.  Householder QR
     gives an orthonormal basis Q of r <= 4 columns holding their span,
     also when they are linearly dependent, as on an honest run's plane,
-    and their coordinates c[0:4] in Q.  With H = Q^H G Q the later rows
-    follow by doubling, c[2^j : 2^(j+1)] = c[0 : 2^j] (H^(2^j))^T, with
-    H^(2^j) by repeated squaring: bits - 2 products, not 2^bits - 4
-    steps.  The rows are c Q^T, so with F the Fourier transform over z,
-    divided by 2^bits, their transform is (F c) Q^T, and as Q has
-    orthonormal columns the probability of outcome y,
+    and their coordinates c[0:4] in Q.  H = Q^H G Q takes one reflection
+    of the whole matrix S Q.  The later rows follow by doubling,
+    c[2^j : 2^(j+1)] = c[0 : 2^j] (H^(2^j))^T, with H^(2^j) by repeated
+    squaring: bits - 2 products, not 2^bits - 4 steps.  The rows are
+    c Q^T, so with F the Fourier transform over z, divided by 2^bits,
+    their transform is (F c) Q^T, and as Q has orthonormal columns the
+    probability of outcome y,
     sum_x |(F c) Q^T|^2[y, x], is ||(F c)[y]||^2.  The engine holds
     2^bits x r coordinates, never a row over the union.
     """
@@ -257,8 +258,12 @@ def _distribution_circuit(iterate: GroverIterate, bits: int,
     coords = np.zeros((size, basis.shape[1]), dtype=np.complex128)
     coords[:head] = head_coords.T
     if size > head:
-        step = basis.conj().T @ np.column_stack(
-            [reflect(column * signs, axis) for column in basis.T])
+        # Each overlap <psi|S q> is summed by vdot on a contiguous column,
+        # as ``reflect`` sums it, so H keeps its bits: a matrix product
+        # sums in another order and moves estimates in the last digit.
+        flipped = np.multiply(basis, signs[:, None], order="F")
+        overlaps = [np.vdot(axis, column) for column in flipped.T]
+        step = basis.conj().T @ (2.0 * np.outer(axis, overlaps) - flipped)
         power = step @ step
         for j in range(2, bits):
             power = power @ power  # H^(2^j)

@@ -102,6 +102,18 @@ class TestRun:
         assert len(dist) == 2 ** 7
         assert abs(sum(dist) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("target", [".", "missing/trace.json"],
+                             ids=["directory", "missing-directory"])
+    def test_unwritable_trace_is_a_one_line_error(self, scene_files, tmp_path,
+                                                  capsys, target):
+        code = main(["run", "--alice", scene_files[0], "--bob", scene_files[1],
+                     "--trace", str(tmp_path / target)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_sample_mode_requires_seed(self, scene_files, capsys):
         code = main(["run", "--alice", scene_files[0], "--bob", scene_files[1],
                      "--mode", "sample"])
@@ -532,14 +544,22 @@ class TestRepeatedMain:
         in_process = tmp_path / "in.json"
         child = tmp_path / "child.json"
         extra = ["--mode", "sample", "--seed", "5"]
+        # The plain runs write over a longer verbose trace, which must be
+        # cut to the new length; a device cannot be cut and is written
+        # through.
+        assert main(self.run_args(scene_files, in_process, *extra,
+                                  "--verbose")) == 0
+        longer = in_process.stat().st_size
         for _ in range(2):
             assert main(self.run_args(scene_files, in_process, *extra)) == 0
+        assert main(self.run_args(scene_files, os.devnull, *extra)) == 0
         capsys.readouterr()
         src = str(Path(qgi.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-m", "qgi.cli",
                         *self.run_args(scene_files, child, *extra)],
                        env=env, check=True, capture_output=True)
+        assert child.stat().st_size < longer
         assert in_process.read_bytes() == child.read_bytes()
 
 

@@ -13,8 +13,8 @@ from qgi import (DATA_B, AdversaryStrategy, CountingConfig, DataTable,
                  exact_count, grover_iterate, phase_estimate, prepare_joint,
                  run_protocol)
 from qgi.counting import _distribution_circuit
-from support import (dense_circuit_distribution, dense_state, random_spec,
-                     random_state)
+from support import (dense_circuit_distribution, dense_state,
+                     loop_circuit_distribution, random_spec, random_state)
 
 EIGHT_OVER_PI_SQ = 8.0 / math.pi ** 2
 WORKED = PreparationSpec(DataTable((1, 2, 5, 6), 4), DataTable((6, 7, 10, 11), 4))
@@ -86,6 +86,19 @@ def test_circuit_equals_the_dense_literal_circuit(case):
     dense = dense_circuit_distribution(spec, bits, state or prepare_joint(spec))
     assert np.max(np.abs(est.distribution - dense)) < 1e-12
     assert est.y == np.flatnonzero(dense >= dense.max() - 1e-12)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=counting_cases())
+def test_circuit_equals_its_column_by_column_form(case):
+    spec, bits, state = case
+    iterate = grover_iterate(spec)
+    initial = state or iterate.prepared
+    engine = _distribution_circuit(iterate, bits, initial)
+    loop = loop_circuit_distribution(iterate, bits, initial)
+    assert np.max(np.abs(engine - loop)) < 1e-12
+    assert (np.flatnonzero(engine >= engine.max() - 1e-12)[0]
+            == np.flatnonzero(loop >= loop.max() - 1e-12)[0])
 
 
 class TestDefaults:
