@@ -65,7 +65,7 @@ class DataTable:
     def size(self) -> int:
         return len(self.entries)
 
-    @property
+    @functools.cached_property
     def address_bits(self) -> int:
         return address_bits(self.size)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -124,7 +124,8 @@ class CostSummary:
     baseline_bits: dict[str, int]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Shallow: asdict would deep-copy every field.
+        return dict(vars(self), baseline_bits=dict(self.baseline_bits))
 
 
 def comm_cost(set_size_a: int, set_size_b: int, total_cells: int) -> CostSummary:

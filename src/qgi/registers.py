@@ -36,13 +36,25 @@ class Register:
 
 
 class RegisterLayout:
-    """Ordered, non-overlapping named registers with fixed bit offsets."""
+    """Ordered, non-overlapping named registers with fixed bit offsets.
 
-    def __init__(self, registers: Iterable[tuple[str, int]]):
+    Interned: the same ``(name, width)`` pairs give the same object."""
+
+    _interned: dict[tuple[tuple[str, int], ...], "RegisterLayout"] = {}
+
+    def __new__(cls, registers: Iterable[tuple[str, int]]):
+        key = tuple(registers)
+        for _, width in key:
+            if type(width) is not int:  # 2.0 == 2, but is refused below
+                break
+        else:
+            interned = cls._interned.get(key)
+            if interned is not None:
+                return interned
         regs = []
         offset = 0
         seen = set()
-        for name, width in registers:
+        for name, width in key:
             if not isinstance(width, int) or width < 1:
                 raise ValueError(f"register {name!r} needs a width >= 1, got {width}")
             if name in seen:
@@ -55,14 +67,13 @@ class RegisterLayout:
         if offset > PACKED_QUBITS:
             raise ValueError(f"layout requires {offset} qubits, exceeding the "
                              f"{PACKED_QUBITS} that int64 basis indices hold")
+        self = super().__new__(cls)
+        self._key = key
         self._registers: tuple[Register, ...] = tuple(regs)
         self._by_name = {r.name: r for r in regs}
         self.total_qubits = offset
         self.dim = 1 << offset
-
-    @property
-    def registers(self) -> tuple[Register, ...]:
-        return self._registers
+        return cls._interned.setdefault(key, self)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -100,10 +111,8 @@ class RegisterLayout:
         return {r.name: (index >> r.offset) & r.mask for r in self._registers}
 
     def concat(self, other: "RegisterLayout") -> "RegisterLayout":
-        """New layout with ``other``'s registers above this layout's."""
-        return RegisterLayout(
-            [(r.name, r.width) for r in self._registers]
-            + [(r.name, r.width) for r in other.registers])
+        """Layout with ``other``'s registers above this layout's."""
+        return RegisterLayout(self._key + other._key)
 
     def index_values(self, name: str) -> np.ndarray:
         """Register value at every basis index, as an int64 array of length dim."""
@@ -113,10 +122,10 @@ class RegisterLayout:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RegisterLayout):
             return NotImplemented
-        return self._registers == other._registers
+        return self is other or self._key == other._key
 
     def __hash__(self):
-        return hash(self._registers)
+        return hash(self._key)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{r.name}:{r.width}" for r in self._registers)

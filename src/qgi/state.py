@@ -113,7 +113,7 @@ def xor_register(state: QuantumState, reg: str, values) -> QuantumState:
     if values.shape not in ((), (1,), state.indices.shape):
         raise ValueError(f"xor into {reg} got {values.size} values for "
                          f"{len(state.indices)} branches; give one or one per branch")
-    if values.min() < 0 or values.max() > register.mask:
+    if (values & ~register.mask).any():  # a negative value has high bits set
         raise ValueError(f"xor value exceeds register {reg} width {register.width}")
     # Branches only move, so their values keep the norm already checked.
     return QuantumState._moved(
@@ -136,12 +136,13 @@ def reflect(values: np.ndarray, axis: np.ndarray) -> np.ndarray:
 
 
 def tensor(low: QuantumState, high: QuantumState) -> QuantumState:
-    """Compose two states; ``low``'s registers take the less significant bits."""
-    layout = low.layout.concat(high.layout)
+    """Compose two states; ``low``'s registers take the less significant bits.
+    The norm is the product of the factors' checked norms, so no sum runs."""
     shift = low.layout.total_qubits
     indices = (high.indices[:, None] << shift) | low.indices[None, :]
     values = high.values[:, None] * low.values[None, :]
-    return QuantumState.from_branches(layout, indices.ravel(), values.ravel())
+    return QuantumState._moved(low.layout.concat(high.layout),
+                               indices.ravel(), values.ravel())
 
 
 def register_distribution(state: QuantumState, reg: str

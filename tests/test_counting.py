@@ -381,8 +381,10 @@ class TestPhaseEstimate:
                 assert est.y == np.flatnonzero(dense >= dense.max() - 1e-12)[0]
 
     def test_circuit_steps_the_support_only_to_span_the_orbit(self, monkeypatch):
-        # Three steps give rows 1-3 and four more give the iterate on their
-        # span; the other 4,092 rows are steps on that span's coordinates.
+        # Three steps on the support give rows 1-3.  H, the iterate on
+        # their span, is one matrix-valued reflection made without
+        # ``reflect``, and the other 4,092 rows are products of H's powers
+        # with the span's coordinates.
         calls = []
         original = qgi.counting.reflect
 
@@ -392,7 +394,7 @@ class TestPhaseEstimate:
         monkeypatch.setattr(qgi.counting, "reflect", counted)
         est = phase_estimate(WORKED, CountingConfig(bits=12, engine="circuit"))
         assert (est.engine, est.t_rounded) == ("circuit", 1)
-        assert len(calls) <= 8
+        assert len(calls) == 3
 
     def test_circuit_peak_memory_stays_on_the_branches(self):
         # 256 rows over the 16 branches; a dense 256 x 4096 row matrix is 16 MB.

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 import sys
 
@@ -8,11 +9,14 @@ import pytest
 import qgi.counting
 import qgi.oracles
 import qgi.protocol
-from qgi import (ADDR_A, DATA_A, HONEST, AdversaryStrategy, Attack,
+import qgi.registers
+import qgi.state
+from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, HONEST, AdversaryStrategy, Attack,
                  CountingConfig, DataTable, GridConfig, ProtocolTranscript,
                  Rect, Scene, Verdict, build_preparation, classical_intersect,
                  comm_cost, detection_probability, leakage_report,
-                 phase_estimate, prepare_encoded, rasterize, run_protocol)
+                 phase_estimate, prepare_encoded, rasterize, run_protocol,
+                 tensor)
 from qgi.protocol import AliceParty, BobParty, StepRecord
 from support import expanded_detection_probability, gram_entropy, random_state
 
@@ -284,6 +288,14 @@ class TestCostSummary:
         with pytest.raises(ValueError, match=">= 1"):
             comm_cost(0, 1, 16)
 
+    def test_dict_is_a_shallow_copy_in_field_order(self):
+        cost = comm_cost(4, 4, 16)
+        doc = cost.to_dict()
+        assert list(doc) == [f.name for f in dataclasses.fields(cost)]
+        assert doc == dataclasses.asdict(cost)
+        doc["baseline_bits"]["qin"] = 0
+        assert cost.baseline_bits["qin"] == 1024
+
 
 class TestLeakageReport:
     def test_worked_table(self):
@@ -442,6 +454,35 @@ class TestOnePreparationPerRun:
         # uncompute and the check's collapse; counting builds none.
         assert run_protocol(*worked_scenes).verdict is Verdict.INTERSECT
         assert len(states_built) == 6
+
+    def test_second_honest_run_builds_no_layout(self, worked_scenes, monkeypatch):
+        # Layouts are interned, so the same sizes reuse the first run's.
+        run_protocol(*worked_scenes)
+        built = []
+        original = qgi.registers.Register
+
+        def counted(*args):
+            built.append(args)
+            return original(*args)
+        monkeypatch.setattr(qgi.registers, "Register", counted)
+        assert run_protocol(*worked_scenes).verdict is Verdict.INTERSECT
+        assert built == []
+
+    def test_joint_layout_is_the_specs(self, worked_scenes):
+        spec, _, _ = build_preparation(*worked_scenes)
+        message = prepare_encoded(spec.table_a, ADDR_A, DATA_A)
+        own = prepare_encoded(spec.table_b, ADDR_B, DATA_B)
+        assert tensor(message, own).layout is spec.layout()
+
+    def test_honest_run_sums_four_norms(self, worked_scenes, monkeypatch):
+        # Each message's check, and the check's probability and collapse;
+        # the tensor of two checked messages is not summed again.
+        sums = []
+        original = qgi.state._norm_sq
+        monkeypatch.setattr(qgi.state, "_norm_sq",
+                            lambda values: sums.append(len(values)) or original(values))
+        assert run_protocol(*worked_scenes).verdict is Verdict.INTERSECT
+        assert sums == [4, 4, 16, 16]
 
     def test_honest_run_loads_a_table_once(self, worked_scenes, monkeypatch):
         # Each message is built with its table in it, so only Alice's

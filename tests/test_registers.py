@@ -71,3 +71,21 @@ def test_layout_equality():
     two = RegisterLayout([("a", 2), ("b", 1)])
     assert one == two
     assert one != RegisterLayout([("b", 1), ("a", 2)])
+
+
+def test_layouts_are_interned():
+    layout = RegisterLayout([("a", 2), ("b", 1)])
+    assert RegisterLayout([("a", 2), ("b", 1)]) is layout
+    assert RegisterLayout([("a", 2)]).concat(RegisterLayout([("b", 1)])) is layout
+    assert RegisterLayout([("a", 2), ("b", 2)]) is not layout
+
+
+def test_interning_does_not_bypass_validation():
+    # 2.0 == 2 would find the interned layout; a layout that fails stays out.
+    RegisterLayout([("a", 2)])
+    with pytest.raises(ValueError, match="needs a width >= 1, got 2.0"):
+        RegisterLayout([("a", 2.0)])
+    for bad in ([("x", 2), ("x", 3)], [("x", 32), ("y", 32)]):
+        with pytest.raises(ValueError):
+            RegisterLayout(bad)
+        assert tuple(bad) not in RegisterLayout._interned

@@ -127,9 +127,12 @@ def test_permutation_arity_and_range_checked(pair_layout, rng):
     each = xor_register(state, "data_a", np.full(len(state.indices), 5))
     assert np.array_equal(one.indices, each.indices)
     assert np.array_equal(one.values, each.values)
-    for value in (16, -1):
+    for value in (16, -1, 1 << 40):
         with pytest.raises(ValueError, match="exceeds register data_a width 4"):
             xor_register(state, "data_a", value)
+        # One bad value among in-range ones is refused as well.
+        with pytest.raises(ValueError, match="exceeds register data_a width 4"):
+            xor_register(state, "data_a", np.r_[np.full(len(state.indices) - 1, 15), value])
 
 
 def test_xor_values_are_one_or_one_per_branch(pair_layout):
