@@ -36,6 +36,36 @@ def _cost_lines(cost: CostSummary) -> list[str]:
     ]
 
 
+_ascii = json.encoder.encode_basestring_ascii  # json's own string escaper
+_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spelling
+
+
+def _encode(o, nl: str, write) -> None:
+    """Write ``json.dumps(o, indent=2)`` for ``o``, indented after ``nl``, token by
+    token.  Types json refuses, and non-str keys it would convert, raise TypeError."""
+    if isinstance(o, str):
+        write(_ascii(o))
+    elif o is None or isinstance(o, int):
+        write("null" if o is None else "true" if o is True else
+              "false" if o is False else int.__repr__(o))
+    elif isinstance(o, float):
+        write(_FLOATS.get(text := float.__repr__(o), text))
+    elif isinstance(o, dict):
+        inner, sep = nl + "  ", "," + nl + "  "
+        for i, (key, value) in enumerate(o.items()):
+            write((sep if i else "{" + inner) + _ascii(key) + ": ")
+            _encode(value, inner, write)
+        write(nl + "}" if o else "{}")
+    elif isinstance(o, (list, tuple)):
+        inner, sep = nl + "  ", "," + nl + "  "
+        for i, item in enumerate(o):
+            write(sep if i else "[" + inner)
+            _encode(item, inner, write)
+        write(nl + "]" if o else "[]")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _write_trace(args: argparse.Namespace, transcript: ProtocolTranscript):
     if args.trace is None:
         return
@@ -47,7 +77,7 @@ def _write_trace(args: argparse.Namespace, transcript: ProtocolTranscript):
     # devices such as /dev/stdout cannot be cut and are written through.
     with open(os.open(args.trace, os.O_WRONLY | os.O_CREAT, 0o666), "w",
               encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        _encode(doc, "\n", fh.write)
         fh.write("\n")
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate()

@@ -1,16 +1,25 @@
+import collections
+import decimal
+import enum
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgi
 from qgi import cli, protocol
 from qgi.cli import main
+from qgi.counting import CountingConfig
 from qgi.geometry import load_scene
 from qgi.protocol import HONEST, AdversaryStrategy, Attack, detection_probability
 from support import MALFORMED_SCENES
@@ -561,6 +570,113 @@ class TestRepeatedMain:
                        env=env, check=True, capture_output=True)
         assert child.stat().st_size < longer
         assert in_process.read_bytes() == child.read_bytes()
+
+
+def encoded(doc) -> str:
+    parts = []
+    cli._encode(doc, "\n", parts.append)
+    return "".join(parts)
+
+
+# Text with non-ASCII (astral and lone surrogates too), control characters,
+# quotes and backslashes; ints beyond 64 bits; the floats json spells apart.
+trace_text = st.text(st.characters() | st.sampled_from(
+    '"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'), max_size=8)
+trace_ints = (st.integers() | st.integers(min_value=2 ** 64)
+              | st.integers(max_value=-2 ** 64))
+trace_floats = st.floats() | st.sampled_from(
+    [-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
+trace_docs = st.recursive(
+    st.none() | st.booleans() | trace_ints | trace_floats | trace_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(trace_text, inner, max_size=4),
+    max_leaves=24)
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+class Name(str, enum.Enum):
+    ALICE = "alice"
+
+
+class Tally(int):
+    def __repr__(self):
+        return "Tally()"
+
+    __str__ = __repr__
+
+
+class TestTraceEncoding:
+    @settings(max_examples=200, deadline=None)
+    @given(trace_docs)
+    def test_encoder_matches_json_dumps_indent_2(self, doc):
+        assert encoded(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("value, as_json", [
+        ((1, "two", [3.0]), True),
+        (collections.OrderedDict(b=1, a=[]), True),
+        (Colour.RED, True),
+        (Tally(3), True),
+        (Name.ALICE, True),
+        (np.float64(0.1), True),
+        (np.float64("nan"), True),
+        ({1: "one"}, False),
+        ({None: 1}, False),
+        ({(1, 2): 1}, False),
+        (np.int64(3), False),
+        (np.bool_(True), False),
+        (np.array([1.0]), False),
+        ({1, 2}, False),
+        (b"bytes", False),
+        (decimal.Decimal("1.5"), False),
+        (1j, False),
+        (object(), False),
+    ], ids=lambda v: type(v).__name__)
+    def test_other_types_encode_as_json_or_raise_type_error(self, value, as_json):
+        for doc in (value, [value], {"a": {"b": value}}):
+            if as_json:
+                assert encoded(doc) == json.dumps(doc, indent=2)
+            else:
+                with pytest.raises(TypeError):
+                    encoded(doc)
+
+    @pytest.mark.parametrize("adversary", [
+        "honest", "bob-measure-all", "bob-measure-data", "bob-tamper:1",
+        "alice-measure-result"])
+    def test_traces_are_json_indent_2_text(self, scene_files, tmp_path, capsys,
+                                           adversary):
+        for extra in ([], ["--verbose"], ["--mode", "sample", "--seed", "3"]):
+            trace = tmp_path / "trace.json"
+            main(["run", "--alice", scene_files[0], "--bob", scene_files[1],
+                  "--adversary", adversary, "--trace", str(trace), *extra])
+            text = trace.read_text(encoding="ascii")
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        capsys.readouterr()
+
+    def test_verbose_distribution_is_written_in_bounded_memory(self, scene_files,
+                                                               tmp_path):
+        # 2^16 outcomes make about 2 MB of text, which must never be held
+        # whole.  The document is built before measuring.
+        trace = tmp_path / "trace.json"
+        args = cli.build_parser().parse_args([
+            "run", "--alice", scene_files[0], "--bob", scene_files[1],
+            "--counting-bits", "16", "--verbose", "--trace", str(trace)])
+        transcript = protocol.run_protocol(
+            load_scene(args.alice), load_scene(args.bob), CountingConfig(bits=16))
+        doc = transcript.to_dict(verbose=True)
+        tracemalloc.start()
+        try:
+            cli._write_trace(args, SimpleNamespace(to_dict=lambda verbose: doc))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = trace.read_text(encoding="ascii")
+        dist = json.loads(text)["transcript"]["estimate"]["distribution"]
+        assert len(dist) == 2 ** 16
+        assert peak < len(text) / 4
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_readme_worked_pair_output(scene_files, capsys):
