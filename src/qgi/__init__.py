@@ -2,11 +2,10 @@
 geometric-intersection protocol."""
 
 from .registers import QUBIT_BUDGET, RegisterLayout
-from .state import QuantumState, basis_state, measure_register, tensor
+from .state import QuantumState, measure_register, tensor
 from .oracles import (ADDR_A, ADDR_B, DATA_A, DATA_B, DataTable,
                       PreparationSpec, address_bits, cheat_check, oracle_load,
-                      oracle_xor, prepare_encoded, prepare_joint,
-                      prepare_uniform)
+                      oracle_xor, prepare_encoded, prepare_joint)
 from .geometry import (GridConfig, GridSet, Rect, Scene, SceneFormatError,
                        classical_intersect, grid_serial, load_scene, rasterize,
                        scene_from_dict, serial_cell)

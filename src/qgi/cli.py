@@ -96,23 +96,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     counting = CountingConfig(bits=args.counting_bits, mode=args.mode)
     transcript = run_protocol(scene_a, scene_b, counting, adversary, seed=args.seed)
     _write_trace(args, transcript)
-    if transcript.verdict is Verdict.ABORT:
+    aborted = transcript.verdict is Verdict.ABORT
+    if aborted:
         print("ABORT: cheat check failed")
-        if args.trace:
-            print(f"trace written to {args.trace}")
-        return 2
-    est = transcript.estimate
-    print(f"verdict={transcript.verdict} t={est.t_rounded}")
-    line = (f"y={est.y} bits={est.bits} engine={est.engine} "
-            f"theta_hat={est.theta_hat:.6f} t_hat={est.t_hat:.6f}")
-    if est.success_prob is not None:
-        line += f" success_prob={est.success_prob:.6f}"
-    print(line)
-    for text in _cost_lines(transcript.cost):
-        print(text)
+    else:
+        est = transcript.estimate
+        print(f"verdict={transcript.verdict} t={est.t_rounded}")
+        line = (f"y={est.y} bits={est.bits} engine={est.engine} "
+                f"theta_hat={est.theta_hat:.6f} t_hat={est.t_hat:.6f}")
+        if est.success_prob is not None:
+            line += f" success_prob={est.success_prob:.6f}"
+        print(line)
+        for text in _cost_lines(transcript.cost):
+            print(text)
     if args.trace:
         print(f"trace written to {args.trace}")
-    return 0
+    return 2 if aborted else 0
 
 
 def cmd_rasterize(path: str) -> int:

@@ -135,17 +135,6 @@ class GroverIterate:
     def __init__(self, prepared: QuantumState):
         self.prepared = prepared
 
-    @property
-    def marked_mass(self) -> float:
-        """Probability mass of the prepared state on marked branches."""
-        probs = self.prepared.branch_probabilities()
-        return float(probs[self.prepared.register_values(DATA_B) == 0].sum())
-
-    @property
-    def rotation_angle(self) -> float:
-        """Angle theta with sin^2(theta / 2) equal to the marked mass."""
-        return 2.0 * math.asin(math.sqrt(min(1.0, max(0.0, self.marked_mass))))
-
     def on_support(self, state: QuantumState) -> tuple[np.ndarray, ...]:
         """The union of the state's and |psi>'s branches, and on it their
         values and the signs of S."""
@@ -204,13 +193,15 @@ def _distribution_reduced(iterate: GroverIterate, bits: int,
     _, values, axis, signs = iterate.on_support(initial)
     overlap = values * axis.conj()
     axis_probs, init_probs = np.abs(axis) ** 2, np.abs(values) ** 2
-    coords, masses = [], []
+    coords, masses, norms = [], [], []
     for part in (signs < 0, signs > 0):
         norm = math.sqrt(float(axis_probs[part].sum()))
         coords.append(complex(overlap[part].sum()) / norm if norm > 0 else 0j)
         masses.append(float(init_probs[part].sum()))
+        norms.append(norm)
     a, b = coords
-    angles = iterate.rotation_angle * np.arange(size)
+    # sin(theta / 2) is the norm of the preparation's marked part.
+    angles = 2.0 * math.asin(min(1.0, norms[0])) * np.arange(size)
     cos, sin = np.cos(angles), np.sin(angles)
     rows = np.stack([a * cos + b * sin, b * cos - a * sin], axis=1)
     transformed = np.fft.fft(rows, axis=0) / size

@@ -116,30 +116,6 @@ class PreparationSpec:
              (ADDR_B, self.table_b.address_bits), (DATA_B, r)])
 
 
-def prepare_uniform(state: QuantumState, reg: str, count: int) -> QuantumState:
-    """Spread a cleared register uniformly over its first ``count`` values."""
-    layout = state.layout
-    register = layout.register(reg)
-    if count < 1:
-        raise ValueError(f"cannot prepare a superposition over {count} values")
-    if count > (1 << register.width):
-        raise ValueError(
-            f"count {count} exceeds the {1 << register.width} values of "
-            f"register {reg}")
-    cleared = state.register_values(reg) == 0
-    residual = np.sum(state.branch_probabilities()[~cleared])
-    if residual > 1e-12:
-        raise ValueError(
-            f"register {reg} must be 0 in every branch before preparation "
-            f"(found probability mass {residual!r} elsewhere)")
-    # Spread-major: sorted already when the register lies above the branches' set bits.
-    spread = np.arange(count, dtype=np.int64) << register.offset
-    indices = spread[:, None] | state.indices[cleared][None, :]
-    values = np.empty(indices.shape, dtype=np.complex128)
-    values[:] = state.values[cleared] / math.sqrt(count)
-    return QuantumState.from_branches(layout, indices.ravel(), values.ravel())
-
-
 def oracle_load(state: QuantumState, addr: str, data: str,
                 table: DataTable) -> QuantumState:
     """XOR ``table[i]`` into the data register on every branch with address i.
@@ -180,15 +156,20 @@ def prepare_encoded(table: DataTable, addr: str, data: str) -> QuantumState:
     return QuantumState.from_branches(layout, indices, values)
 
 
+def respond(message: QuantumState, table_b: DataTable) -> QuantumState:
+    """Bob's step: his own message tensored above the one that arrives,
+    then the first data register XORed into his."""
+    own = prepare_encoded(table_b, ADDR_B, DATA_B)
+    return oracle_xor(tensor(message, own), DATA_A, DATA_B)
+
+
 def prepare_joint(spec: PreparationSpec) -> QuantumState:
     """The parties' steps without the measurement: every address pair (i, j)
     at amplitude 1/sqrt(size_k), the first data register cleared and the
     second holding table_a[i] ^ table_b[j]."""
     message = prepare_encoded(spec.table_a, ADDR_A, DATA_A)
-    own = prepare_encoded(spec.table_b, ADDR_B, DATA_B)
     # Nested, so no K-branch state outlives the step it feeds.
-    return oracle_load(oracle_xor(tensor(message, own), DATA_A, DATA_B),
-                       ADDR_A, DATA_A, spec.table_a)
+    return oracle_load(respond(message, spec.table_b), ADDR_A, DATA_A, spec.table_a)
 
 
 def cheat_check(state: QuantumState, table_a: DataTable
@@ -206,6 +187,6 @@ def cheat_check(state: QuantumState, table_a: DataTable
 __all__ = [
     "ADDR_A", "DATA_A", "ADDR_B", "DATA_B",
     "DataTable", "PreparationSpec", "address_bits",
-    "prepare_uniform", "oracle_load", "oracle_xor",
-    "prepare_encoded", "prepare_joint", "cheat_check",
+    "oracle_load", "oracle_xor", "prepare_encoded", "respond",
+    "prepare_joint", "cheat_check",
 ]

@@ -37,10 +37,9 @@ import numpy as np
 from .counting import (CountEstimate, CountingConfig, Verdict,
                        decide_intersection, phase_estimate, plan_counting)
 from .geometry import GridSet, Scene, rasterize
-from .oracles import (ADDR_A, ADDR_B, DATA_A, DATA_B, DataTable,
-                      PreparationSpec, address_bits, cheat_check,
-                      oracle_xor, prepare_encoded)
-from .state import QuantumState, measure_register, tensor, xor_register
+from .oracles import (ADDR_A, DATA_A, DATA_B, DataTable, PreparationSpec,
+                      address_bits, cheat_check, prepare_encoded, respond)
+from .state import QuantumState, measure_register, xor_register
 
 
 class Attack(str, enum.Enum):
@@ -254,9 +253,7 @@ class BobParty:
         self.table = table
 
     def respond(self, incoming: QuantumState) -> QuantumState:
-        own = prepare_encoded(self.table, ADDR_B, DATA_B)
-        joint = tensor(incoming, own)
-        return oracle_xor(joint, DATA_A, DATA_B)
+        return respond(incoming, self.table)
 
 
 def build_preparation(scene_a: Scene, scene_b: Scene

@@ -38,25 +38,22 @@ class Register:
 class RegisterLayout:
     """Ordered, non-overlapping named registers with fixed bit offsets.
 
-    Interned: the same ``(name, width)`` pairs give the same object."""
+    Interned: the same ``(name, width)`` pairs give one object, equal only to itself."""
 
     _interned: dict[tuple[tuple[str, int], ...], "RegisterLayout"] = {}
 
     def __new__(cls, registers: Iterable[tuple[str, int]]):
         key = tuple(registers)
-        for _, width in key:
-            if type(width) is not int:  # 2.0 == 2, but is refused below
-                break
-        else:
-            interned = cls._interned.get(key)
-            if interned is not None:
-                return interned
+        for name, width in key:  # before the cache: 2.0 and True hash as 2 and 1
+            if type(width) is not int or width < 1:
+                raise ValueError(f"register {name!r} needs a width >= 1, got {width!r}")
+        interned = cls._interned.get(key)
+        if interned is not None:
+            return interned
         regs = []
         offset = 0
         seen = set()
         for name, width in key:
-            if not isinstance(width, int) or width < 1:
-                raise ValueError(f"register {name!r} needs a width >= 1, got {width}")
             if name in seen:
                 raise ValueError(f"duplicate register name {name!r}")
             seen.add(name)
@@ -118,14 +115,6 @@ class RegisterLayout:
         """Register value at every basis index, as an int64 array of length dim."""
         check_budget(self.total_qubits, "dense view")
         return self.extract(np.arange(self.dim, dtype=np.int64), name)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RegisterLayout):
-            return NotImplemented
-        return self is other or self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{r.name}:{r.width}" for r in self._registers)

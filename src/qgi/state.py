@@ -8,7 +8,6 @@ point of view: every operation returns a fresh ``QuantumState``.
 from __future__ import annotations
 
 import math
-from typing import Mapping
 
 import numpy as np
 
@@ -93,12 +92,6 @@ class QuantumState:
     def __repr__(self) -> str:
         n = np.count_nonzero(self.branch_probabilities() > 1e-14)
         return f"QuantumState({self.layout!r}, {n} nonzero branches)"
-
-
-def basis_state(layout: RegisterLayout,
-                assignment: Mapping[str, int] | None = None) -> QuantumState:
-    """Computational basis state; unassigned registers default to 0."""
-    return QuantumState.from_branches(layout, [layout.pack(assignment or {})], [1.0])
 
 
 def xor_register(state: QuantumState, reg: str, values) -> QuantumState:

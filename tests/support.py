@@ -1,11 +1,14 @@
 """Shared helpers for the test suite."""
 
+import math
+from typing import Mapping
+
 import numpy as np
 
 from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, HONEST, Attack, DataTable,
-                 PreparationSpec, QuantumState, RegisterLayout, basis_state,
+                 PreparationSpec, QuantumState, RegisterLayout,
                  build_preparation, cheat_check, oracle_load, oracle_xor,
-                 prepare_joint, prepare_uniform)
+                 prepare_joint)
 from qgi.protocol import AliceParty, BobParty, _check_mask, _tamper
 from qgi.state import project, reflect, register_distribution
 
@@ -56,6 +59,36 @@ def xor_pairs(entries_a, entries_b) -> dict[tuple[int, int], int]:
     return {(i, j): a ^ b
             for i, a in enumerate(entries_a)
             for j, b in enumerate(entries_b)}
+
+
+def basis_state(layout: RegisterLayout,
+                assignment: Mapping[str, int] | None = None) -> QuantumState:
+    """Computational basis state; unassigned registers default to 0."""
+    return QuantumState.from_branches(layout, [layout.pack(assignment or {})], [1.0])
+
+
+def prepare_uniform(state: QuantumState, reg: str, count: int) -> QuantumState:
+    """Spread a cleared register uniformly over its first ``count`` values."""
+    layout = state.layout
+    register = layout.register(reg)
+    if count < 1:
+        raise ValueError(f"cannot prepare a superposition over {count} values")
+    if count > (1 << register.width):
+        raise ValueError(
+            f"count {count} exceeds the {1 << register.width} values of "
+            f"register {reg}")
+    cleared = state.register_values(reg) == 0
+    residual = np.sum(state.branch_probabilities()[~cleared])
+    if residual > 1e-12:
+        raise ValueError(
+            f"register {reg} must be 0 in every branch before preparation "
+            f"(found probability mass {residual!r} elsewhere)")
+    # Spread-major: sorted already when the register lies above the branches' set bits.
+    spread = np.arange(count, dtype=np.int64) << register.offset
+    indices = spread[:, None] | state.indices[cleared][None, :]
+    values = np.empty(indices.shape, dtype=np.complex128)
+    values[:] = state.values[cleared] / math.sqrt(count)
+    return QuantumState.from_branches(layout, indices.ravel(), values.ravel())
 
 
 def staged_encoded(table: DataTable, addr: str, data: str) -> QuantumState:

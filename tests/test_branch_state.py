@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, CountingConfig, DataTable,
-                 PreparationSpec, RegisterLayout, basis_state, oracle_load,
-                 oracle_xor, phase_estimate, prepare_joint, prepare_uniform,
-                 tensor)
+                 PreparationSpec, RegisterLayout, oracle_load, oracle_xor,
+                 phase_estimate, prepare_joint, tensor)
 from qgi.protocol import _tamper
-from support import measure_distribution, random_state
+from support import (basis_state, measure_distribution, prepare_uniform,
+                     random_state)
 
 TOL = 1e-12
 

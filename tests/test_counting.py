@@ -147,7 +147,8 @@ class TestGroverIterate:
         overlap = np.vdot(psi.amplitudes, iterate.apply(psi).amplitudes)
         assert abs(overlap.imag) < 1e-12
         assert abs(overlap.real - (1 - 2 / 16)) < 1e-12
-        assert abs(iterate.marked_mass - 1 / 16) < 1e-12
+        marked = psi.register_values(DATA_B) == 0
+        assert abs(psi.branch_probabilities()[marked].sum() - 1 / 16) < 1e-12
 
     def test_norm_preserved_on_random_states(self):
         iterate = grover_iterate(WORKED)

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, DataTable, PreparationSpec,
-                 RegisterLayout, address_bits, basis_state, cheat_check,
-                 oracle_load, oracle_xor, prepare_encoded, prepare_joint,
-                 prepare_uniform, tensor)
-from support import random_state, staged_encoded, staged_joint, xor_pairs
+                 RegisterLayout, address_bits, cheat_check, oracle_load,
+                 oracle_xor, prepare_encoded, prepare_joint, tensor)
+from support import (basis_state, prepare_uniform, random_state,
+                     staged_encoded, staged_joint, xor_pairs)
 
 WORKED_A = (1, 2, 5, 6)
 WORKED_B = (6, 7, 10, 11)

@@ -497,6 +497,25 @@ class TestOnePreparationPerRun:
         assert run_protocol(*worked_scenes).verdict is Verdict.INTERSECT
         assert addresses == [ADDR_A]
 
+    def test_bobs_step_runs_once_per_caller(self, worked_scenes, monkeypatch):
+        # Bob's tensor and XOR are written once, in ``oracles.respond``: a
+        # run, the joint preparation and the detection analysis all take it.
+        calls = []
+        original = qgi.oracles.respond
+
+        def counted(message, table_b):
+            calls.append(table_b)
+            return original(message, table_b)
+        for module in (qgi.oracles, qgi.protocol):
+            monkeypatch.setattr(module, "respond", counted)
+        spec, _, _ = build_preparation(*worked_scenes)
+        for call in (lambda: run_protocol(*worked_scenes),
+                     lambda: qgi.oracles.prepare_joint(spec),
+                     lambda: detection_probability(*worked_scenes)):
+            calls.clear()
+            call()
+            assert calls == [spec.table_b]
+
     def test_honest_runs_equal_counting_on_a_fresh_preparation(self):
         for scene_a, scene_b in criterion_3_scene_pairs():
             spec, _, _ = build_preparation(scene_a, scene_b)

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from qgi import RegisterLayout, basis_state
+from qgi import RegisterLayout
+from support import basis_state
 
 
 def test_first_register_takes_least_significant_bits():
@@ -85,6 +88,11 @@ def test_interning_does_not_bypass_validation():
     RegisterLayout([("a", 2)])
     with pytest.raises(ValueError, match="needs a width >= 1, got 2.0"):
         RegisterLayout([("a", 2.0)])
+    # True == 1 would find a 1-qubit layout; np.int64(2) is no Python int.
+    RegisterLayout([("zz", 1)])
+    for bad in ([("zz", True)], [("a", np.int64(2))]):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad[0][1]!r}")):
+            RegisterLayout(bad)
     for bad in ([("x", 2), ("x", 3)], [("x", 32), ("y", 32)]):
         with pytest.raises(ValueError):
             RegisterLayout(bad)

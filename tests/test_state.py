@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import qgi.state
 from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, QUBIT_BUDGET, DataTable,
-                 PreparationSpec, QuantumState, RegisterLayout, basis_state,
+                 PreparationSpec, QuantumState, RegisterLayout,
                  grover_iterate, leakage_report, measure_register, tensor)
 from qgi.state import _norm_sq, project, reflect, xor_register
-from support import (dense_state, encoded_gram, gram_entropy,
+from support import (basis_state, dense_state, encoded_gram, gram_entropy,
                      measure_distribution, random_spec, random_state)
 
 
