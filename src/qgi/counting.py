@@ -121,7 +121,7 @@ def decode_count(y: int, search_space: int, bits: int) -> float:
 class GroverIterate:
     """Unitary G = (2|psi><psi| - I) * S, with S flipping marked branches.
 
-    |psi> is the joint preparation and a branch is marked when its second
+    |psi> is the joint preparation and a branch is marked when Bob's
     data register is zero.  The reflection about |psi> equals conjugating
     the all-zero-state reflection by the preparation pipeline, for any
     unitary completion of that pipeline, so it is applied directly.  As S

@@ -15,6 +15,7 @@ from .registers import RegisterLayout, check_budget
 
 NORM_TOL = 1e-12
 COLLAPSE_FLOOR = 1e-15
+_NORM_CHUNK = 1 << 17  # floats squared at a time: 1 MB
 
 
 def _norm_sq(values: np.ndarray) -> float:
@@ -23,9 +24,16 @@ def _norm_sq(values: np.ndarray) -> float:
     Its rounding error grows with log2(n) rather than with n, as a BLAS
     dot product's does (Higham, Accuracy and Stability of Numerical
     Algorithms, section 4.2), so a state of millions of branches still
-    passes the 1e-12 norm check.
+    passes the 1e-12 norm check.  Fixed chunks are summed pairwise and
+    their sums combined pairwise, which keeps that bound without squaring
+    every float at once; a state of up to 2^16 branches is one chunk.
     """
-    return float(np.add.reduce(np.square(values.view(np.float64))))
+    floats = values.view(np.float64)
+    if len(floats) <= _NORM_CHUNK:
+        return float(np.add.reduce(np.square(floats)))
+    sums = [np.add.reduce(np.square(floats[start:start + _NORM_CHUNK]))
+            for start in range(0, len(floats), _NORM_CHUNK)]
+    return float(np.add.reduce(np.array(sums)))
 
 
 class QuantumState:
@@ -56,10 +64,13 @@ class QuantumState:
                values: np.ndarray) -> "QuantumState":
         """``from_branches`` without the norm check, for the values of a
         checked state moved to new indices.  Indices not strictly
-        increasing are sorted and checked for a repeat."""
+        increasing are sorted and checked for a repeat; no step of a
+        protocol run gives such indices (see ``qgi.oracles``)."""
         indices = np.asarray(indices, dtype=np.int64)
         values = np.asarray(values, dtype=np.complex128)
-        if not (indices[1:] > indices[:-1]).all():
+        # count_nonzero, not ndarray.all, whose Python wrapper costs about
+        # a microsecond on each of the small states a run builds.
+        if np.count_nonzero(indices[1:] <= indices[:-1]):
             order = np.argsort(indices)
             indices = indices[order]
             clash = np.flatnonzero(indices[1:] == indices[:-1])
@@ -106,7 +117,7 @@ def xor_register(state: QuantumState, reg: str, values) -> QuantumState:
     if values.shape not in ((), (1,), state.indices.shape):
         raise ValueError(f"xor into {reg} got {values.size} values for "
                          f"{len(state.indices)} branches; give one or one per branch")
-    if (values & ~register.mask).any():  # a negative value has high bits set
+    if np.count_nonzero(values & ~register.mask):  # a negative value has high bits set
         raise ValueError(f"xor value exceeds register {reg} width {register.width}")
     # Branches only move, so their values keep the norm already checked.
     return QuantumState._moved(
@@ -161,7 +172,7 @@ def project(state: QuantumState, reg: str,
     Keeping every branch (an honest check) copies and re-sums nothing.
     """
     keep = state.register_values(reg) == outcome
-    whole = keep.all()
+    whole = np.count_nonzero(keep) == len(keep)
     kept = state.values if whole else state.values[keep]
     kept_sq = _norm_sq(kept)
     prob = 1.0 if whole else kept_sq / _norm_sq(state.values)
@@ -176,7 +187,11 @@ def measure_register(state: QuantumState, reg: str,
                      rng: np.random.Generator) -> tuple[int, QuantumState]:
     """Sample one computational-basis outcome for a register and collapse."""
     outcomes, probs = register_distribution(state, reg)
-    outcome = int(outcomes[rng.choice(len(outcomes), p=probs / probs.sum())])
+    # The draw ``rng.choice(len(outcomes), p=probs / probs.sum())`` makes:
+    # one uniform double located in the normalized cumulative sum.
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    outcome = int(outcomes[np.searchsorted(cdf, rng.random(), side="right")])
     prob, post = project(state, reg, outcome)
     if post is None:
         raise ValueError(

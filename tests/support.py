@@ -94,8 +94,8 @@ def prepare_uniform(state: QuantumState, reg: str, count: int) -> QuantumState:
 def staged_encoded(table: DataTable, addr: str, data: str) -> QuantumState:
     """A party's message by the literal staging: the cleared registers,
     a uniform superposition of the first M addresses, then the table
-    loaded beside them."""
-    layout = RegisterLayout([(addr, table.address_bits), (data, table.value_bits)])
+    loaded beside them.  The address lies above the data."""
+    layout = RegisterLayout([(data, table.value_bits), (addr, table.address_bits)])
     state = prepare_uniform(basis_state(layout), addr, table.size)
     return oracle_load(state, addr, data, table)
 

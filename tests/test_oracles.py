@@ -1,4 +1,6 @@
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, DataTable, PreparationSpec,
-                 RegisterLayout, address_bits, cheat_check, oracle_load,
-                 oracle_xor, prepare_encoded, prepare_joint, tensor)
+                 QuantumState, RegisterLayout, address_bits, cheat_check,
+                 oracle_load, oracle_xor, prepare_encoded, prepare_joint, tensor)
+from qgi.protocol import _detection
 from support import (basis_state, prepare_uniform, random_state,
                      staged_encoded, staged_joint, xor_pairs)
 
@@ -58,6 +61,35 @@ class TestDataTable:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one entry"):
             DataTable((), 4)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "3", True, np.int64(3)])
+    def test_rejects_entries_that_are_not_ints(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"table entry {bad!r} is not")):
+            DataTable((bad, 5), 3)
+
+    @pytest.mark.parametrize("bad", [1.9, 2.0, "3", True, np.True_, np.float64(2)])
+    def test_from_serials_refuses_what_is_not_an_integer(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"table entry {bad!r} is not")):
+            DataTable.from_serials([5, bad], 3)
+
+    def test_from_serials_takes_numpy_integers(self):
+        table = DataTable.from_serials(np.array([6, 1, 3], dtype=np.uint8), 3)
+        assert table.entries == (6, 1, 3)
+        assert all(type(e) is int for e in table.entries)
+        assert table == DataTable((6, 1, 3), 3)
+
+    def test_serials_wider_than_int64_still_make_a_table(self):
+        # No packed layout holds them, but size and leakage need none.
+        table = DataTable((1 << 70, 3), 80)
+        assert (table.size, table.lookup[0]) == (2, 1 << 70)
+
+    def test_derived_fields_are_built_with_the_table(self):
+        table = DataTable((6, 1, 3), 3)
+        assert (table.size, table.address_bits) == (3, 2)
+        assert table.lookup.tolist() == [6, 1, 3, 0]
+        assert not table.lookup.flags.writeable
+        assert hash(table) == hash(DataTable((6, 1, 3), 3))
+        assert repr(table) == "DataTable(entries=(6, 1, 3), value_bits=3)"
 
     @pytest.mark.parametrize("count, bits",
                              [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)])
@@ -171,10 +203,11 @@ class TestOracleXor:
 
 
 def honest_message_state(spec):
-    """The state Bob returns: both tables loaded and the XOR applied."""
+    """The state Bob returns: both tables loaded, Bob's registers below
+    Alice's, and the XOR applied."""
     alice = prepare_encoded(spec.table_a, ADDR_A, DATA_A)
     bob = prepare_encoded(spec.table_b, ADDR_B, DATA_B)
-    return oracle_xor(tensor(alice, bob), DATA_A, DATA_B)
+    return oracle_xor(tensor(bob, alice), DATA_A, DATA_B)
 
 
 class TestPrepareJoint:
@@ -252,6 +285,33 @@ class TestLiteralStaging:
     def test_prepare_encoded_builds_one_state(self, states_built):
         prepare_encoded(DataTable(WORKED_A, 4), ADDR_A, DATA_A)
         assert len(states_built) == 1
+
+
+class TestBranchOrder:
+    """Every step of the pipeline hands ``QuantumState`` strictly increasing
+    indices, for tables in any order, so none is sorted."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), bits=st.integers(1, 12))
+    def test_each_step_keeps_the_indices_increasing(self, data, bits):
+        spec = PreparationSpec(data.draw(wide_tables(bits)),
+                               data.draw(wide_tables(bits)))
+        mask = data.draw(st.integers(1, (1 << bits) - 1))
+        arrivals = []
+        original = QuantumState._moved.__func__
+
+        def spied(cls, layout, indices, values):
+            indices = np.asarray(indices)
+            arrivals.append(bool((indices[1:] > indices[:-1]).all()))
+            return original(cls, layout, indices, values)
+        with mock.patch.object(QuantumState, "_moved", classmethod(spied)):
+            prepare_joint(spec)
+            _detection(spec, 0)
+            _detection(spec, mask)
+        # Two messages, tensor, XOR and uncompute; the same and the
+        # check's collapse; the same with a tamper, which always fails.
+        assert len(arrivals) == 5 + 6 + 6
+        assert all(arrivals)
 
 
 class TestCheatCheck:

@@ -12,11 +12,11 @@ import qgi.protocol
 import qgi.registers
 import qgi.state
 from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, HONEST, AdversaryStrategy, Attack,
-                 CountingConfig, DataTable, GridConfig, ProtocolTranscript,
-                 Rect, Scene, Verdict, build_preparation, classical_intersect,
-                 comm_cost, detection_probability, leakage_report,
-                 phase_estimate, prepare_encoded, rasterize, run_protocol,
-                 tensor)
+                 CountingConfig, DataTable, GridConfig, PreparationSpec,
+                 ProtocolTranscript, Rect, Scene, Verdict, build_preparation,
+                 classical_intersect, comm_cost, detection_probability,
+                 leakage_report, phase_estimate, prepare_encoded, rasterize,
+                 run_protocol, tensor)
 from qgi.protocol import AliceParty, BobParty, StepRecord
 from support import expanded_detection_probability, gram_entropy, random_state
 
@@ -443,11 +443,30 @@ class TestOnePreparationPerRun:
     def test_honest_run_sorts_only_the_xored_branches(self, state_sorts, grid,
                                                       shapes_a, shapes_b):
         # Preparation, tensor, loads and the check keep the branches in
-        # order; only Bob's XOR moves them.
+        # order, and so does Bob's XOR, into the lowest register.
         transcript = run_protocol(Scene(grid, *shapes_a), Scene(grid, *shapes_b))
         assert transcript.verdict is Verdict.INTERSECT
-        assert len(state_sorts) == 1
-        assert "oracle_xor" in state_sorts[0]
+        assert state_sorts == []
+
+    @pytest.mark.parametrize("adversary", [
+        "honest", "bob-tamper:5", "bob-measure-all", "bob-measure-data",
+        "alice-measure-result"])
+    def test_no_run_reorders_its_branches(self, state_sorts, adversary):
+        grid = GridConfig(8, 8)
+        transcript = run_protocol(
+            Scene(grid, rects=(Rect(0, 0, 2, 3),)),
+            Scene(grid, rects=(Rect(1, 2, 4, 4),), cells=(60, 7)),
+            adversary=AdversaryStrategy.parse(adversary), seed=11)
+        assert transcript.verdict is not None
+        assert [names for names in state_sorts if names[0] == "_moved"] == []
+
+    @pytest.mark.parametrize("tamper_mask", [0, 9])
+    def test_tables_in_any_order_are_not_sorted(self, state_sorts, tamper_mask):
+        spec = PreparationSpec(DataTable((13, 2, 40, 7, 1), 6),
+                               DataTable((33, 7, 12), 6))
+        qgi.oracles.prepare_joint(spec)
+        qgi.protocol._detection(spec, tamper_mask)
+        assert state_sorts == []
 
     def test_honest_run_builds_six_states(self, worked_scenes, states_built):
         # Alice's message, Bob's own message, the tensor, the XOR, the
@@ -472,7 +491,8 @@ class TestOnePreparationPerRun:
         spec, _, _ = build_preparation(*worked_scenes)
         message = prepare_encoded(spec.table_a, ADDR_A, DATA_A)
         own = prepare_encoded(spec.table_b, ADDR_B, DATA_B)
-        assert tensor(message, own).layout is spec.layout()
+        assert tensor(own, message).layout is spec.layout()
+        assert spec.layout().names == (DATA_B, ADDR_B, DATA_A, ADDR_A)
 
     def test_honest_run_sums_four_norms(self, worked_scenes, monkeypatch):
         # Each message's check, and the check's probability and collapse;

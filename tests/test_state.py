@@ -9,7 +9,8 @@ import qgi.state
 from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, QUBIT_BUDGET, DataTable,
                  PreparationSpec, QuantumState, RegisterLayout,
                  grover_iterate, leakage_report, measure_register, tensor)
-from qgi.state import _norm_sq, project, reflect, xor_register
+from qgi.state import (_norm_sq, project, reflect, register_distribution,
+                       xor_register)
 from support import (basis_state, dense_state, encoded_gram, gram_entropy,
                      measure_distribution, random_spec, random_state)
 
@@ -240,6 +241,28 @@ def test_distribution_sums_to_one_and_matches_sampling(pair_layout):
         assert abs(counts[value] / draws - p) <= 3 * sigma + 1e-12
 
 
+def test_sampling_draws_as_generator_choice():
+    # measure_register draws as rng.choice(n, p=...) does: the same
+    # outcome and the same generator state after every draw.
+    layout = RegisterLayout([("low", 2), ("reg", 3)])
+    for seed in range(200):
+        source = np.random.default_rng(seed)
+        state = random_state(layout, source)
+        if seed % 2:  # a sparse state: some outcomes absent
+            keep = source.random(len(state.indices)) < 0.3
+            keep[0] = True
+            kept = state.values[keep]
+            state = QuantumState.from_branches(
+                layout, state.indices[keep], kept / np.linalg.norm(kept))
+        outcomes, probs = register_distribution(state, "reg")
+        sampler, reference = (np.random.default_rng(seed + 1000) for _ in range(2))
+        for _ in range(3):
+            outcome, _ = measure_register(state, "reg", sampler)
+            expected = outcomes[reference.choice(len(outcomes), p=probs / probs.sum())]
+            assert outcome == expected
+            assert sampler.bit_generator.state == reference.bit_generator.state
+
+
 def test_unreachable_outcomes_have_no_collapsed_state(pair_layout):
     state = basis_state(pair_layout, {"addr_a": 1})
     assert set(measure_distribution(state, "addr_a")) == {1}
@@ -251,6 +274,21 @@ def test_norm_sums_do_not_drift_with_the_branch_count():
     side = np.full(576, 1 / np.sqrt(576))
     values = np.outer(side, side).ravel().astype(np.complex128)
     assert abs(_norm_sq(values) - 1.0) < 4 * np.finfo(float).eps
+
+
+def test_norm_sum_squares_one_chunk_at_a_time(monkeypatch):
+    # 2^16 branches are one chunk, summed as one pairwise sum; more are
+    # summed by chunks whose sums are added pairwise.
+    rng = np.random.default_rng(5)
+    small = rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16)
+    assert _norm_sq(small) == float(np.add.reduce(np.square(small.view(np.float64))))
+    side = np.full(1024, 1 / np.sqrt(1024))
+    large = np.outer(side, side).ravel().astype(np.complex128)
+    squared = []
+    original = np.square
+    monkeypatch.setattr(np, "square", lambda x: squared.append(x.size) or original(x))
+    assert abs(_norm_sq(large) - 1.0) < 4 * np.finfo(float).eps
+    assert squared == [1 << 17] * 16
 
 
 def test_projection_renormalizes_by_the_kept_branches(pair_layout):
