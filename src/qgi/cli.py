@@ -13,7 +13,7 @@ import os
 import stat
 import sys
 
-from .counting import CountingConfig, Verdict
+from .counting import CountingConfig, Verdict, plan_counting
 from .geometry import SceneFormatError, load_scene, rasterize
 from .oracles import address_bits
 from .protocol import (HONEST, AdversaryStrategy, Attack, CostSummary,
@@ -94,6 +94,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     scene_b = load_scene(args.bob)
     adversary = AdversaryStrategy.parse(args.adversary)
     counting = CountingConfig(bits=args.counting_bits, mode=args.mode)
+    if args.verbose:  # the trace lists every outcome's probability
+        spec, _, _ = build_preparation(scene_a, scene_b)
+        plan_counting(spec, counting, distribution=True)
     transcript = run_protocol(scene_a, scene_b, counting, adversary, seed=args.seed)
     _write_trace(args, transcript)
     aborted = transcript.verdict is Verdict.ABORT

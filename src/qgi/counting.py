@@ -20,11 +20,12 @@ state, honest or disturbed:
   repeated squaring and fill the rows by doubling, and the transform
   runs on the coordinates alone, as Q's columns are orthonormal.  The
   engine holds 2^bits x r x 16 bytes.
-* ``reduced`` uses the iterate's eigenspaces: it rotates the initial
-  state's component in the plane spanned by the marked and unmarked parts
-  of the preparation, and places the marked and unmarked mass outside
-  that plane on the eigenphases 0 and 1/2.  It works on branches only, at
-  any size.
+* ``reduced`` uses the iterate's eigenspaces.  One pass over the branches
+  gives a plane summary, and each outcome's probability is a sum of Fejer
+  kernels centred on the eigenphases (see ``_Plane``), evaluated only
+  where it is read: in exact mode at the outcomes near the peaks and on
+  the two runs of y that decode to the true count, and at every outcome
+  only when the whole distribution is read.
 
 ``auto`` picks ``circuit`` when it comfortably fits and ``reduced``
 otherwise.  The engines agree within 1e-12 up to 9 counting bits.  The
@@ -38,8 +39,10 @@ by under 1e-14; over 150 random specs the two differ by up to 6.4e-12.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, fields
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -68,6 +71,10 @@ def default_counting_bits(search_space: int) -> int:
     return max(0, math.ceil(math.log2(search_space))) + 3
 
 
+# Exact mode's widest register: the default for the largest K a spec admits.
+_EXACT_BITS_CAP = default_counting_bits(1 << QUBIT_BUDGET)
+
+
 @dataclass(frozen=True)
 class CountingConfig:
     """Phase-estimation settings.
@@ -93,7 +100,12 @@ class CountingConfig:
 
 @dataclass(frozen=True)
 class CountEstimate:
-    """Decoded phase-estimation outcome."""
+    """Decoded phase-estimation outcome.
+
+    ``distribution``, every outcome's probability, is ``outcomes`` when
+    that is an array, and otherwise built by it when first read, refused
+    above the qubit budget.
+    """
 
     y: int
     bits: int
@@ -103,11 +115,19 @@ class CountEstimate:
     t_rounded: int
     success_prob: float | None
     engine: str
-    distribution: np.ndarray | None = None
+    outcomes: np.ndarray | Callable[[], np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def distribution(self) -> np.ndarray | None:
+        if not callable(self.outcomes):
+            return self.outcomes
+        check_budget(self.bits, "outcome distribution")
+        return self.outcomes()
 
     def to_dict(self, include_distribution: bool = False) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name != "distribution"}
+               if f.name != "outcomes"}
         if include_distribution and self.distribution is not None:
             doc["distribution"] = [float(p) for p in self.distribution]
         return doc
@@ -166,49 +186,128 @@ def exact_count(state: QuantumState) -> int:
     """
     probs = state.branch_probabilities()
     nonzero = probs > _BRANCH_FLOOR
-    branches = int(nonzero.sum())
+    branches = int(np.count_nonzero(nonzero))
     if branches == 0:
         raise ValueError("state has no nonzero branches")
-    magnitudes = np.sqrt(probs[nonzero])
-    if np.max(np.abs(magnitudes - 1.0 / math.sqrt(branches))) > 1e-9:
+    whole = branches == len(probs)
+    kept = probs if whole else probs[nonzero]
+    # The largest |sqrt(p) - 1/sqrt(branches)| is at an extreme p: sqrt and
+    # rounding are monotone, so no array of magnitudes is built.
+    uniform = 1.0 / math.sqrt(branches)
+    if max(math.sqrt(kept.max()) - uniform, uniform - math.sqrt(kept.min())) > 1e-9:
         raise ValueError("branch magnitudes are not uniform; "
                          "state is not an honest preparation")
     marked = state.register_values(DATA_B) == 0
-    return int(np.count_nonzero(nonzero & marked))
+    return int(np.count_nonzero(marked if whole else nonzero & marked))
 
 
-def _distribution_reduced(iterate: GroverIterate, bits: int,
-                          initial: QuantumState) -> np.ndarray:
-    """Phase-estimation outcome distribution from the iterate's eigenspaces.
+@dataclass(frozen=True)
+class _Plane:
+    """The counted state on the iterate's eigenspaces.
 
     With m and u the normalized marked and unmarked parts of the
     preparation, G rotates the (m, u) plane by theta, fixes every marked
     state orthogonal to m and negates every unmarked state orthogonal to
-    u.  The initial state's (a, b) coordinates in the plane give rows
-    R(z theta)(a, b), on whose index the inverse Fourier transform acts
-    as on the counting register; the marked and unmarked mass outside the
-    plane lands on outcomes 0 and 2^bits / 2.
+    u.  The initial state's coordinates (a, b) in the plane give rows
+    R(z theta)(a, b) = e^(i z theta) c+ v+ + e^(-i z theta) c- v-, with
+    v+- = (1, +-i) / sqrt(2) orthonormal and c+- = (a -+ i b) / sqrt(2).
+    The inverse Fourier transform over z, divided by n = 2^bits, turns
+    each phase e^(+-i z theta) into the Fejer kernel centred on +-n phi,
+    phi = theta / 2 pi (Brassard, Hoyer, Mosca and Tapp,
+    arXiv:quant-ph/0005055, section 4), so
+
+        P(y) = w+ F_n(y - n phi) + w- F_n(y + n phi)
+               + off_marked [y = 0] + off_unmarked [y = n / 2],
+
+    with w+- = |c+-|^2, F_n(d) = sin^2(pi d) / (n sin(pi d / n))^2, and the
+    marked and unmarked mass off the plane on the eigenphases 0 and 1/2.
     """
-    size = 1 << bits
-    _, values, axis, signs = iterate.on_support(initial)
-    overlap = values * axis.conj()
-    axis_probs, init_probs = np.abs(axis) ** 2, np.abs(values) ** 2
-    coords, masses, norms = [], [], []
-    for part in (signs < 0, signs > 0):
-        norm = math.sqrt(float(axis_probs[part].sum()))
-        coords.append(complex(overlap[part].sum()) / norm if norm > 0 else 0j)
-        masses.append(float(init_probs[part].sum()))
-        norms.append(norm)
-    a, b = coords
-    # sin(theta / 2) is the norm of the preparation's marked part.
-    angles = 2.0 * math.asin(min(1.0, norms[0])) * np.arange(size)
-    cos, sin = np.cos(angles), np.sin(angles)
-    rows = np.stack([a * cos + b * sin, b * cos - a * sin], axis=1)
-    transformed = np.fft.fft(rows, axis=0) / size
-    probs = np.sum(np.abs(transformed) ** 2, axis=1)
-    probs[0] += max(0.0, masses[0] - abs(a) ** 2)
-    probs[size // 2] += max(0.0, masses[1] - abs(b) ** 2)
-    return probs
+
+    theta: float
+    w_plus: float
+    w_minus: float
+    off_marked: float
+    off_unmarked: float
+
+    @classmethod
+    def of(cls, iterate: GroverIterate, initial: QuantumState) -> "_Plane":
+        _, values, axis, signs = iterate.on_support(initial)
+        marked = signs < 0
+
+        def parts(array: np.ndarray) -> tuple[float, float]:
+            # Marked and unmarked sums: the whole less the marked part, so
+            # the branches, mostly unmarked, are summed pairwise once and
+            # never copied.
+            whole, part = array.sum(), array[marked].sum()
+            return part, whole - part
+        axis_parts = parts(np.abs(axis) ** 2)
+        # Counting the preparation itself, its overlap with the axis and its
+        # mass on each part are the axis's own: |psi|^2 is summed once.
+        if values is axis:
+            inners = masses = axis_parts
+        else:
+            inners, masses = parts(values * axis.conj()), parts(np.abs(values) ** 2)
+        norms = [math.sqrt(max(0.0, float(mass))) for mass in axis_parts]
+        a, b = (complex(inner) / norm if norm > 0 else 0j
+                for inner, norm in zip(inners, norms))
+        masses = [float(mass) for mass in masses]
+        return cls(
+            # sin(theta / 2) is the norm of the preparation's marked part.
+            theta=2.0 * math.asin(min(1.0, norms[0])),
+            w_plus=abs(a - 1j * b) ** 2 / 2, w_minus=abs(a + 1j * b) ** 2 / 2,
+            off_marked=max(0.0, masses[0] - abs(a) ** 2),
+            off_unmarked=max(0.0, masses[1] - abs(b) ** 2))
+
+    def probabilities(self, bits: int, ys: np.ndarray) -> np.ndarray:
+        """P(y) at the int64 outcomes ``ys``.
+
+        A distance to a peak is an exact integer offset, wrapped modulo n,
+        minus a fraction in [-1/2, 1/2] (a float distance near y ~ 2^23
+        would lose nine digits); the -phi peak is the +phi one's exact
+        mirror.  sin^2(pi (k - frac)) is sin^2(pi frac) for every integer
+        k, and an integer n phi makes both kernels exact deltas.
+        """
+        size, half = 1 << bits, (1 << bits) // 2
+        base, frac = self._centre(bits)
+        # Row 0 holds the +phi peak and row 1 its mirror.
+        offsets = ((ys + np.array([[half - base], [half + base]])) & (size - 1)) - half
+        if frac == 0.0:
+            kernels = (offsets == 0).astype(np.float64)
+        else:
+            kernels = offsets - np.array([[frac], [-frac]])
+            del offsets  # in place from here: a window can hold 2^24 outcomes
+            kernels *= math.pi / size
+            np.sin(kernels, out=kernels)
+            kernels *= size
+            kernels *= kernels
+            np.divide(math.sin(math.pi * frac) ** 2, kernels, out=kernels)
+        probs = kernels[0] * self.w_plus
+        probs += kernels[1] * self.w_minus
+        probs[ys == 0] += self.off_marked
+        probs[ys == half] += self.off_unmarked
+        return probs
+
+    def candidates(self, bits: int) -> np.ndarray:
+        """Ascending outcomes that hold the maximum of P: 0, n/2 and the y
+        within two of each peak.  Any other y is 2.5 or more from both
+        peaks, where F_n <= 1 / (2 * 2.5)^2 = 0.04, while the maximum is at
+        least 4/pi^2 * 1/4 > 0.1, as one of the four masses is >= 1/4.
+        """
+        size = 1 << bits
+        base, _ = self._centre(bits)
+        ys = {0, size // 2}
+        ys.update((sign * base + step) % size for sign in (1, -1) for step in range(-2, 3))
+        return np.array(sorted(ys), dtype=np.int64)
+
+    def distribution(self, bits: int) -> np.ndarray:
+        """P(y) at every outcome."""
+        return self.probabilities(bits, np.arange(1 << bits))
+
+    def _centre(self, bits: int) -> tuple[int, float]:
+        """The +phi peak n phi as the nearest integer and a fraction."""
+        n_phi = (1 << bits) * self.theta / (2.0 * math.pi)
+        base = round(n_phi)
+        return base, n_phi - base
 
 
 def _distribution_circuit(iterate: GroverIterate, bits: int,
@@ -263,15 +362,63 @@ def _distribution_circuit(iterate: GroverIterate, bits: int,
     return (np.abs(np.fft.fft(coords, axis=0)) ** 2).sum(axis=1) / size ** 2
 
 
-def plan_counting(spec: PreparationSpec,
-                  cfg: CountingConfig) -> tuple[int, str]:
+def _success_runs(count: int, search_space: int, bits: int) -> list[range]:
+    """The outcomes y that decode to ``count``, as ascending runs.
+
+    The decode round(clip(K sin^2(pi y / n), 0, K)) rises on [0, n/2] and
+    falls on (n/2, n), so on each half the y it maps to ``count`` are one
+    run.  Arcsin places each run's ends within one; each half's span
+    reaches two beyond them, and the exact decode of the span's first and
+    last five outcomes fixes the ends.  So the runs hold the y a table over
+    all n outcomes would select, in the same order.
+    """
+    size = 1 << bits
+    half = size // 2
+
+    def edge(c: float) -> float:  # y on [0, n/2] where K sin^2(pi y / n) = c
+        return size / math.pi * math.asin(math.sqrt(min(1.0, max(0.0, c / search_space))))
+    lo = max(0, math.floor(edge(count - 0.5)) - 2)
+    hi = min(half, math.ceil(edge(count + 0.5)) + 2)
+    spans = (range(lo, hi + 1),
+             range(max(half + 1, size - hi), min(size - 1, size - lo) + 1))
+    ends = [y for span in spans for y in (*span[:5], *span[-5:])]
+    # numpy's sin of pi y / n, as y (pi / n) rounds alike for n a power of
+    # two; then the square, product and round (half to even, as np.round)
+    # in Python's float arithmetic.  The clip to [0, K] changes nothing,
+    # since sin^2 <= 1.
+    sines = np.sin(np.array(ends, dtype=np.int64) * (math.pi / size)).tolist()
+    hits = [y for y, sine in zip(ends, sines) if round(search_space * (sine * sine)) == count]
+    runs = []
+    for side in ([y for y in hits if y <= half], [y for y in hits if y > half]):
+        if side:
+            runs.append(range(side[0], side[-1] + 1))
+    return runs
+
+
+def plan_counting(spec: PreparationSpec, cfg: CountingConfig,
+                  distribution: bool = False) -> tuple[int, str]:
     """Counting-register width and engine for a spec, refused above the budget.
 
     Depends only on the spec's sizes, so a run can call it before any
-    state is prepared.
+    state is prepared.  The budget caps what is built: all 2^bits outcomes
+    in sample mode or for a caller that reads them (``distribution``); in
+    exact mode, up to the default width for the largest K, the success
+    runs, whose longest are those of t = 0 and t = K.
     """
-    bits = cfg.bits if cfg.bits is not None else default_counting_bits(spec.size_k)
-    check_budget(bits, "counting register")
+    search_space = spec.size_k
+    bits = cfg.bits if cfg.bits is not None else default_counting_bits(search_space)
+    if cfg.mode == "sample" or distribution:
+        check_budget(bits, "outcome distribution")
+    elif bits > _EXACT_BITS_CAP:
+        raise ValueError(f"counting register of {bits} qubits exceeds the cap "
+                         f"of {_EXACT_BITS_CAP}")
+    elif bits > QUBIT_BUDGET:  # a window is never longer than 2^bits
+        widest = max(sum(map(len, _success_runs(count, search_space, bits)))
+                     for count in (0, search_space))
+        if widest > 1 << QUBIT_BUDGET:
+            raise ValueError(
+                f"counting register of {bits} qubits needs a success window of "
+                f"{widest} outcomes, exceeding the cap of {1 << QUBIT_BUDGET}")
     data_qubits = spec.layout().total_qubits
     engine = cfg.engine
     if engine == "auto":
@@ -315,25 +462,33 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     iterate = GroverIterate(prepared)
     initial = initial_state or prepared
     if engine == "circuit":
-        probs = _distribution_circuit(iterate, bits, initial)
+        table, plane = _distribution_circuit(iterate, bits, initial), None
     else:
-        probs = _distribution_reduced(iterate, bits, initial)
+        table, plane = None, _Plane.of(iterate, initial)
 
+    success = None
     if cfg.mode == "sample":
-        y = int(rng.choice(size, p=probs / probs.sum()))
-        success = None
+        if table is None:
+            table = plane.distribution(bits)
+        y = int(rng.choice(size, p=table / table.sum()))
     else:
+        runs = ([] if initial_state is not None
+                else _success_runs(exact_count(prepared), search_space, bits))
+        if table is None:  # the kernel at the candidates and on the runs at once
+            candidates = plane.candidates(bits)
+            probs = plane.probabilities(bits, np.concatenate(
+                [candidates, *(np.arange(run.start, run.stop) for run in runs)]))
+            peaks, window = probs[:len(candidates)], probs[len(candidates):]
+        else:
+            candidates, peaks = range(size), table
+            window = np.concatenate([table[run.start:run.stop] for run in runs]
+                                    or [table[:0]])
         # Rounding noise must not choose between equal peaks, such as the
         # mirrors y and 2^bits - y.
-        y = int(np.flatnonzero(probs >= probs.max() - _PEAK_TIE)[0])
+        y = int(candidates[np.flatnonzero(peaks >= peaks.max() - _PEAK_TIE)[0]])
         if initial_state is None:
-            true_t = exact_count(prepared)
-            decoded = np.round(np.clip(
-                search_space * np.sin(np.pi * np.arange(size) / size) ** 2,
-                0, search_space)).astype(int)
-            success = float(probs[decoded == true_t].sum())
-        else:
-            success = None
+            # One pairwise sum in ascending y, as over a mask of all outcomes.
+            success = float(window.sum())
 
     t_hat = decode_count(y, search_space, bits)
     t_rounded = int(min(search_space, max(0, round(t_hat))))
@@ -341,7 +496,8 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
         y=y, bits=bits, search_space=search_space,
         theta_hat=2.0 * math.pi * y / size,
         t_hat=t_hat, t_rounded=t_rounded,
-        success_prob=success, engine=engine, distribution=probs)
+        success_prob=success, engine=engine,
+        outcomes=functools.partial(plane.distribution, bits) if table is None else table)
 
 
 def decide_intersection(estimate: CountEstimate) -> Verdict:

@@ -91,7 +91,7 @@ class RegisterLayout:
     def extract(self, index, name: str):
         """Value of a register inside a basis index (scalar or ndarray)."""
         reg = self.register(name)
-        return (index >> reg.offset) & reg.mask
+        return (index >> reg.offset if reg.offset else index) & reg.mask
 
     def pack(self, assignment: Mapping[str, int]) -> int:
         """Basis index for the given register values; omitted registers are 0."""
@@ -103,9 +103,6 @@ class RegisterLayout:
                     f"value {value} exceeds register {name} width {reg.width}")
             index |= value << reg.offset
         return index
-
-    def unpack(self, index: int) -> dict[str, int]:
-        return {r.name: (index >> r.offset) & r.mask for r in self._registers}
 
     def concat(self, other: "RegisterLayout") -> "RegisterLayout":
         """Layout with ``other``'s registers above this layout's."""

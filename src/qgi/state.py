@@ -169,18 +169,19 @@ def project(state: QuantumState, reg: str,
 
     The collapsed state is renormalized by the norm of the branches it
     keeps; it is ``None`` when the probability is below COLLAPSE_FLOOR.
-    Keeping every branch (an honest check) copies and re-sums nothing.
+    Keeping every branch (an honest check) has probability exactly 1 and
+    returns the state itself, already checked: nothing is divided or summed.
     """
     keep = state.register_values(reg) == outcome
-    whole = np.count_nonzero(keep) == len(keep)
-    kept = state.values if whole else state.values[keep]
+    if np.count_nonzero(keep) == len(keep):
+        return 1.0, state
+    kept = state.values[keep]
     kept_sq = _norm_sq(kept)
-    prob = 1.0 if whole else kept_sq / _norm_sq(state.values)
+    prob = kept_sq / _norm_sq(state.values)
     if prob < COLLAPSE_FLOOR:
         return prob, None
     return prob, QuantumState.from_branches(
-        state.layout, state.indices if whole else state.indices[keep],
-        kept / math.sqrt(kept_sq))
+        state.layout, state.indices[keep], kept / math.sqrt(kept_sq))
 
 
 def measure_register(state: QuantumState, reg: str,

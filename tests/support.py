@@ -61,6 +61,11 @@ def xor_pairs(entries_a, entries_b) -> dict[tuple[int, int], int]:
             for j, b in enumerate(entries_b)}
 
 
+def unpack(layout: RegisterLayout, index: int) -> dict[str, int]:
+    """Value of every register inside a basis index: ``layout.pack``'s inverse."""
+    return {name: layout.extract(index, name) for name in layout.names}
+
+
 def basis_state(layout: RegisterLayout,
                 assignment: Mapping[str, int] | None = None) -> QuantumState:
     """Computational basis state; unassigned registers default to 0."""

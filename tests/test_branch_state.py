@@ -15,7 +15,7 @@ from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, CountingConfig, DataTable,
                  phase_estimate, prepare_joint, tensor)
 from qgi.protocol import _tamper
 from support import (basis_state, measure_distribution, prepare_uniform,
-                     random_state)
+                     random_state, unpack)
 
 TOL = 1e-12
 
@@ -53,7 +53,7 @@ def test_oracle_load_matches_reference(table, seed):
     state = random_state(layout, np.random.default_rng(seed))
 
     def move(index):
-        values = layout.unpack(index)
+        values = unpack(layout, index)
         if values[ADDR_A] < table.size:
             values[DATA_A] ^= table.entries[values[ADDR_A]]
         return layout.pack(values)
@@ -68,7 +68,7 @@ def test_oracle_xor_matches_reference(bits, seed):
     state = random_state(layout, np.random.default_rng(seed))
 
     def move(index):
-        values = layout.unpack(index)
+        values = unpack(layout, index)
         values[DATA_B] ^= values[DATA_A]
         return layout.pack(values)
 
@@ -83,7 +83,7 @@ def test_tamper_xor_matches_reference(bits, data, seed):
     state = random_state(layout, np.random.default_rng(seed))
 
     def move(index):
-        values = layout.unpack(index)
+        values = unpack(layout, index)
         values[DATA_A] ^= mask
         return layout.pack(values)
 

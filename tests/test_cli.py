@@ -165,11 +165,11 @@ class TestRun:
 
     def test_counting_bits_above_the_cap_exit_at_once(self, scene_files, capsys):
         code = main(["run", "--alice", scene_files[0], "--bob", scene_files[1],
-                     "--counting-bits", "25"])
+                     "--counting-bits", "28"])
         err = capsys.readouterr().err
         assert code == 1
         assert err.count("\n") == 1
-        assert "counting register of 25 qubits exceeds the cap of 24" in err
+        assert "counting register of 28 qubits exceeds the cap of 27" in err
 
     @pytest.mark.parametrize("adversary", ["bob-measure-all",
                                            "alice-measure-result"])
@@ -208,8 +208,9 @@ class TestRun:
          "8192 x 8192 = 67108864 table-row pairs exceed the cap of 16777216"),
         (65536, [0, 0, 0, 0], [0, 1, 0, 1],
          "layout requires 66 qubits, exceeding the 63"),
-        (512, [0, 0, 63, 63], [1, 1, 64, 64],
-         "counting register of 27 qubits exceeds the cap of 24"),
+        # One column past the 2^24 pairs of the largest rung, which is counted.
+        (512, [0, 0, 63, 63], [1, 1, 64, 65],
+         "4096 x 4160 = 17039360 table-row pairs exceed the cap of 16777216"),
         (65536, [0, 0, 65535, 65535], [0, 1, 0, 1],
          "scene shapes list 4294967296 cells, exceeding the cap of 16777216"),
     ])
@@ -251,6 +252,45 @@ class TestRun:
         code = main(["run", "--alice", alice, "--bob", bob])
         assert code == 0
         assert f"verdict=INTERSECT t={expected}\n" in capsys.readouterr().out
+
+    def test_the_128x128_rung_is_counted_on_the_peaks(self, tmp_path, capsys):
+        # K = 2^20 pairs at 23 counting bits.  Of the two mirror peaks the
+        # lower is taken, y = 80,848, not 2^23 - 80,848.
+        alice, bob = rect_files(tmp_path, 128, [0, 0, 31, 31], [1, 1, 32, 32])
+        code = main(["run", "--alice", alice, "--bob", bob])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "verdict=INTERSECT t=961\n" in out
+        assert "y=80848 bits=23 engine=reduced" in out
+
+    def test_the_largest_search_space_is_counted(self, tmp_path, capsys):
+        # K = 2^24 pairs, the most a spec admits, at the default 27 bits.
+        alice, bob = rect_files(tmp_path, 512, [0, 0, 63, 63], [1, 1, 64, 64])
+        code = main(["run", "--alice", alice, "--bob", bob])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "verdict=INTERSECT t=3969\n" in out
+        success = float(out.split("success_prob=")[1].split()[0])
+        assert success >= 8 / math.pi ** 2
+
+    @pytest.mark.parametrize("extra", [["--verbose"],
+                                       ["--mode", "sample", "--seed", "1"]])
+    def test_reading_every_outcome_is_refused_above_the_budget(self, tmp_path,
+                                                               capsys, extra):
+        # The verbose trace and a sampled outcome need all 2^27 outcomes.
+        alice, bob = rect_files(tmp_path, 512, [0, 0, 63, 63], [1, 1, 64, 64])
+        tracemalloc.start()
+        try:
+            code = main(["run", "--alice", alice, "--bob", bob, *extra])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: outcome distribution of 27 qubits "
+                                "exceeds the cap of 24\n")
+        assert peak < 32 * 2 ** 20
 
     @pytest.mark.parametrize("extra", [
         ["--mode", "sample", "--seed", "-3"],

@@ -12,7 +12,7 @@ from qgi import (DATA_B, AdversaryStrategy, CountingConfig, DataTable,
                  decide_intersection, decode_count, default_counting_bits,
                  exact_count, grover_iterate, phase_estimate, prepare_joint,
                  run_protocol)
-from qgi.counting import _distribution_circuit
+from qgi.counting import _distribution_circuit, _success_runs
 from support import (dense_circuit_distribution, dense_state,
                      loop_circuit_distribution, random_spec, random_state)
 
@@ -33,17 +33,21 @@ def counting_cases(draw):
     """A spec, a counting width of 1-9 bits and the state counted (None for
     the preparation itself).
 
-    Tables overlap anyhow, not at all (t = 0) or are one identical entry
-    (t = K), and a basis or sparse state on a one-pair spec has a support
-    of one to three branches, so the iterate's orbit can span fewer than
-    four dimensions.
+    Tables overlap anyhow, not at all (t = 0), in half or a quarter of the
+    pairs, or are one identical entry (t = K), and a basis or sparse state
+    on a one-pair spec has a support of one to three branches, so the
+    iterate's orbit can span fewer than four dimensions.
     """
     value_bits = draw(st.sampled_from([3, 2, 1]))
     values = draw(st.permutations(range(1, 1 << value_bits)))
-    kind = draw(st.sampled_from(["any", "disjoint", "identical"]
+    kind = draw(st.sampled_from(["any", "disjoint", "identical", "half", "quarter"]
                                 if len(values) > 1 else ["identical"]))
     if kind == "identical":
         table_a = table_b = values[:1]
+    elif kind == "half":  # t/K = 1/2: n phi = n/4, computed one ulp low
+        table_a, table_b = values[:1], values[:2]
+    elif kind == "quarter":  # t/K = 1/4
+        table_a, table_b = values[:2], (values[0], values[2])
     elif kind == "disjoint":
         split = draw(st.integers(1, min(3, len(values) - 1)))
         table_a = values[:split]
@@ -99,6 +103,47 @@ def test_circuit_equals_its_column_by_column_form(case):
     assert np.max(np.abs(engine - loop)) < 1e-12
     assert (np.flatnonzero(engine >= engine.max() - 1e-12)[0]
             == np.flatnonzero(loop >= loop.max() - 1e-12)[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=counting_cases())
+def test_kernel_equals_the_literal_circuit(case):
+    # The Fejer-kernel distribution of the plane summary against the
+    # circuit's powers and Fourier transform, on any counted state.
+    spec, bits, state = case
+    literal = _distribution_circuit(grover_iterate(spec), bits,
+                                    state or prepare_joint(spec))
+    est = phase_estimate(spec, CountingConfig(bits=bits, engine="reduced"),
+                         initial_state=state)
+    assert np.max(np.abs(est.distribution - literal)) < 1e-12
+    assert est.y == np.flatnonzero(literal >= literal.max() - 1e-12)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=counting_cases(), engine=st.sampled_from(["circuit", "reduced"]))
+def test_estimate_from_the_windows_equals_the_full_table(case, engine):
+    # Exact mode reads the candidate peaks and the success windows only;
+    # the whole distribution and the decode of every outcome must agree.
+    spec, bits, _ = case
+    est = phase_estimate(spec, CountingConfig(bits=bits, engine=engine))
+    probs, size, k = est.distribution, 1 << bits, spec.size_k
+    decoded = np.round(np.clip(k * np.sin(np.pi * np.arange(size) / size) ** 2, 0, k))
+    assert est.y == np.flatnonzero(probs >= probs.max() - 1e-12)[0]
+    true_t = exact_count(prepare_joint(spec))
+    assert abs(est.success_prob - probs[decoded == true_t].sum()) < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 1 << 24), bits=st.integers(1, 18), data=st.data())
+def test_success_runs_hold_the_outcomes_that_decode_to_the_count(k, bits, data):
+    size = 1 << bits
+    decoded = np.round(np.clip(k * np.sin(np.pi * np.arange(size) / size) ** 2, 0, k))
+    count = data.draw(st.one_of(st.sampled_from([0, k, k // 2]),
+                                st.integers(0, k),
+                                st.sampled_from(decoded.astype(int).tolist())))
+    runs = _success_runs(count, k, bits)
+    window = np.concatenate([np.arange(r.start, r.stop) for r in runs] or [np.arange(0)])
+    assert window.tolist() == np.flatnonzero(decoded == count).tolist()
 
 
 class TestDefaults:
@@ -306,9 +351,46 @@ class TestPhaseEstimate:
         assert phase_estimate(WORKED, CountingConfig(bits=9)).engine == "reduced"
 
     def test_counting_bits_above_the_cap_rejected_for_both_engines(self):
-        for engine in ("circuit", "reduced"):
-            with pytest.raises(ValueError, match="25 qubits exceeds the cap of 24"):
-                phase_estimate(WORKED, CountingConfig(bits=25, engine=engine))
+        # The budget caps what is built.  The circuit, sample mode and a
+        # read distribution hold all 2^bits outcomes; exact ``reduced``
+        # holds the peaks and the success windows, and admits up to 27
+        # bits while the widest window, at t = 0 or t = K, fits 2^24.
+        with pytest.raises(ValueError, match="circuit engine needs 37 qubits"):
+            phase_estimate(WORKED, CountingConfig(bits=25, engine="circuit"))
+        with pytest.raises(ValueError, match="outcome distribution of 25 qubits "
+                                             "exceeds the cap of 24"):
+            phase_estimate(WORKED, CountingConfig(bits=25, mode="sample"),
+                           rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="28 qubits exceeds the cap of 27"):
+            phase_estimate(WORKED, CountingConfig(bits=28, engine="reduced"))
+        # One pair: half of all outcomes decode to t = 0, and half to t = 1.
+        single = PreparationSpec(DataTable((5,), 3), DataTable((5,), 3))
+        with pytest.raises(ValueError, match="26 qubits needs a success window "
+                                             "of 33554432 outcomes"):
+            phase_estimate(single, CountingConfig(bits=26))
+        est = phase_estimate(WORKED, CountingConfig(bits=25, engine="reduced"))
+        assert (est.t_rounded, est.bits) == (1, 25)
+        assert est.success_prob >= EIGHT_OVER_PI_SQ
+        with pytest.raises(ValueError, match="outcome distribution of 25 qubits "
+                                             "exceeds the cap of 24"):
+            est.distribution
+
+    def test_exact_reduced_builds_no_outcome_table_unless_read(self):
+        # One table of 2^20 float64 outcomes is 8 MiB.  Exact mode evaluates
+        # the candidate peaks and the success windows, about 90,000
+        # outcomes for the worked pair's t = 1 of 16.
+        cfg = CountingConfig(bits=20, engine="reduced")
+        phase_estimate(WORKED, cfg)
+        tracemalloc.start()
+        try:
+            est = phase_estimate(WORKED, cfg)
+            unread = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert len(est.distribution) == 1 << 20
+            read = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert unread < 8 * 2 ** 20 <= read
 
     def test_sample_mode_is_seed_deterministic(self):
         cfg = CountingConfig(mode="sample")

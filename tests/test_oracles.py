@@ -308,9 +308,10 @@ class TestBranchOrder:
             prepare_joint(spec)
             _detection(spec, 0)
             _detection(spec, mask)
-        # Two messages, tensor, XOR and uncompute; the same and the
-        # check's collapse; the same with a tamper, which always fails.
-        assert len(arrivals) == 5 + 6 + 6
+        # Two messages, tensor, XOR and uncompute; the same again, as a
+        # check that keeps every branch returns the state it was given;
+        # the same with a tamper, which always fails.
+        assert len(arrivals) == 5 + 5 + 6
         assert all(arrivals)
 
 

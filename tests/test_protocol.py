@@ -469,10 +469,11 @@ class TestOnePreparationPerRun:
         assert state_sorts == []
 
     def test_honest_run_builds_six_states(self, worked_scenes, states_built):
-        # Alice's message, Bob's own message, the tensor, the XOR, the
-        # uncompute and the check's collapse; counting builds none.
+        # Alice's message, Bob's own message, the tensor, the XOR and the
+        # uncompute: five.  The check keeps every branch and returns the
+        # state it was given, and counting builds none.
         assert run_protocol(*worked_scenes).verdict is Verdict.INTERSECT
-        assert len(states_built) == 6
+        assert len(states_built) == 5
 
     def test_second_honest_run_builds_no_layout(self, worked_scenes, monkeypatch):
         # Layouts are interned, so the same sizes reuse the first run's.
@@ -495,14 +496,14 @@ class TestOnePreparationPerRun:
         assert spec.layout().names == (DATA_B, ADDR_B, DATA_A, ADDR_A)
 
     def test_honest_run_sums_four_norms(self, worked_scenes, monkeypatch):
-        # Each message's check, and the check's probability and collapse;
-        # the tensor of two checked messages is not summed again.
+        # Each message's check: two.  The tensor of two checked messages is
+        # not summed again, and a check that keeps every branch sums nothing.
         sums = []
         original = qgi.state._norm_sq
         monkeypatch.setattr(qgi.state, "_norm_sq",
                             lambda values: sums.append(len(values)) or original(values))
         assert run_protocol(*worked_scenes).verdict is Verdict.INTERSECT
-        assert sums == [4, 4, 16, 16]
+        assert sums == [4, 4]
 
     def test_honest_run_loads_a_table_once(self, worked_scenes, monkeypatch):
         # Each message is built with its table in it, so only Alice's

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qgi import (GridConfig, Rect, Scene, SceneFormatError,
+from qgi import (CountingConfig, GridConfig, Rect, Scene, SceneFormatError,
                  classical_intersect, grid_serial, rasterize, run_protocol,
                  scene_from_dict)
 from support import MALFORMED_SCENES
@@ -126,8 +126,10 @@ def test_parsed_scenes_get_the_classical_verdict(data, side):
 # A rectangle of at most SMALL_AREA cells per party keeps K <= 324^2 and
 # the counting register at <= 20 qubits; at least LARGE_AREA cells per
 # party puts K above 2^21, so the default register of ceil(log2 K) + 3
-# qubits exceeds the 24-qubit budget.  Sizes in between would spend up to
-# seconds and a gigabyte on the 2^bits-row counting distribution.
+# qubits exceeds the 24-qubit budget of a sample-mode run, which builds
+# all 2^bits outcome probabilities.  An exact run counts such pairs (the
+# 128x128 and 512x512 rungs are pinned in test_cli.py); its state
+# pipeline alone would spend up to seconds and a gigabyte per example.
 SMALL_AREA = 18 * 18
 LARGE_AREA = math.isqrt(1 << 21) + 1
 
@@ -159,9 +161,9 @@ def test_rectangle_pairs_get_the_classical_count_or_a_budget_refusal(data, large
         with pytest.raises(ValueError, match="does not fit"):
             run_protocol(*scenes)
     elif large:
-        with pytest.raises(ValueError, match="counting register of 2[5-7] "
+        with pytest.raises(ValueError, match="outcome distribution of 2[5-7] "
                                              "qubits exceeds the cap of 24"):
-            run_protocol(*scenes)
+            run_protocol(*scenes, CountingConfig(mode="sample"), seed=0)
     else:
         _, common = classical_intersect(*sets)
         assert run_protocol(*scenes).estimate.t_rounded == len(common)

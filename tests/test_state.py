@@ -12,7 +12,7 @@ from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, QUBIT_BUDGET, DataTable,
 from qgi.state import (_norm_sq, project, reflect, register_distribution,
                        xor_register)
 from support import (basis_state, dense_state, encoded_gram, gram_entropy,
-                     measure_distribution, random_spec, random_state)
+                     measure_distribution, random_spec, random_state, unpack)
 
 
 @pytest.fixture
@@ -77,7 +77,7 @@ def test_permutation_distributes_over_superpositions(pair_layout, rng):
     out = xor_register(state, "data_a", key(state.register_values("addr_a")))
     expected = np.zeros_like(state.amplitudes)
     for index in range(pair_layout.dim):
-        values = pair_layout.unpack(index)
+        values = unpack(pair_layout, index)
         i, x = values["addr_a"], values["data_a"] ^ key(values["addr_a"])
         expected[pair_layout.pack({"addr_a": i, "data_a": x})] += state.amplitudes[index]
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
@@ -306,9 +306,8 @@ def test_projection_renormalizes_by_the_kept_branches(pair_layout):
 def test_projection_keeping_every_branch_copies_and_resums_nothing(pair_layout,
                                                                    monkeypatch):
     # Every branch has addr_a = 1, as every branch of an honest check has
-    # data_a = 0: the probability is exactly 1, the indices are the
-    # state's own array, and one norm sum renormalizes before the
-    # constructor's check.
+    # data_a = 0: the probability is exactly 1 and the collapsed state is
+    # the state itself, already checked, so no norm is summed.
     amplitudes = np.where(pair_layout.index_values("addr_a") == 1,
                           np.arange(pair_layout.dim) + 1j, 0)
     state = dense_state(pair_layout, amplitudes / np.linalg.norm(amplitudes))
@@ -317,9 +316,8 @@ def test_projection_keeping_every_branch_copies_and_resums_nothing(pair_layout,
                         lambda values: sums.append(len(values)) or _norm_sq(values))
     prob, post = project(state, "addr_a", 1)
     assert prob == 1.0
-    assert post.indices is state.indices
-    assert np.array_equal(post.values, state.values / math.sqrt(_norm_sq(state.values)))
-    assert sums == [16, 16]
+    assert post is state
+    assert sums == []
 
 
 def test_reduced_density_of_encoded_superposition_is_uniform_diagonal():
