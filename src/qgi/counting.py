@@ -11,15 +11,14 @@ state, honest or disturbed:
 * ``circuit`` is the textbook circuit: the controlled iterate powers,
   then the inverse Fourier transform on the counting register.  It runs
   on the union of the initial state's and the preparation's branches,
-  which G never leaves (see ``GroverIterate``), and is capped by the
-  qubit budget.  The rows G^z |x> also never leave a span of at most
-  four dimensions: S is diagonal with S^2 = I, so G = 2|psi><S psi| - S
-  maps span{x, Sx, psi, S psi} into itself.  Three steps on the branches
-  give rows 1-3, and an orthonormal basis Q of rows 0-3 carries every
-  row as r <= 4 coordinates.  The powers G^(2^j) written on Q come by
-  repeated squaring and fill the rows by doubling, and the transform
-  runs on the coordinates alone, as Q's columns are orthonormal.  The
-  engine holds 2^bits x r x 16 bytes.
+  which G never leaves (see ``GroverIterate``).  The rows G^z |x> also
+  never leave a span of at most four dimensions: S is diagonal with
+  S^2 = I, so G = 2|psi><S psi| - S maps span{x, Sx, psi, S psi} into
+  itself.  Three steps on the branches give rows 1-3, and an orthonormal
+  basis Q of rows 0-3 carries every row as r <= 4 coordinates.  The
+  powers G^(2^j) written on Q come by repeated squaring and fill the
+  rows by doubling, and the transform runs on the coordinates alone, as
+  Q's columns are orthonormal.  The engine holds 2^bits x r x 16 bytes.
 * ``reduced`` uses the iterate's eigenspaces.  One pass over the branches
   gives a plane summary, and each outcome's probability is a sum of Fejer
   kernels centred on the eigenphases (see ``_Plane``), evaluated only
@@ -27,10 +26,12 @@ state, honest or disturbed:
   the two runs of y that decode to the true count, and at every outcome
   only when the whole distribution is read.
 
-``auto`` picks ``circuit`` when it comfortably fits and ``reduced``
-otherwise.  The engines agree within 1e-12 up to 9 counting bits.  The
-circuit's error grows with 2^bits: its iterate reflects about psi, whose
-computed norm can be 1 - 4e-16, and its 2^bits powers compound that.
+The engine is chosen by size alone: ``circuit`` when data plus counting
+qubits are at most ``CIRCUIT_AUTO_LIMIT``, within the qubit budget, and
+``reduced`` otherwise.  The engines agree within 1e-12 up to 9 counting
+bits.  The circuit's error grows with 2^bits: its iterate reflects about
+psi, whose computed norm can be 1 - 4e-16, and its 2^bits powers
+compound that.
 At 12 bits, against a 40-digit reference on the worked, a disjoint and
 a 3x3-overlap spec, ``circuit`` is off by up to 3.6e-12 and ``reduced``
 by under 1e-14; over 150 random specs the two differ by up to 6.4e-12.
@@ -83,19 +84,18 @@ class CountingConfig:
     ``exact`` mode the estimate is the lowest outcome whose probability in
     the exactly computed distribution is within 1e-12 of the maximum;
     ``sample`` mode draws one outcome with the run's generator instead.
+    The engine follows from the sizes (see ``plan_counting``).
     """
 
     bits: int | None = None
     mode: str = "exact"
-    engine: str = "auto"
 
     def __post_init__(self):
-        if self.bits is not None and self.bits < 1:
-            raise ValueError(f"counting register needs >= 1 qubit, got {self.bits}")
+        if self.bits is not None and (type(self.bits) is not int or self.bits < 1):
+            raise ValueError(f"counting register width must be an int >= 1, "
+                             f"got {self.bits!r}")
         if self.mode not in ("exact", "sample"):
             raise ValueError(f"mode must be 'exact' or 'sample', got {self.mode!r}")
-        if self.engine not in ("auto", "circuit", "reduced"):
-            raise ValueError(f"unknown engine {self.engine!r}")
 
 
 @dataclass(frozen=True)
@@ -157,19 +157,18 @@ class GroverIterate:
 
     def on_support(self, state: QuantumState) -> tuple[np.ndarray, ...]:
         """The union of the state's and |psi>'s branches, and on it their
-        values and the signs of S."""
+        values and the branches S marks."""
         if state is self.prepared:  # its own branches; no union to sort
             support, values, axis = state.indices, state.values, state.values
         elif state.layout != self.prepared.layout:
             raise ValueError("state layout does not match the preparation")
         else:
             support, (values, axis) = align(state, self.prepared)
-        signs = np.where(state.layout.extract(support, DATA_B) == 0, -1.0, 1.0)
-        return support, values, axis, signs
+        return support, values, axis, state.layout.extract(support, DATA_B) == 0
 
     def apply(self, state: QuantumState) -> QuantumState:
-        support, values, axis, signs = self.on_support(state)
-        out = reflect(values * signs, axis)
+        support, values, axis, marked = self.on_support(state)
+        out = reflect(values * np.where(marked, -1.0, 1.0), axis)
         keep = out != 0  # a state holds only its nonzero branches
         return QuantumState.from_branches(state.layout, support[keep], out[keep])
 
@@ -231,8 +230,7 @@ class _Plane:
 
     @classmethod
     def of(cls, iterate: GroverIterate, initial: QuantumState) -> "_Plane":
-        _, values, axis, signs = iterate.on_support(initial)
-        marked = signs < 0
+        _, values, axis, marked = iterate.on_support(initial)
 
         def parts(array: np.ndarray) -> tuple[float, float]:
             # Marked and unmarked sums: the whole less the marked part, so
@@ -299,10 +297,6 @@ class _Plane:
         ys.update((sign * base + step) % size for sign in (1, -1) for step in range(-2, 3))
         return np.array(sorted(ys), dtype=np.int64)
 
-    def distribution(self, bits: int) -> np.ndarray:
-        """P(y) at every outcome."""
-        return self.probabilities(bits, np.arange(1 << bits))
-
     def _centre(self, bits: int) -> tuple[int, float]:
         """The +phi peak n phi as the nearest integer and a fraction."""
         n_phi = (1 << bits) * self.theta / (2.0 * math.pi)
@@ -338,7 +332,8 @@ def _distribution_circuit(iterate: GroverIterate, bits: int,
     2^bits x r coordinates, never a row over the union.
     """
     size = 1 << bits
-    _, current, axis, signs = iterate.on_support(initial)
+    _, current, axis, marked = iterate.on_support(initial)
+    signs = np.where(marked, -1.0, 1.0)
     head = min(size, 4)
     head_rows = np.empty((len(current), head), dtype=np.complex128)
     head_rows[:, 0] = current
@@ -400,10 +395,13 @@ def plan_counting(spec: PreparationSpec, cfg: CountingConfig,
     """Counting-register width and engine for a spec, refused above the budget.
 
     Depends only on the spec's sizes, so a run can call it before any
-    state is prepared.  The budget caps what is built: all 2^bits outcomes
-    in sample mode or for a caller that reads them (``distribution``); in
-    exact mode, up to the default width for the largest K, the success
-    runs, whose longest are those of t = 0 and t = K.
+    state is prepared.  The engine is ``circuit`` when data plus counting
+    qubits are at most ``CIRCUIT_AUTO_LIMIT``, which is within the budget,
+    and ``reduced`` otherwise.  The budget caps what is built: all 2^bits
+    outcomes in sample mode or for a caller that reads them
+    (``distribution``); in exact mode, up to the default width for the
+    largest K, the success runs, whose longest are those of t = 0 and
+    t = K.
     """
     search_space = spec.size_k
     bits = cfg.bits if cfg.bits is not None else default_counting_bits(search_space)
@@ -419,15 +417,8 @@ def plan_counting(spec: PreparationSpec, cfg: CountingConfig,
             raise ValueError(
                 f"counting register of {bits} qubits needs a success window of "
                 f"{widest} outcomes, exceeding the cap of {1 << QUBIT_BUDGET}")
-    data_qubits = spec.layout().total_qubits
-    engine = cfg.engine
-    if engine == "auto":
-        engine = "circuit" if data_qubits + bits <= CIRCUIT_AUTO_LIMIT else "reduced"
-    if engine == "circuit" and data_qubits + bits > QUBIT_BUDGET:
-        raise ValueError(
-            f"circuit engine needs {data_qubits + bits} qubits "
-            f"({data_qubits} data + {bits} counting), cap is {QUBIT_BUDGET}")
-    return bits, engine
+    small = spec.layout().total_qubits + bits <= CIRCUIT_AUTO_LIMIT
+    return bits, "circuit" if small else "reduced"
 
 
 def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
@@ -461,28 +452,27 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
                          f"match the spec's {spec.layout()!r}")
     iterate = GroverIterate(prepared)
     initial = initial_state or prepared
+    # Each engine gives the outcomes that can hold the maximum, P at given
+    # outcomes, and the estimate's ``outcomes``.
     if engine == "circuit":
-        table, plane = _distribution_circuit(iterate, bits, initial), None
+        table = _distribution_circuit(iterate, bits, initial)
+        candidates, at, outcomes = np.arange(size), table.take, table
     else:
-        table, plane = None, _Plane.of(iterate, initial)
+        plane = _Plane.of(iterate, initial)
+        at = functools.partial(plane.probabilities, bits)
+        candidates, outcomes = plane.candidates(bits), lambda: at(np.arange(size))
 
     success = None
     if cfg.mode == "sample":
-        if table is None:
-            table = plane.distribution(bits)
-        y = int(rng.choice(size, p=table / table.sum()))
+        probs = at(np.arange(size))
+        y = int(rng.choice(size, p=probs / probs.sum()))
     else:
         runs = ([] if initial_state is not None
                 else _success_runs(exact_count(prepared), search_space, bits))
-        if table is None:  # the kernel at the candidates and on the runs at once
-            candidates = plane.candidates(bits)
-            probs = plane.probabilities(bits, np.concatenate(
-                [candidates, *(np.arange(run.start, run.stop) for run in runs)]))
-            peaks, window = probs[:len(candidates)], probs[len(candidates):]
-        else:
-            candidates, peaks = range(size), table
-            window = np.concatenate([table[run.start:run.stop] for run in runs]
-                                    or [table[:0]])
+        # P at the candidates and on the runs at once.
+        probs = at(np.concatenate(
+            [candidates, *(np.arange(run.start, run.stop) for run in runs)]))
+        peaks, window = probs[:len(candidates)], probs[len(candidates):]
         # Rounding noise must not choose between equal peaks, such as the
         # mirrors y and 2^bits - y.
         y = int(candidates[np.flatnonzero(peaks >= peaks.max() - _PEAK_TIE)[0]])
@@ -496,8 +486,7 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
         y=y, bits=bits, search_space=search_space,
         theta_hat=2.0 * math.pi * y / size,
         t_hat=t_hat, t_rounded=t_rounded,
-        success_prob=success, engine=engine,
-        outcomes=functools.partial(plane.distribution, bits) if table is None else table)
+        success_prob=success, engine=engine, outcomes=outcomes)
 
 
 def decide_intersection(estimate: CountEstimate) -> Verdict:

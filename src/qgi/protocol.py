@@ -337,6 +337,7 @@ def run_protocol(scene_a: Scene, scene_b: Scene,
                             qubits_sent=joint.layout.total_qubits))
 
     pass_prob, alice_state = cheat_check(joint, alice.table)
+    del joint  # checked: free its K-branch indices before counting
     if cfg.mode == "exact":
         passed = pass_prob >= 0.5
         check_detail: dict[str, Any] = {"pass_probability": float(pass_prob),

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qgi import GridConfig, QuantumState, Rect, Scene
+import qgi.counting
+from qgi import QUBIT_BUDGET, GridConfig, QuantumState, Rect, Scene
 
 
 @pytest.fixture
@@ -33,3 +34,13 @@ def states_built(monkeypatch):
         return original(cls, *args)
     monkeypatch.setattr(QuantumState, "_moved", classmethod(counted))
     return calls
+
+
+@pytest.fixture
+def use_engine(monkeypatch):
+    """Make counting pick the named engine from here on: ``reduced``
+    always, ``circuit`` wherever data plus counting qubits fit the budget."""
+    def use(engine):
+        limits = {"circuit": QUBIT_BUDGET, "reduced": 0}
+        monkeypatch.setattr(qgi.counting, "CIRCUIT_AUTO_LIMIT", limits[engine])
+    return use

@@ -146,7 +146,8 @@ def loop_circuit_distribution(iterate, bits, initial) -> np.ndarray:
     matrix-valued reflection.
     """
     size = 1 << bits
-    _, current, axis, signs = iterate.on_support(initial)
+    _, current, axis, marked = iterate.on_support(initial)
+    signs = np.where(marked, -1.0, 1.0)
     head = min(size, 4)
     head_rows = np.empty((len(current), head), dtype=np.complex128)
     head_rows[:, 0] = current

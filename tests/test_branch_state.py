@@ -7,7 +7,7 @@ shares no code with the branch engine beyond the register layout.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, CountingConfig, DataTable,
@@ -147,13 +147,17 @@ def test_measure_distribution_matches_reference(table, reg, seed):
         assert_close(post, reference)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table_a=tables(value_bits=3), table_b=tables(value_bits=3),
        bits=st.integers(1, 6))
-def test_phase_estimate_engines_agree_on_honest_specs(table_a, table_b, bits):
+def test_phase_estimate_engines_agree_on_honest_specs(table_a, table_b, bits,
+                                                      use_engine):
     spec = PreparationSpec(table_a, table_b)
-    circuit = phase_estimate(spec, CountingConfig(bits=bits, engine="circuit"))
-    reduced = phase_estimate(spec, CountingConfig(bits=bits, engine="reduced"))
+    use_engine("circuit")
+    circuit = phase_estimate(spec, CountingConfig(bits=bits))
+    use_engine("reduced")
+    reduced = phase_estimate(spec, CountingConfig(bits=bits))
     assert np.max(np.abs(circuit.distribution - reduced.distribution)) < TOL
 
 

@@ -3,22 +3,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qgi
-from qgi import (DATA_B, AdversaryStrategy, CountingConfig, DataTable,
-                 PreparationSpec, QuantumState, RegisterLayout, Verdict,
-                 decide_intersection, decode_count, default_counting_bits,
+from qgi import (DATA_B, QUBIT_BUDGET, AdversaryStrategy, CountingConfig,
+                 DataTable, PreparationSpec, QuantumState, RegisterLayout,
+                 Verdict, decide_intersection, decode_count, default_counting_bits,
                  exact_count, grover_iterate, phase_estimate, prepare_joint,
                  run_protocol)
-from qgi.counting import _distribution_circuit, _success_runs
+from qgi.counting import CIRCUIT_AUTO_LIMIT, _distribution_circuit, _success_runs
 from support import (dense_circuit_distribution, dense_state,
                      loop_circuit_distribution, random_spec, random_state)
 
 EIGHT_OVER_PI_SQ = 8.0 / math.pi ** 2
 WORKED = PreparationSpec(DataTable((1, 2, 5, 6), 4), DataTable((6, 7, 10, 11), 4))
 DISJOINT = PreparationSpec(DataTable((1, 2), 4), DataTable((3, 4), 4))
+# ``use_engine`` patches a constant that every example reads afresh.
+ENGINE_FIXTURE = [HealthCheck.function_scoped_fixture]
 
 
 def flip_marked(state):
@@ -81,12 +83,12 @@ def counting_cases(draw):
     return spec, draw(st.integers(1, 9)), state
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, suppress_health_check=ENGINE_FIXTURE)
 @given(case=counting_cases())
-def test_circuit_equals_the_dense_literal_circuit(case):
+def test_circuit_equals_the_dense_literal_circuit(case, use_engine):
     spec, bits, state = case
-    est = phase_estimate(spec, CountingConfig(bits=bits, engine="circuit"),
-                         initial_state=state)
+    use_engine("circuit")
+    est = phase_estimate(spec, CountingConfig(bits=bits), initial_state=state)
     dense = dense_circuit_distribution(spec, bits, state or prepare_joint(spec))
     assert np.max(np.abs(est.distribution - dense)) < 1e-12
     assert est.y == np.flatnonzero(dense >= dense.max() - 1e-12)[0]
@@ -105,27 +107,28 @@ def test_circuit_equals_its_column_by_column_form(case):
             == np.flatnonzero(loop >= loop.max() - 1e-12)[0])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, suppress_health_check=ENGINE_FIXTURE)
 @given(case=counting_cases())
-def test_kernel_equals_the_literal_circuit(case):
+def test_kernel_equals_the_literal_circuit(case, use_engine):
     # The Fejer-kernel distribution of the plane summary against the
     # circuit's powers and Fourier transform, on any counted state.
     spec, bits, state = case
     literal = _distribution_circuit(grover_iterate(spec), bits,
                                     state or prepare_joint(spec))
-    est = phase_estimate(spec, CountingConfig(bits=bits, engine="reduced"),
-                         initial_state=state)
+    use_engine("reduced")
+    est = phase_estimate(spec, CountingConfig(bits=bits), initial_state=state)
     assert np.max(np.abs(est.distribution - literal)) < 1e-12
     assert est.y == np.flatnonzero(literal >= literal.max() - 1e-12)[0]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, suppress_health_check=ENGINE_FIXTURE)
 @given(case=counting_cases(), engine=st.sampled_from(["circuit", "reduced"]))
-def test_estimate_from_the_windows_equals_the_full_table(case, engine):
+def test_estimate_from_the_windows_equals_the_full_table(case, engine, use_engine):
     # Exact mode reads the candidate peaks and the success windows only;
     # the whole distribution and the decode of every outcome must agree.
     spec, bits, _ = case
-    est = phase_estimate(spec, CountingConfig(bits=bits, engine=engine))
+    use_engine(engine)
+    est = phase_estimate(spec, CountingConfig(bits=bits))
     probs, size, k = est.distribution, 1 << bits, spec.size_k
     decoded = np.round(np.clip(k * np.sin(np.pi * np.arange(size) / size) ** 2, 0, k))
     assert est.y == np.flatnonzero(probs >= probs.max() - 1e-12)[0]
@@ -154,10 +157,14 @@ class TestDefaults:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="mode"):
             CountingConfig(mode="guess")
-        with pytest.raises(ValueError, match="engine"):
-            CountingConfig(engine="warp")
         with pytest.raises(ValueError, match=">= 1"):
             CountingConfig(bits=0)
+
+    @pytest.mark.parametrize("bits", [True, 2.5, 7.0, "7"])
+    def test_config_refuses_a_width_that_is_not_an_int(self, bits):
+        # True would count on one qubit, and a float reach 1 << bits.
+        with pytest.raises(ValueError, match=f"int >= 1, got {bits!r}$"):
+            CountingConfig(bits=bits)
 
 
 class TestDecode:
@@ -301,9 +308,10 @@ class TestPhaseEstimate:
         assert abs(est.theta_hat - 2 * math.pi * est.y / 128) < 1e-12
         assert abs(est.distribution.sum() - 1.0) < 1e-12
 
-    def test_no_match_is_deterministic_zero(self):
+    def test_no_match_is_deterministic_zero(self, use_engine):
         for engine in ("circuit", "reduced"):
-            est = phase_estimate(DISJOINT, CountingConfig(engine=engine))
+            use_engine(engine)
+            est = phase_estimate(DISJOINT)
             assert est.y == 0
             assert est.distribution[0] >= 1.0 - 1e-10
             assert est.t_rounded == 0
@@ -317,12 +325,14 @@ class TestPhaseEstimate:
         assert est.t_rounded == 1
         assert decide_intersection(est) is Verdict.INTERSECT
 
-    def test_engines_agree_on_random_instances(self):
+    def test_engines_agree_on_random_instances(self, use_engine):
         gen = np.random.default_rng(31337)
         for _ in range(12):
             spec = random_spec(gen)
-            circuit = phase_estimate(spec, CountingConfig(engine="circuit"))
-            reduced = phase_estimate(spec, CountingConfig(engine="reduced"))
+            use_engine("circuit")
+            circuit = phase_estimate(spec)
+            use_engine("reduced")
+            reduced = phase_estimate(spec)
             assert circuit.bits == reduced.bits
             assert np.max(np.abs(circuit.distribution
                                  - reduced.distribution)) < 1e-10
@@ -335,51 +345,52 @@ class TestPhaseEstimate:
             assert est.t_rounded == exact_count(prepare_joint(spec))
 
     def test_circuit_engine_respects_qubit_cap(self):
+        # The circuit's arrays are allocated unchecked: every size that
+        # picks it must fit the budget.
+        assert CIRCUIT_AUTO_LIMIT <= QUBIT_BUDGET
+        # 18 data + 9 counting qubits take the reduced engine.
         top = (1 << 6) - 1
         entries = tuple(range(1, 9))
         spec = PreparationSpec(DataTable(entries, 6),
                                DataTable(tuple(top - i for i in range(8)), 6))
-        with pytest.raises(ValueError, match="27 qubits"):
-            phase_estimate(spec, CountingConfig(engine="circuit"))
-        # auto falls back to the reduced engine instead
         est = phase_estimate(spec)
-        assert est.engine == "reduced"
+        assert (est.engine, est.bits) == ("reduced", 9)
 
     def test_auto_picks_the_circuit_up_to_twenty_qubits(self):
         # The worked instance has 12 data qubits.
         assert phase_estimate(WORKED, CountingConfig(bits=8)).engine == "circuit"
         assert phase_estimate(WORKED, CountingConfig(bits=9)).engine == "reduced"
 
-    def test_counting_bits_above_the_cap_rejected_for_both_engines(self):
-        # The budget caps what is built.  The circuit, sample mode and a
-        # read distribution hold all 2^bits outcomes; exact ``reduced``
-        # holds the peaks and the success windows, and admits up to 27
-        # bits while the widest window, at t = 0 or t = K, fits 2^24.
-        with pytest.raises(ValueError, match="circuit engine needs 37 qubits"):
-            phase_estimate(WORKED, CountingConfig(bits=25, engine="circuit"))
+    def test_counting_bits_above_the_cap_rejected_for_both_engines(self, use_engine):
+        # The budget caps what is built.  Sample mode and a read
+        # distribution hold all 2^bits outcomes; exact ``reduced`` holds
+        # the peaks and the success windows, and admits up to 27 bits
+        # while the widest window, at t = 0 or t = K, fits 2^24.
+        use_engine("reduced")
         with pytest.raises(ValueError, match="outcome distribution of 25 qubits "
                                              "exceeds the cap of 24"):
             phase_estimate(WORKED, CountingConfig(bits=25, mode="sample"),
                            rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="28 qubits exceeds the cap of 27"):
-            phase_estimate(WORKED, CountingConfig(bits=28, engine="reduced"))
+            phase_estimate(WORKED, CountingConfig(bits=28))
         # One pair: half of all outcomes decode to t = 0, and half to t = 1.
         single = PreparationSpec(DataTable((5,), 3), DataTable((5,), 3))
         with pytest.raises(ValueError, match="26 qubits needs a success window "
                                              "of 33554432 outcomes"):
             phase_estimate(single, CountingConfig(bits=26))
-        est = phase_estimate(WORKED, CountingConfig(bits=25, engine="reduced"))
+        est = phase_estimate(WORKED, CountingConfig(bits=25))
         assert (est.t_rounded, est.bits) == (1, 25)
         assert est.success_prob >= EIGHT_OVER_PI_SQ
         with pytest.raises(ValueError, match="outcome distribution of 25 qubits "
                                              "exceeds the cap of 24"):
             est.distribution
 
-    def test_exact_reduced_builds_no_outcome_table_unless_read(self):
+    def test_exact_reduced_builds_no_outcome_table_unless_read(self, use_engine):
         # One table of 2^20 float64 outcomes is 8 MiB.  Exact mode evaluates
         # the candidate peaks and the success windows, about 90,000
         # outcomes for the worked pair's t = 1 of 16.
-        cfg = CountingConfig(bits=20, engine="reduced")
+        use_engine("reduced")
+        cfg = CountingConfig(bits=20)
         phase_estimate(WORKED, cfg)
         tracemalloc.start()
         try:
@@ -405,17 +416,17 @@ class TestPhaseEstimate:
         with pytest.raises(ValueError, match="sample mode needs a generator"):
             phase_estimate(WORKED, CountingConfig(mode="sample"))
 
-    def test_auto_engine_choice_ignores_the_initial_state(self):
+    def test_auto_engine_choice_ignores_the_initial_state(self, use_engine):
         collapsed = prepare_joint(WORKED)
         est = phase_estimate(WORKED, initial_state=collapsed)
         assert est.engine == "circuit"
         assert est.success_prob is None
-        reduced = phase_estimate(WORKED, CountingConfig(engine="reduced"),
-                                 initial_state=collapsed)
+        use_engine("reduced")
+        reduced = phase_estimate(WORKED, initial_state=collapsed)
         assert np.max(np.abs(reduced.distribution - est.distribution)) < 1e-12
 
     @pytest.mark.parametrize("bits", [1, 3, 6])
-    def test_reduced_matches_circuit_on_any_initial_state(self, bits):
+    def test_reduced_matches_circuit_on_any_initial_state(self, bits, use_engine):
         gen = np.random.default_rng(4100 + bits)
         specs = [random_spec(gen) for _ in range(10)]
         # Marked mass 0 and 1: one of the plane's two axes is missing.
@@ -432,16 +443,19 @@ class TestPhaseEstimate:
             sparse = QuantumState.from_branches(layout, indices,
                                                 amps / np.linalg.norm(amps))
             for state in (prepared, random_state(layout, gen), sparse):
-                circuit, reduced = (
-                    phase_estimate(spec, CountingConfig(bits=bits, engine=engine),
-                                   initial_state=state)
-                    for engine in ("circuit", "reduced"))
+                use_engine("circuit")
+                circuit = phase_estimate(spec, CountingConfig(bits=bits),
+                                         initial_state=state)
+                use_engine("reduced")
+                reduced = phase_estimate(spec, CountingConfig(bits=bits),
+                                         initial_state=state)
                 assert np.max(np.abs(circuit.distribution
                                      - reduced.distribution)) < 1e-12
                 assert circuit.y == reduced.y
 
     @pytest.mark.parametrize("bits", [1, 3, 6])
-    def test_circuit_matches_the_dense_literal_circuit(self, bits):
+    def test_circuit_matches_the_dense_literal_circuit(self, bits, use_engine):
+        use_engine("circuit")
         gen = np.random.default_rng(5300 + bits)
         specs = [random_spec(gen) for _ in range(12)]
         specs += [DISJOINT, PreparationSpec(DataTable((5,), 3), DataTable((5,), 3))]
@@ -456,14 +470,15 @@ class TestPhaseEstimate:
             sparse = QuantumState.from_branches(layout, indices,
                                                 amps / np.linalg.norm(amps))
             for state in (None, random_state(layout, gen), sparse):
-                est = phase_estimate(spec, CountingConfig(bits=bits, engine="circuit"),
+                est = phase_estimate(spec, CountingConfig(bits=bits),
                                      initial_state=state)
                 dense = dense_circuit_distribution(spec, bits, state or prepared)
                 assert est.engine == "circuit"
                 assert np.max(np.abs(est.distribution - dense)) < 1e-12
                 assert est.y == np.flatnonzero(dense >= dense.max() - 1e-12)[0]
 
-    def test_circuit_steps_the_support_only_to_span_the_orbit(self, monkeypatch):
+    def test_circuit_steps_the_support_only_to_span_the_orbit(self, monkeypatch,
+                                                              use_engine):
         # Three steps on the support give rows 1-3.  H, the iterate on
         # their span, is one matrix-valued reflection made without
         # ``reflect``, and the other 4,092 rows are products of H's powers
@@ -475,35 +490,37 @@ class TestPhaseEstimate:
             calls.append(len(values))
             return original(values, axis)
         monkeypatch.setattr(qgi.counting, "reflect", counted)
-        est = phase_estimate(WORKED, CountingConfig(bits=12, engine="circuit"))
+        use_engine("circuit")
+        est = phase_estimate(WORKED, CountingConfig(bits=12))
         assert (est.engine, est.t_rounded) == ("circuit", 1)
         assert len(calls) == 3
 
-    def test_circuit_peak_memory_stays_on_the_branches(self):
+    def test_circuit_peak_memory_stays_on_the_branches(self, use_engine):
         # 256 rows over the 16 branches; a dense 256 x 4096 row matrix is 16 MB.
+        use_engine("circuit")
         tracemalloc.start()
         try:
-            phase_estimate(WORKED, CountingConfig(bits=8, engine="circuit"))
+            phase_estimate(WORKED, CountingConfig(bits=8))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
 
-    def test_circuit_memory_does_not_grow_with_the_union(self):
+    def test_circuit_memory_does_not_grow_with_the_union(self, use_engine):
         # A dense 4,096-branch state at 12 bits: the engine holds 4,096 rows
         # of at most four coordinates, where rows over the union would
         # take 4,096 x 4,096 x 16 B = 256 MB.
         state = random_state(WORKED.layout(), np.random.default_rng(12))
+        use_engine("circuit")
         tracemalloc.start()
         try:
-            est = phase_estimate(WORKED, CountingConfig(bits=12, engine="circuit"),
-                                 initial_state=state)
+            est = phase_estimate(WORKED, CountingConfig(bits=12), initial_state=state)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
-        reduced = phase_estimate(WORKED, CountingConfig(bits=12, engine="reduced"),
-                                 initial_state=state)
+        use_engine("reduced")
+        reduced = phase_estimate(WORKED, CountingConfig(bits=12), initial_state=state)
         assert est.y == reduced.y
 
     def test_circuit_runs_build_no_dense_view(self, worked_scenes, monkeypatch):
@@ -517,21 +534,22 @@ class TestPhaseEstimate:
                                       adversary=AdversaryStrategy.parse(label))
             assert transcript.estimate.engine == "circuit"
 
-    def test_exact_estimate_is_the_lower_of_mirror_peaks(self):
+    def test_exact_estimate_is_the_lower_of_mirror_peaks(self, use_engine):
         # An honest distribution is symmetric under y -> 2^bits - y.
         gen = np.random.default_rng(1)
         for _ in range(40):
             spec = random_spec(gen)
             for engine in ("circuit", "reduced"):
-                est = phase_estimate(spec, CountingConfig(engine=engine))
+                use_engine(engine)
+                est = phase_estimate(spec)
                 assert est.y <= 1 << (est.bits - 1)
 
-    def test_a_held_preparation_replaces_a_fresh_one(self):
+    def test_a_held_preparation_replaces_a_fresh_one(self, use_engine):
         held = prepare_joint(WORKED)
         for engine in ("circuit", "reduced"):
-            cfg = CountingConfig(engine=engine)
-            est = phase_estimate(WORKED, cfg, prepared=held)
-            fresh = phase_estimate(WORKED, cfg)
+            use_engine(engine)
+            est = phase_estimate(WORKED, prepared=held)
+            fresh = phase_estimate(WORKED)
             assert (est.y, est.success_prob) == (fresh.y, fresh.success_prob)
             assert np.array_equal(est.distribution, fresh.distribution)
 

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,11 +395,14 @@ class TestOnePreparationPerRun:
         monkeypatch.setattr(qgi.counting, "align", counted)
         return calls
 
-    @pytest.mark.parametrize("cfg", [CountingConfig(),
-                                     CountingConfig(mode="sample"),
-                                     CountingConfig(engine="reduced")])
-    def test_honest_run_aligns_nothing(self, worked_scenes, alignments, cfg):
+    @pytest.mark.parametrize("cfg, engine", [(CountingConfig(), "circuit"),
+                                             (CountingConfig(mode="sample"), "circuit"),
+                                             (CountingConfig(), "reduced")],
+                             ids=["cfg0", "cfg1", "cfg2"])
+    def test_honest_run_aligns_nothing(self, worked_scenes, alignments, cfg,
+                                       engine, use_engine):
         # The counted state is the axis itself, so its branches are the support.
+        use_engine(engine)
         assert run_protocol(*worked_scenes, cfg=cfg, seed=3).estimate is not None
         assert alignments == []
 
@@ -545,6 +549,31 @@ class TestOnePreparationPerRun:
             assert (run.y, run.t_rounded) == (fresh.y, fresh.t_rounded)
             assert np.max(np.abs(run.distribution - fresh.distribution)) < 1e-12
             assert abs(run.success_prob - fresh.success_prob) < 1e-12
+
+    def test_counting_starts_with_no_second_pair_array(self, monkeypatch):
+        # 16x16 squares shifted by a cell on a 64x64 grid: K = 65,536 pairs.
+        # Bob's response has its own K indices; once the check has passed,
+        # only the state Alice holds may be alive.
+        grid = GridConfig(64, 64)
+        scenes = (Scene(grid, rects=(Rect(0, 0, 15, 15),)),
+                  Scene(grid, rects=(Rect(1, 1, 16, 16),)))
+        original, seen = qgi.protocol.phase_estimate, {}
+
+        def probed(spec, cfg=None, **kwargs):
+            held = kwargs["prepared"]
+            seen["extra"] = (tracemalloc.get_traced_memory()[0] - base
+                             - held.indices.nbytes - held.values.nbytes)
+            seen["index_bytes"] = held.indices.nbytes
+            return original(spec, cfg, **kwargs)
+        monkeypatch.setattr(qgi.protocol, "phase_estimate", probed)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run_protocol(*scenes).estimate.t_rounded == 225
+        finally:
+            tracemalloc.stop()
+        assert seen["index_bytes"] == 8 * 65536
+        assert seen["extra"] < seen["index_bytes"] // 2
 
 
 class TestPrivacyBoundaries:

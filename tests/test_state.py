@@ -147,10 +147,9 @@ def test_phase_flip_flips_only_matching_branches(rng):
     spec = random_spec(rng)
     iterate = grover_iterate(spec)
     state = random_state(spec.layout(), rng)
-    support, values, _, signs = iterate.on_support(state)
+    support, values, _, marked = iterate.on_support(state)
     assert np.array_equal(support, np.union1d(state.indices, iterate.prepared.indices))
-    marked = spec.layout().extract(support, DATA_B) == 0
-    assert np.array_equal(signs, np.where(marked, -1.0, 1.0))
+    assert np.array_equal(marked, spec.layout().extract(support, DATA_B) == 0)
     assert np.array_equal(values[np.searchsorted(support, state.indices)], state.values)
 
 
