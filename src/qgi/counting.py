@@ -6,35 +6,32 @@ Phase estimation reads that angle into a counting register; decoding maps
 the measured integer y to a count via t = K * sin^2(pi * y / 2^p).
 
 Two exact engines compute the outcome distribution for any initial
-state, honest or disturbed:
+state, honest or disturbed.  Both start from one pass over the union of
+the initial state's and the preparation's branches, which G never leaves
+(see ``GroverIterate``): it gives the plane summary (see ``_Plane``), the
+iterate's rotation angle theta and the state on the basis in which G is a
+rotation of one plane, the identity and minus the identity.
 
-* ``circuit`` is the textbook circuit: the controlled iterate powers,
-  then the inverse Fourier transform on the counting register.  It runs
-  on the union of the initial state's and the preparation's branches,
-  which G never leaves (see ``GroverIterate``).  The rows G^z |x> also
-  never leave a span of at most four dimensions: S is diagonal with
-  S^2 = I, so G = 2|psi><S psi| - S maps span{x, Sx, psi, S psi} into
-  itself.  Three steps on the branches give rows 1-3, and an orthonormal
-  basis Q of rows 0-3 carries every row as r <= 4 coordinates.  The
-  powers G^(2^j) written on Q come by repeated squaring and fill the
-  rows by doubling, and the transform runs on the coordinates alone, as
-  Q's columns are orthonormal.  The engine holds 2^bits x r x 16 bytes.
-* ``reduced`` uses the iterate's eigenspaces.  One pass over the branches
-  gives a plane summary, and each outcome's probability is a sum of Fejer
-  kernels centred on the eigenphases (see ``_Plane``), evaluated only
-  where it is read: in exact mode at the outcomes near the peaks and on
-  the two runs of y that decode to the true count, and at every outcome
-  only when the whole distribution is read.
+* ``circuit`` is the textbook circuit on that basis: the controlled
+  iterate powers give the plane's rows R(z theta)(a, b) and a constant
+  and an alternating row, and the inverse Fourier transform on the
+  counting register is the FFT of the plane's two rows, while the other
+  two transform to deltas at y = 0 and y = 2^bits / 2.  It builds every
+  outcome and holds 2^bits x 2 complex values.
+* ``reduced`` writes each outcome's probability as a sum of Fejer kernels
+  centred on the eigenphases, evaluated only where it is read: in exact
+  mode at the outcomes near the peaks and on the two runs of y that
+  decode to the true count, and at every outcome only when the whole
+  distribution is read.
 
 The engine is chosen by size alone: ``circuit`` when data plus counting
 qubits are at most ``CIRCUIT_AUTO_LIMIT``, within the qubit budget, and
 ``reduced`` otherwise.  The engines agree within 1e-12 up to 9 counting
-bits.  The circuit's error grows with 2^bits: its iterate reflects about
-psi, whose computed norm can be 1 - 4e-16, and its 2^bits powers
-compound that.
-At 12 bits, against a 40-digit reference on the worked, a disjoint and
-a 3x3-overlap spec, ``circuit`` is off by up to 3.6e-12 and ``reduced``
-by under 1e-14; over 150 random specs the two differ by up to 6.4e-12.
+bits.  At 12 bits, against a 40-digit reference on the worked, a disjoint
+and a 3x3-overlap spec, each engine is off by under 1e-14.  Over 150
+random specs at 12 bits the two differ by up to 6.9e-14, on a spec with
+t/K = 1/3, where theta carries the rounding of the computed marked norm
+and each engine is about 2e-13 from the reference.
 """
 
 from __future__ import annotations
@@ -205,26 +202,32 @@ class _Plane:
     """The counted state on the iterate's eigenspaces.
 
     With m and u the normalized marked and unmarked parts of the
-    preparation, G rotates the (m, u) plane by theta, fixes every marked
+    preparation, G rotates the (m, u) plane by theta (G m = cos theta m
+    - sin theta u, G u = sin theta m + cos theta u), fixes every marked
     state orthogonal to m and negates every unmarked state orthogonal to
-    u.  The initial state's coordinates (a, b) in the plane give rows
-    R(z theta)(a, b) = e^(i z theta) c+ v+ + e^(-i z theta) c- v-, with
-    v+- = (1, +-i) / sqrt(2) orthonormal and c+- = (a -+ i b) / sqrt(2).
-    The inverse Fourier transform over z, divided by n = 2^bits, turns
-    each phase e^(+-i z theta) into the Fejer kernel centred on +-n phi,
-    phi = theta / 2 pi (Brassard, Hoyer, Mosca and Tapp,
+    u.  The initial state is a m + b u plus a marked part off the plane,
+    of mass ``off_marked``, and an unmarked one, of mass ``off_unmarked``.
+    So in the orthonormal basis of m, u and those two parts, G^z |initial>
+    is R(z theta)(a, b), a constant and an alternating row: the controlled
+    powers need no step of the iterate.
+
+    The inverse Fourier transform over z, divided by n = 2^bits, turns the
+    constant and alternating rows into deltas at y = 0 and y = n/2, and
+    writing R(z theta)(a, b) = e^(i z theta) c+ v+ + e^(-i z theta) c- v-,
+    with v+- = (1, +-i) / sqrt(2) orthonormal and c+- = (a -+ i b) / sqrt(2),
+    turns each phase e^(+-i z theta) into the Fejer kernel centred on
+    +-n phi, phi = theta / 2 pi (Brassard, Hoyer, Mosca and Tapp,
     arXiv:quant-ph/0005055, section 4), so
 
         P(y) = w+ F_n(y - n phi) + w- F_n(y + n phi)
                + off_marked [y = 0] + off_unmarked [y = n / 2],
 
-    with w+- = |c+-|^2, F_n(d) = sin^2(pi d) / (n sin(pi d / n))^2, and the
-    marked and unmarked mass off the plane on the eigenphases 0 and 1/2.
+    with w+- = |c+-|^2 and F_n(d) = sin^2(pi d) / (n sin(pi d / n))^2.
     """
 
     theta: float
-    w_plus: float
-    w_minus: float
+    a: complex
+    b: complex
     off_marked: float
     off_unmarked: float
 
@@ -251,13 +254,12 @@ class _Plane:
         masses = [float(mass) for mass in masses]
         return cls(
             # sin(theta / 2) is the norm of the preparation's marked part.
-            theta=2.0 * math.asin(min(1.0, norms[0])),
-            w_plus=abs(a - 1j * b) ** 2 / 2, w_minus=abs(a + 1j * b) ** 2 / 2,
+            theta=2.0 * math.asin(min(1.0, norms[0])), a=a, b=b,
             off_marked=max(0.0, masses[0] - abs(a) ** 2),
             off_unmarked=max(0.0, masses[1] - abs(b) ** 2))
 
     def probabilities(self, bits: int, ys: np.ndarray) -> np.ndarray:
-        """P(y) at the int64 outcomes ``ys``.
+        """P(y) at the int64 outcomes ``ys``, from the kernels.
 
         A distance to a peak is an exact integer offset, wrapped modulo n,
         minus a fraction in [-1/2, 1/2] (a float distance near y ~ 2^23
@@ -279,8 +281,8 @@ class _Plane:
             kernels *= size
             kernels *= kernels
             np.divide(math.sin(math.pi * frac) ** 2, kernels, out=kernels)
-        probs = kernels[0] * self.w_plus
-        probs += kernels[1] * self.w_minus
+        probs = kernels[0] * (abs(self.a - 1j * self.b) ** 2 / 2)
+        probs += kernels[1] * (abs(self.a + 1j * self.b) ** 2 / 2)
         probs[ys == 0] += self.off_marked
         probs[ys == half] += self.off_unmarked
         return probs
@@ -304,57 +306,28 @@ class _Plane:
         return base, n_phi - base
 
 
-def _distribution_circuit(iterate: GroverIterate, bits: int,
-                          initial: QuantumState) -> np.ndarray:
-    """Phase-estimation outcome distribution from the circuit, on branches.
+def _distribution_circuit(plane: _Plane, bits: int) -> np.ndarray:
+    """Phase-estimation outcome distribution from the circuit, on the plane.
 
     The joint state after the controlled iterate powers is sum_z |z> (x)
-    G^z |initial> / sqrt(2^bits), and the inverse Fourier transform acts
-    on the counting index.  Every row G^z |initial> is zero off the union
-    of the initial state's and the preparation's branches.
-
-    Every row lies in the span of rows 0-3.  With x the initial state,
-    G x = 2 psi <S psi|x> - S x and G S x = 2 psi <psi|x> - x, and the
-    same holds with psi for x, as S^2 = I: G maps span{x, Sx, psi, S psi}
-    into itself, so the rows span at most four dimensions, and once a row
-    lies in the span of the rows before it every later row does too.
-    Rows 0-3 are steps of the iterate on the support.  Householder QR
-    gives an orthonormal basis Q of r <= 4 columns holding their span,
-    also when they are linearly dependent, as on an honest run's plane,
-    and their coordinates c[0:4] in Q.  H = Q^H G Q takes one reflection
-    of the whole matrix S Q.  The later rows follow by doubling,
-    c[2^j : 2^(j+1)] = c[0 : 2^j] (H^(2^j))^T, with H^(2^j) by repeated
-    squaring: bits - 2 products, not 2^bits - 4 steps.  The rows are
-    c Q^T, so with F the Fourier transform over z, divided by 2^bits,
-    their transform is (F c) Q^T, and as Q has orthonormal columns the
-    probability of outcome y,
-    sum_x |(F c) Q^T|^2[y, x], is ||(F c)[y]||^2.  The engine holds
-    2^bits x r coordinates, never a row over the union.
+    G^z |initial> / sqrt(n), n = 2^bits, and the inverse Fourier transform
+    acts on the counting index.  Written in the plane's basis (see
+    ``_Plane``), the rows are (a cos z theta + b sin z theta,
+    b cos z theta - a sin z theta) on (m, u), and the constant and
+    alternating rows off the plane, which transform to their masses at
+    y = 0 and y = n/2.  The probability of outcome y is the squared norm
+    of the transformed rows at y, divided by n^2.  The engine holds
+    2^bits x 2 complex values.
     """
     size = 1 << bits
-    _, current, axis, marked = iterate.on_support(initial)
-    signs = np.where(marked, -1.0, 1.0)
-    head = min(size, 4)
-    head_rows = np.empty((len(current), head), dtype=np.complex128)
-    head_rows[:, 0] = current
-    for z in range(1, head):
-        head_rows[:, z] = current = reflect(current * signs, axis)
-    basis, head_coords = np.linalg.qr(head_rows)
-    coords = np.zeros((size, basis.shape[1]), dtype=np.complex128)
-    coords[:head] = head_coords.T
-    if size > head:
-        # Each overlap <psi|S q> is summed by vdot on a contiguous column,
-        # as ``reflect`` sums it, so H keeps its bits: a matrix product
-        # sums in another order and moves estimates in the last digit.
-        flipped = np.multiply(basis, signs[:, None], order="F")
-        overlaps = [np.vdot(axis, column) for column in flipped.T]
-        step = basis.conj().T @ (2.0 * np.outer(axis, overlaps) - flipped)
-        power = step @ step
-        for j in range(2, bits):
-            power = power @ power  # H^(2^j)
-            coords[1 << j:2 << j] = coords[:1 << j] @ power.T
+    angles = np.arange(size) * plane.theta
+    cos, sin = np.cos(angles), np.sin(angles)
+    spectrum = np.fft.fft([plane.a * cos + plane.b * sin, plane.b * cos - plane.a * sin])
     # Scaling by the power of two 1 / size^2 after squaring is exact.
-    return (np.abs(np.fft.fft(coords, axis=0)) ** 2).sum(axis=1) / size ** 2
+    probs = (spectrum.real ** 2 + spectrum.imag ** 2).sum(axis=0) / size ** 2
+    probs[0] += plane.off_marked
+    probs[size // 2] += plane.off_unmarked
+    return probs
 
 
 def _success_runs(count: int, search_space: int, bits: int) -> list[range]:
@@ -450,17 +423,14 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     elif prepared.layout != spec.layout():
         raise ValueError(f"prepared state layout {prepared.layout!r} does not "
                          f"match the spec's {spec.layout()!r}")
-    iterate = GroverIterate(prepared)
-    initial = initial_state or prepared
-    # Each engine gives the outcomes that can hold the maximum, P at given
-    # outcomes, and the estimate's ``outcomes``.
+    plane = _Plane.of(GroverIterate(prepared), initial_state or prepared)
+    # Each engine gives P at given outcomes and the estimate's ``outcomes``.
     if engine == "circuit":
-        table = _distribution_circuit(iterate, bits, initial)
-        candidates, at, outcomes = np.arange(size), table.take, table
+        outcomes = _distribution_circuit(plane, bits)
+        at = outcomes.take
     else:
-        plane = _Plane.of(iterate, initial)
         at = functools.partial(plane.probabilities, bits)
-        candidates, outcomes = plane.candidates(bits), lambda: at(np.arange(size))
+        outcomes = lambda: at(np.arange(size))
 
     success = None
     if cfg.mode == "sample":
@@ -469,7 +439,8 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     else:
         runs = ([] if initial_state is not None
                 else _success_runs(exact_count(prepared), search_space, bits))
-        # P at the candidates and on the runs at once.
+        # P at the outcomes that can hold the maximum and on the runs at once.
+        candidates = plane.candidates(bits)
         probs = at(np.concatenate(
             [candidates, *(np.arange(run.start, run.stop) for run in runs)]))
         peaks, window = probs[:len(candidates)], probs[len(candidates):]

@@ -10,7 +10,7 @@ from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, HONEST, Attack, DataTable,
                  build_preparation, cheat_check, oracle_load, oracle_xor,
                  prepare_joint)
 from qgi.protocol import AliceParty, BobParty, _check_mask, _tamper
-from qgi.state import project, reflect, register_distribution
+from qgi.state import project, register_distribution
 
 
 # Scene documents the parser refuses, with the reason it gives: a field
@@ -136,34 +136,6 @@ def dense_circuit_distribution(spec, bits, initial) -> np.ndarray:
             current = 2.0 * np.vdot(axis, flipped) * axis - flipped
     transformed = np.fft.fft(rows, axis=0) / size
     return np.sum(np.abs(transformed) ** 2, axis=1)
-
-
-def loop_circuit_distribution(iterate, bits, initial) -> np.ndarray:
-    """The ``circuit`` engine with H = Q^H G Q built one column at a time.
-
-    Each column of the basis Q is flipped and reflected on its own, then
-    the columns are stacked: the per-column form of the engine's one
-    matrix-valued reflection.
-    """
-    size = 1 << bits
-    _, current, axis, marked = iterate.on_support(initial)
-    signs = np.where(marked, -1.0, 1.0)
-    head = min(size, 4)
-    head_rows = np.empty((len(current), head), dtype=np.complex128)
-    head_rows[:, 0] = current
-    for z in range(1, head):
-        head_rows[:, z] = current = reflect(current * signs, axis)
-    basis, head_coords = np.linalg.qr(head_rows)
-    coords = np.zeros((size, basis.shape[1]), dtype=np.complex128)
-    coords[:head] = head_coords.T
-    if size > head:
-        step = basis.conj().T @ np.column_stack(
-            [reflect(column * signs, axis) for column in basis.T])
-        power = step @ step
-        for j in range(2, bits):
-            power = power @ power
-            coords[1 << j:2 << j] = coords[:1 << j] @ power.T
-    return (np.abs(np.fft.fft(coords, axis=0)) ** 2).sum(axis=1) / size ** 2
 
 
 def encoded_gram(table: DataTable) -> np.ndarray:

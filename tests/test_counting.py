@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 import qgi
 from qgi import (DATA_B, QUBIT_BUDGET, AdversaryStrategy, CountingConfig,
-                 DataTable, PreparationSpec, QuantumState, RegisterLayout,
+                 DataTable, GroverIterate, PreparationSpec, QuantumState, RegisterLayout,
                  Verdict, decide_intersection, decode_count, default_counting_bits,
                  exact_count, grover_iterate, phase_estimate, prepare_joint,
                  run_protocol)
-from qgi.counting import CIRCUIT_AUTO_LIMIT, _distribution_circuit, _success_runs
-from support import (dense_circuit_distribution, dense_state,
-                     loop_circuit_distribution, random_spec, random_state)
+from qgi.counting import (CIRCUIT_AUTO_LIMIT, _distribution_circuit, _Plane,
+                          _success_runs)
+from support import (dense_circuit_distribution, dense_state, random_spec,
+                     random_state)
 
 EIGHT_OVER_PI_SQ = 8.0 / math.pi ** 2
 WORKED = PreparationSpec(DataTable((1, 2, 5, 6), 4), DataTable((6, 7, 10, 11), 4))
@@ -94,27 +95,39 @@ def test_circuit_equals_the_dense_literal_circuit(case, use_engine):
     assert est.y == np.flatnonzero(dense >= dense.max() - 1e-12)[0]
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=counting_cases())
-def test_circuit_equals_its_column_by_column_form(case):
-    spec, bits, state = case
-    iterate = grover_iterate(spec)
-    initial = state or iterate.prepared
-    engine = _distribution_circuit(iterate, bits, initial)
-    loop = loop_circuit_distribution(iterate, bits, initial)
-    assert np.max(np.abs(engine - loop)) < 1e-12
-    assert (np.flatnonzero(engine >= engine.max() - 1e-12)[0]
-            == np.flatnonzero(loop >= loop.max() - 1e-12)[0])
+# The worked pair's success probability and its +phi peak at 12 bits, from
+# the closed form with theta = 2 asin(1/4) and w+- = 1/2, summed over the
+# outcomes that decode to t = 1 in mpmath at 50 digits and rounded to 20.
+WORKED_SUCCESS = {7: 0.94904406306172143342, 12: 0.99775460479605455966}
+WORKED_PEAK_12 = (329, 0.44383285316093448581)  # 4096 asin(1/4) / pi
+
+
+@pytest.mark.parametrize("engine", ["circuit", "reduced"])
+def test_worked_pair_meets_the_forty_digit_reference(engine, use_engine):
+    use_engine(engine)
+    for bits, reference in WORKED_SUCCESS.items():
+        est = phase_estimate(WORKED, CountingConfig(bits=bits))
+        assert (est.engine, est.t_rounded) == (engine, 1)
+        assert abs(est.success_prob - reference) < 1e-15
+    # The kernels at 12 bits, each distance an exact integer offset from the
+    # reference peak less its fraction: accurate to a few ulp of P.
+    size, half = 1 << 12, 1 << 11
+    base, frac = WORKED_PEAK_12
+    ys = np.arange(size)
+    kernels = [math.sin(math.pi * frac) ** 2
+               / (size * np.sin(math.pi * (((ys + half + shift) % size - half) + rest)
+                                / size)) ** 2
+               for shift, rest in ((-base, -frac), (base, frac))]
+    assert np.max(np.abs(est.distribution - (kernels[0] + kernels[1]) / 2)) < 2e-14
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=ENGINE_FIXTURE)
 @given(case=counting_cases())
 def test_kernel_equals_the_literal_circuit(case, use_engine):
     # The Fejer-kernel distribution of the plane summary against the
-    # circuit's powers and Fourier transform, on any counted state.
+    # literal circuit's powers and Fourier transform, on any counted state.
     spec, bits, state = case
-    literal = _distribution_circuit(grover_iterate(spec), bits,
-                                    state or prepare_joint(spec))
+    literal = dense_circuit_distribution(spec, bits, state or prepare_joint(spec))
     use_engine("reduced")
     est = phase_estimate(spec, CountingConfig(bits=bits), initial_state=state)
     assert np.max(np.abs(est.distribution - literal)) < 1e-12
@@ -250,7 +263,7 @@ class TestGroverIterate:
                 state = iterate.apply(state)
             probs = np.sum(np.abs(np.fft.fft(rows, axis=0) / (1 << bits)) ** 2,
                            axis=1)
-            engine = _distribution_circuit(iterate, bits, initial)
+            engine = _distribution_circuit(_Plane.of(iterate, initial), bits)
             assert np.max(np.abs(probs - engine)) < 1e-12
 
     def test_apply_keeps_only_nonzero_branches(self):
@@ -477,23 +490,29 @@ class TestPhaseEstimate:
                 assert np.max(np.abs(est.distribution - dense)) < 1e-12
                 assert est.y == np.flatnonzero(dense >= dense.max() - 1e-12)[0]
 
-    def test_circuit_steps_the_support_only_to_span_the_orbit(self, monkeypatch,
-                                                              use_engine):
-        # Three steps on the support give rows 1-3.  H, the iterate on
-        # their span, is one matrix-valued reflection made without
-        # ``reflect``, and the other 4,092 rows are products of H's powers
-        # with the span's coordinates.
-        calls = []
-        original = qgi.counting.reflect
+    def test_an_estimate_passes_over_the_support_once(self, monkeypatch,
+                                                       use_engine):
+        # Either engine reads the plane summary off one pass over the
+        # branches and never steps the iterate: at 12 bits the circuit's
+        # 4,096 rows are the plane's rotations.
+        passes, steps = [], []
+        on_support = GroverIterate.on_support
 
-        def counted(values, axis):
-            calls.append(len(values))
-            return original(values, axis)
-        monkeypatch.setattr(qgi.counting, "reflect", counted)
-        use_engine("circuit")
-        est = phase_estimate(WORKED, CountingConfig(bits=12))
-        assert (est.engine, est.t_rounded) == ("circuit", 1)
-        assert len(calls) == 3
+        def counted(iterate, state):
+            passes.append(state)
+            return on_support(iterate, state)
+        monkeypatch.setattr(GroverIterate, "on_support", counted)
+        monkeypatch.setattr(qgi.counting, "reflect", lambda *args: steps.append(args))
+        disturbed = random_state(WORKED.layout(), np.random.default_rng(24))
+        for engine in ("circuit", "reduced"):
+            use_engine(engine)
+            for cfg, state, gen in ((CountingConfig(bits=12), None, None),
+                                    (CountingConfig(bits=12, mode="sample"), disturbed,
+                                     np.random.default_rng(0))):
+                passes.clear()
+                est = phase_estimate(WORKED, cfg, initial_state=state, rng=gen)
+                assert est.engine == engine
+                assert (len(passes), steps) == (1, [])
 
     def test_circuit_peak_memory_stays_on_the_branches(self, use_engine):
         # 256 rows over the 16 branches; a dense 256 x 4096 row matrix is 16 MB.
@@ -508,7 +527,7 @@ class TestPhaseEstimate:
 
     def test_circuit_memory_does_not_grow_with_the_union(self, use_engine):
         # A dense 4,096-branch state at 12 bits: the engine holds 4,096 rows
-        # of at most four coordinates, where rows over the union would
+        # of two plane coordinates, where rows over the union would
         # take 4,096 x 4,096 x 16 B = 256 MB.
         state = random_state(WORKED.layout(), np.random.default_rng(12))
         use_engine("circuit")
