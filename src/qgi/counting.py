@@ -8,9 +8,10 @@ the measured integer y to a count via t = K * sin^2(pi * y / 2^p).
 Two exact engines compute the outcome distribution for any initial
 state, honest or disturbed.  Both start from one pass over the union of
 the initial state's and the preparation's branches, which G never leaves
-(see ``GroverIterate``): it gives the plane summary (see ``_Plane``), the
-iterate's rotation angle theta and the state on the basis in which G is a
-rotation of one plane, the identity and minus the identity.
+(see ``GroverIterate``): it checks the preparation, counts its marked
+branches and gives the plane summary (see ``_Plane``), the iterate's
+rotation angle theta and the state on the basis in which G is a rotation
+of one plane, the identity and minus the identity.
 
 * ``circuit`` is the textbook circuit on that basis: the controlled
   iterate powers give the plane's rows R(z theta)(a, b) and a constant
@@ -175,26 +176,12 @@ def grover_iterate(spec: PreparationSpec) -> GroverIterate:
 
 
 def exact_count(state: QuantumState) -> int:
-    """Marked-branch count read directly off an honest joint preparation.
+    """Marked-branch count of an honest joint preparation, by its plane pass.
 
     Rejects states whose nonzero branches are not all of equal magnitude,
     since those cannot come from the honest pipeline.
     """
-    probs = state.branch_probabilities()
-    nonzero = probs > _BRANCH_FLOOR
-    branches = int(np.count_nonzero(nonzero))
-    if branches == 0:
-        raise ValueError("state has no nonzero branches")
-    whole = branches == len(probs)
-    kept = probs if whole else probs[nonzero]
-    # The largest |sqrt(p) - 1/sqrt(branches)| is at an extreme p: sqrt and
-    # rounding are monotone, so no array of magnitudes is built.
-    uniform = 1.0 / math.sqrt(branches)
-    if max(math.sqrt(kept.max()) - uniform, uniform - math.sqrt(kept.min())) > 1e-9:
-        raise ValueError("branch magnitudes are not uniform; "
-                         "state is not an honest preparation")
-    marked = state.register_values(DATA_B) == 0
-    return int(np.count_nonzero(marked if whole else nonzero & marked))
+    return _Plane.of(GroverIterate(state), state).count
 
 
 @dataclass(frozen=True)
@@ -223,6 +210,10 @@ class _Plane:
                + off_marked [y = 0] + off_unmarked [y = n / 2],
 
     with w+- = |c+-|^2 and F_n(d) = sin^2(pi d) / (n sin(pi d / n))^2.
+
+    The pass also checks the preparation every iterate reflects about: it
+    refuses one whose branches above ``_BRANCH_FLOOR`` differ in magnitude,
+    and ``count`` is the number of its marked branches.
     """
 
     theta: float
@@ -230,18 +221,31 @@ class _Plane:
     b: complex
     off_marked: float
     off_unmarked: float
+    count: int
 
     @classmethod
     def of(cls, iterate: GroverIterate, initial: QuantumState) -> "_Plane":
         _, values, axis, marked = iterate.on_support(initial)
+        probs = np.abs(axis) ** 2
+        # The floor leaves out the exact zeros the axis holds on a union.
+        nonzero = probs > _BRANCH_FLOOR
+        branches = int(np.count_nonzero(nonzero))
+        if branches == 0:
+            raise ValueError("state has no nonzero branches")
+        kept = probs if branches == len(probs) else probs[nonzero]
+        # The largest |sqrt(p) - 1/sqrt(branches)| is at an extreme p: sqrt and
+        # rounding are monotone, so no array of magnitudes is built.
+        uniform = 1.0 / math.sqrt(branches)
+        if max(math.sqrt(kept.max()) - uniform, uniform - math.sqrt(kept.min())) > 1e-9:
+            raise ValueError("branch magnitudes are not uniform; "
+                             "state is not an honest preparation")
 
         def parts(array: np.ndarray) -> tuple[float, float]:
-            # Marked and unmarked sums: the whole less the marked part, so
-            # the branches, mostly unmarked, are summed pairwise once and
-            # never copied.
+            # Marked and unmarked sums: the whole less the marked part, so the
+            # mostly unmarked branches are summed pairwise once, never copied.
             whole, part = array.sum(), array[marked].sum()
             return part, whole - part
-        axis_parts = parts(np.abs(axis) ** 2)
+        axis_parts = parts(probs)
         # Counting the preparation itself, its overlap with the axis and its
         # mass on each part are the axis's own: |psi|^2 is summed once.
         if values is axis:
@@ -256,7 +260,8 @@ class _Plane:
             # sin(theta / 2) is the norm of the preparation's marked part.
             theta=2.0 * math.asin(min(1.0, norms[0])), a=a, b=b,
             off_marked=max(0.0, masses[0] - abs(a) ** 2),
-            off_unmarked=max(0.0, masses[1] - abs(b) ** 2))
+            off_unmarked=max(0.0, masses[1] - abs(b) ** 2),
+            count=int(np.count_nonzero(marked if kept is probs else nonzero & marked)))
 
     def probabilities(self, bits: int, ys: np.ndarray) -> np.ndarray:
         """P(y) at the int64 outcomes ``ys``, from the kernels.
@@ -356,11 +361,8 @@ def _success_runs(count: int, search_space: int, bits: int) -> list[range]:
     # since sin^2 <= 1.
     sines = np.sin(np.array(ends, dtype=np.int64) * (math.pi / size)).tolist()
     hits = [y for y, sine in zip(ends, sines) if round(search_space * (sine * sine)) == count]
-    runs = []
-    for side in ([y for y in hits if y <= half], [y for y in hits if y > half]):
-        if side:
-            runs.append(range(side[0], side[-1] + 1))
-    return runs
+    sides = ([y for y in hits if y <= half], [y for y in hits if y > half])
+    return [range(side[0], side[-1] + 1) for side in sides if side]
 
 
 def plan_counting(spec: PreparationSpec, cfg: CountingConfig,
@@ -407,10 +409,9 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     (used to study runs where the in-flight state was disturbed).  Both
     engines take it, and the engine choice does not depend on it; it
     disables the success-probability report, since the true count is
-    then undefined.  Exact mode reads the true count off the preparation
-    with ``exact_count``, which refuses a state whose branch magnitudes
-    are not uniform.  Sample mode draws the outcome from ``rng``, the
-    run's generator, and needs one.
+    then undefined.  The plane pass refuses a preparation whose branch
+    magnitudes are not uniform and gives exact mode the true count.
+    Sample mode draws the outcome from ``rng``, the run's generator, and needs one.
     """
     cfg = cfg or CountingConfig()
     if cfg.mode == "sample" and rng is None:
@@ -437,8 +438,7 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
         probs = at(np.arange(size))
         y = int(rng.choice(size, p=probs / probs.sum()))
     else:
-        runs = ([] if initial_state is not None
-                else _success_runs(exact_count(prepared), search_space, bits))
+        runs = _success_runs(plane.count, search_space, bits) if initial_state is None else []
         # P at the outcomes that can hold the maximum and on the runs at once.
         candidates = plane.candidates(bits)
         probs = at(np.concatenate(

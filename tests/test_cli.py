@@ -171,6 +171,16 @@ class TestRun:
         assert err.count("\n") == 1
         assert "counting register of 28 qubits exceeds the cap of 27" in err
 
+    @pytest.mark.parametrize("bits", ["0", "-1"])
+    def test_counting_bits_below_one_is_a_one_line_error(self, scene_files, capsys,
+                                                         bits):
+        code = main(["run", "--alice", scene_files[0], "--bob", scene_files[1],
+                     "--counting-bits", bits])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: --counting-bits must be >= 1\n"
+
     @pytest.mark.parametrize("adversary", ["bob-measure-all",
                                            "alice-measure-result"])
     def test_disturbed_runs_beyond_the_circuit_cap(self, tmp_path, capsys,

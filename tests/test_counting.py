@@ -149,6 +149,35 @@ def test_estimate_from_the_windows_equals_the_full_table(case, engine, use_engin
     assert abs(est.success_prob - probs[decoded == true_t].sum()) < 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=counting_cases())
+def test_the_plane_pass_counts_the_preparation_on_any_union(case):
+    # On the union with another state's branches the axis holds exact
+    # zeros; the count is still the preparation's own, and the classical one.
+    spec, _, state = case
+    iterate = grover_iterate(spec)
+    count = exact_count(iterate.prepared)
+    assert count == len(set(spec.table_a.entries) & set(spec.table_b.entries))
+    assert _Plane.of(iterate, state or iterate.prepared).count == count
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=counting_cases(), data=st.data())
+def test_explicit_zero_branches_are_not_counted(case, data):
+    # A preparation may list zero-amplitude branches, marked ones among them.
+    spec, layout = case[0], case[0].layout()
+    prepared = prepare_joint(spec)
+    stray = np.setdiff1d(np.arange(layout.dim), prepared.indices)
+    marked = stray[layout.extract(stray, DATA_B) == 0]
+    zeros = np.unique(data.draw(st.lists(st.sampled_from(stray.tolist()), max_size=4))
+                      + [data.draw(st.sampled_from(marked.tolist()))])
+    padded = QuantumState.from_branches(
+        layout, np.concatenate([prepared.indices, zeros]),
+        np.concatenate([prepared.values, np.zeros(len(zeros))]))
+    assert len(padded.indices) == len(prepared.indices) + len(zeros)
+    assert exact_count(padded) == exact_count(prepared)
+
+
 @settings(max_examples=300, deadline=None)
 @given(k=st.integers(1, 1 << 24), bits=st.integers(1, 18), data=st.data())
 def test_success_runs_hold_the_outcomes_that_decode_to_the_count(k, bits, data):
@@ -491,11 +520,13 @@ class TestPhaseEstimate:
                 assert est.y == np.flatnonzero(dense >= dense.max() - 1e-12)[0]
 
     def test_an_estimate_passes_over_the_support_once(self, monkeypatch,
-                                                       use_engine):
-        # Either engine reads the plane summary off one pass over the
-        # branches and never steps the iterate: at 12 bits the circuit's
-        # 4,096 rows are the plane's rotations.
-        passes, steps = [], []
+                                                       use_engine, worked_scenes):
+        # Either engine reads the plane summary, the honesty check and the
+        # true count off one pass over the branches and never steps the
+        # iterate: at 12 bits the circuit's 4,096 rows are the plane's
+        # rotations.  While counting, no second |psi|^2 or register extract
+        # is built, through a run of the protocol too.
+        passes, steps, counting = [], [], []
         on_support = GroverIterate.on_support
 
         def counted(iterate, state):
@@ -503,6 +534,20 @@ class TestPhaseEstimate:
             return on_support(iterate, state)
         monkeypatch.setattr(GroverIterate, "on_support", counted)
         monkeypatch.setattr(qgi.counting, "reflect", lambda *args: steps.append(args))
+        for name in ("branch_probabilities", "register_values"):
+            def refused(state, *args, _original=getattr(QuantumState, name)):
+                assert not counting, "counting made a second pass over the branches"
+                return _original(state, *args)
+            monkeypatch.setattr(QuantumState, name, refused)
+
+        def estimate(*args, **kwargs):
+            counting.append(True)
+            try:
+                return phase_estimate(*args, **kwargs)
+            finally:
+                counting.clear()
+        monkeypatch.setattr(qgi.protocol, "phase_estimate", estimate)
+        held = prepare_joint(WORKED)
         disturbed = random_state(WORKED.layout(), np.random.default_rng(24))
         for engine in ("circuit", "reduced"):
             use_engine(engine)
@@ -510,9 +555,14 @@ class TestPhaseEstimate:
                                     (CountingConfig(bits=12, mode="sample"), disturbed,
                                      np.random.default_rng(0))):
                 passes.clear()
-                est = phase_estimate(WORKED, cfg, initial_state=state, rng=gen)
+                est = estimate(WORKED, cfg, initial_state=state, rng=gen, prepared=held)
                 assert est.engine == engine
                 assert (len(passes), steps) == (1, [])
+            passes.clear()
+            run = run_protocol(*worked_scenes)
+            assert (run.verdict, run.estimate.t_rounded) == (Verdict.INTERSECT, 1)
+            assert run.estimate.engine == engine
+            assert (len(passes), steps) == (1, [])
 
     def test_circuit_peak_memory_stays_on_the_branches(self, use_engine):
         # 256 rows over the 16 branches; a dense 256 x 4096 row matrix is 16 MB.
@@ -578,3 +628,11 @@ class TestPhaseEstimate:
         skewed = random_state(WORKED.layout(), np.random.default_rng(8))
         with pytest.raises(ValueError, match="not uniform"):
             phase_estimate(WORKED, prepared=skewed)
+        # Every iterate reflects about the preparation, so a disturbed
+        # estimate checks it too, in either mode.
+        for state in (prepare_joint(WORKED), random_state(WORKED.layout(),
+                                                          np.random.default_rng(9))):
+            for cfg in (CountingConfig(), CountingConfig(mode="sample")):
+                with pytest.raises(ValueError, match="not uniform"):
+                    phase_estimate(WORKED, cfg, initial_state=state, prepared=skewed,
+                                   rng=np.random.default_rng(0))
