@@ -18,7 +18,7 @@ from .geometry import SceneFormatError, load_scene, rasterize
 from .oracles import address_bits
 from .protocol import (HONEST, AdversaryStrategy, Attack, CostSummary,
                        ProtocolTranscript, build_preparation, comm_cost,
-                       _detection, leakage_report, run_protocol)
+                       _detection, _run, leakage_report)
 
 
 # The ``run`` flags a trace records under "config", in this order.
@@ -94,10 +94,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     scene_b = load_scene(args.bob)
     adversary = AdversaryStrategy.parse(args.adversary)
     counting = CountingConfig(bits=args.counting_bits, mode=args.mode)
+    spec = build_preparation(scene_a, scene_b)
     if args.verbose:  # the trace lists every outcome's probability
-        spec, _, _ = build_preparation(scene_a, scene_b)
         plan_counting(spec, counting, distribution=True)
-    transcript = run_protocol(scene_a, scene_b, counting, adversary, seed=args.seed)
+    transcript = _run(spec, scene_a.grid.total_cells, counting, adversary, args.seed)
     _write_trace(args, transcript)
     aborted = transcript.verdict is Verdict.ABORT
     if aborted:
@@ -135,13 +135,13 @@ def cmd_analyze(alice: str, bob: str, show_cost: bool, show_leakage: bool,
         show_cost = show_leakage = show_attacks = True
     scene_a = load_scene(alice)
     scene_b = load_scene(bob)
-    spec, set_a, set_b = build_preparation(scene_a, scene_b)
+    spec = build_preparation(scene_a, scene_b)
     total_cells = scene_a.grid.total_cells
     # Every section is computed before any is printed, so a section that
     # fails leaves no partial report behind its one-line error.
     lines = []
     if show_cost:
-        cost = comm_cost(len(set_a), len(set_b), total_cells)
+        cost = comm_cost(spec.table_a.size, spec.table_b.size, total_cells)
         lines.append("== cost ==")
         lines.extend(_cost_lines(cost))
         lines.append(f"note: the nominal formula (2m+n+4r) exceeds the message "

@@ -37,6 +37,7 @@ and each engine is about 2e-13 from the reference.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
@@ -335,34 +336,26 @@ def _distribution_circuit(plane: _Plane, bits: int) -> np.ndarray:
     return probs
 
 
-def _success_runs(count: int, search_space: int, bits: int) -> list[range]:
+def _rounded_count(y: int, search_space: int, bits: int) -> int:
+    """The count outcome y stands for: its decode rounded into [0, K]."""
+    return int(min(search_space, max(0, round(decode_count(y, search_space, bits)))))
+
+
+@functools.lru_cache(maxsize=4096)
+def _success_runs(count: int, search_space: int, bits: int) -> tuple[range, ...]:
     """The outcomes y that decode to ``count``, as ascending runs.
 
-    The decode round(clip(K sin^2(pi y / n), 0, K)) rises on [0, n/2] and
-    falls on (n/2, n), so on each half the y it maps to ``count`` are one
-    run.  Arcsin places each run's ends within one; each half's span
-    reaches two beyond them, and the exact decode of the span's first and
-    last five outcomes fixes the ends.  So the runs hold the y a table over
-    all n outcomes would select, in the same order.
+    ``_rounded_count`` rises on [0, n/2] and falls on (n/2, n), so on each
+    half the y it maps to ``count`` are one run, which bisection finds.
+    The runs depend on the sizes alone, so each key is bisected once.
     """
+    def run(side: range, sign: int) -> range:
+        key = lambda y: sign * _rounded_count(y, search_space, bits)
+        return side[bisect.bisect_left(side, sign * count, key=key):
+                    bisect.bisect_right(side, sign * count, key=key)]
     size = 1 << bits
-    half = size // 2
-
-    def edge(c: float) -> float:  # y on [0, n/2] where K sin^2(pi y / n) = c
-        return size / math.pi * math.asin(math.sqrt(min(1.0, max(0.0, c / search_space))))
-    lo = max(0, math.floor(edge(count - 0.5)) - 2)
-    hi = min(half, math.ceil(edge(count + 0.5)) + 2)
-    spans = (range(lo, hi + 1),
-             range(max(half + 1, size - hi), min(size - 1, size - lo) + 1))
-    ends = [y for span in spans for y in (*span[:5], *span[-5:])]
-    # numpy's sin of pi y / n, as y (pi / n) rounds alike for n a power of
-    # two; then the square, product and round (half to even, as np.round)
-    # in Python's float arithmetic.  The clip to [0, K] changes nothing,
-    # since sin^2 <= 1.
-    sines = np.sin(np.array(ends, dtype=np.int64) * (math.pi / size)).tolist()
-    hits = [y for y, sine in zip(ends, sines) if round(search_space * (sine * sine)) == count]
-    sides = ([y for y in hits if y <= half], [y for y in hits if y > half])
-    return [range(side[0], side[-1] + 1) for side in sides if side]
+    runs = (run(range(size // 2 + 1), 1), run(range(size // 2 + 1, size), -1))
+    return tuple(r for r in runs if r)
 
 
 def plan_counting(spec: PreparationSpec, cfg: CountingConfig,
@@ -451,12 +444,11 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
             # One pairwise sum in ascending y, as over a mask of all outcomes.
             success = float(window.sum())
 
-    t_hat = decode_count(y, search_space, bits)
-    t_rounded = int(min(search_space, max(0, round(t_hat))))
     return CountEstimate(
         y=y, bits=bits, search_space=search_space,
         theta_hat=2.0 * math.pi * y / size,
-        t_hat=t_hat, t_rounded=t_rounded,
+        t_hat=decode_count(y, search_space, bits),
+        t_rounded=_rounded_count(y, search_space, bits),
         success_prob=success, engine=engine, outcomes=outcomes)
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .counting import (CountEstimate, CountingConfig, Verdict,
                        decide_intersection, phase_estimate, plan_counting)
-from .geometry import GridSet, Scene, rasterize
+from .geometry import Scene, rasterize
 from .oracles import (ADDR_A, DATA_A, DATA_B, DataTable, PreparationSpec,
                       address_bits, cheat_check, prepare_encoded, respond)
 from .state import QuantumState, measure_register, xor_register
@@ -256,8 +256,7 @@ class BobParty:
         return respond(incoming, self.table)
 
 
-def build_preparation(scene_a: Scene, scene_b: Scene
-                      ) -> tuple[PreparationSpec, GridSet, GridSet]:
+def build_preparation(scene_a: Scene, scene_b: Scene) -> PreparationSpec:
     """Rasterize both scenes on their shared grid into a preparation spec.
 
     An error in one party's scene content (no cells, or a serial too
@@ -269,14 +268,13 @@ def build_preparation(scene_a: Scene, scene_b: Scene
             f"{scene_a.grid.rows}x{scene_a.grid.cols} vs "
             f"{scene_b.grid.rows}x{scene_b.grid.cols}")
     bits = scene_a.grid.value_bits
-    sets, tables = [], []
+    tables = []
     for party, scene in (("alice", scene_a), ("bob", scene_b)):
         try:
-            sets.append(rasterize(scene))
-            tables.append(DataTable.from_serials(sets[-1].serials, bits))
+            tables.append(DataTable.from_serials(rasterize(scene).serials, bits))
         except ValueError as exc:
             raise ValueError(f"{party}: {exc}") from None
-    return PreparationSpec(*tables), *sets
+    return PreparationSpec(*tables)
 
 
 def _tamper(state: QuantumState, mask: int) -> QuantumState:
@@ -300,8 +298,14 @@ def run_protocol(scene_a: Scene, scene_b: Scene,
     Bernoulli draw on its exact pass probability) and the counting
     outcome.  Identical inputs give identical transcripts.
     """
+    return _run(build_preparation(scene_a, scene_b), scene_a.grid.total_cells,
+                cfg, adversary, seed)
+
+
+def _run(spec: PreparationSpec, total_cells: int, cfg: CountingConfig | None,
+         adversary: AdversaryStrategy, seed: int | None) -> ProtocolTranscript:
+    """``run_protocol`` on the spec of two scenes of ``total_cells`` cells."""
     cfg = cfg or CountingConfig()
-    spec, set_a, set_b = build_preparation(scene_a, scene_b)
     # Refuse an over-budget register or an over-wide mask before any state.
     plan_counting(spec, cfg)
     if adversary.attack is Attack.BOB_TAMPER:
@@ -372,7 +376,7 @@ def run_protocol(scene_a: Scene, scene_b: Scene,
 
     transcript = ProtocolTranscript(
         steps=steps, verdict=verdict, estimate=estimate,
-        cost=comm_cost(len(set_a), len(set_b), scene_a.grid.total_cells),
+        cost=comm_cost(spec.table_a.size, spec.table_b.size, total_cells),
         adversary=adversary.label, seed=seed, mode=cfg.mode)
     transcript.validate()
     return transcript
@@ -392,8 +396,7 @@ def detection_probability(scene_a: Scene, scene_b: Scene,
     mass on the whole message is the sum over outcomes of their Born
     weight times their failure probability.  Nothing is sampled.
     """
-    spec, _, _ = build_preparation(scene_a, scene_b)
-    return _detection(spec, adversary.tamper_mask)
+    return _detection(build_preparation(scene_a, scene_b), adversary.tamper_mask)
 
 
 def _detection(spec: PreparationSpec, tamper_mask: int) -> float:

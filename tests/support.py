@@ -180,7 +180,7 @@ def expanded_detection_probability(scene_a, scene_b, adversary=HONEST) -> float:
     its Born weight, and Bob's response and Alice's check run once per
     branch.  ``detection_probability`` must equal this sum.
     """
-    spec, _, _ = build_preparation(scene_a, scene_b)
+    spec = build_preparation(scene_a, scene_b)
     alice = AliceParty(spec.table_a)
     bob = BobParty(spec.table_b)
     branches = [(1.0, alice.prepare_message())]

@@ -283,6 +283,22 @@ class TestRun:
         success = float(out.split("success_prob=")[1].split()[0])
         assert success >= 8 / math.pi ** 2
 
+    @pytest.mark.parametrize("extra", [[], ["--verbose"]])
+    def test_run_rasterizes_each_scene_once(self, scene_files, monkeypatch,
+                                            capsys, extra):
+        calls = []
+        original = protocol.rasterize
+
+        def counted(scene):
+            calls.append(scene)
+            return original(scene)
+
+        monkeypatch.setattr(protocol, "rasterize", counted)
+        code = main(["run", "--alice", scene_files[0], "--bob", scene_files[1], *extra])
+        capsys.readouterr()
+        assert code == 0
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("extra", [["--verbose"],
                                        ["--mode", "sample", "--seed", "1"]])
     def test_reading_every_outcome_is_refused_above_the_budget(self, tmp_path,

@@ -13,7 +13,7 @@ from qgi import (DATA_B, QUBIT_BUDGET, AdversaryStrategy, CountingConfig,
                  exact_count, grover_iterate, phase_estimate, prepare_joint,
                  run_protocol)
 from qgi.counting import (CIRCUIT_AUTO_LIMIT, _distribution_circuit, _Plane,
-                          _success_runs)
+                          _rounded_count, _success_runs)
 from support import (dense_circuit_distribution, dense_state, random_spec,
                      random_state)
 
@@ -191,6 +191,30 @@ def test_success_runs_hold_the_outcomes_that_decode_to_the_count(k, bits, data):
     assert window.tolist() == np.flatnonzero(decoded == count).tolist()
 
 
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 1 << 24), bits=st.integers(19, 27), data=st.data())
+def test_success_runs_end_where_the_decode_leaves_the_count(k, bits, data):
+    # Widths beyond a table of every outcome: each run's ends decode to the
+    # count and the outcome just past each end, on the same half, does not.
+    size = 1 << bits
+    y = data.draw(st.integers(0, size - 1))
+    count = data.draw(st.sampled_from([0, k, k // 2, _rounded_count(y, k, bits)]))
+    runs = _success_runs(count, k, bits)
+    halves = [range(size // 2 + 1), range(size // 2 + 1, size)]
+    sides = [side for run in runs for side, half in enumerate(halves) if run.start in half]
+    assert sides == sorted(set(sides)) and len(sides) == len(runs)  # one per half
+    for run, side in zip(runs, sides):
+        half = halves[side]
+        assert run[-1] in half
+        assert _rounded_count(run.start, k, bits) == count
+        assert _rounded_count(run[-1], k, bits) == count
+        for outside in (run.start - 1, run.stop):
+            if outside in half:
+                assert _rounded_count(outside, k, bits) != count
+    if count == _rounded_count(y, k, bits):
+        assert any(y in run for run in runs)
+
+
 class TestDefaults:
     @pytest.mark.parametrize("k, bits", [(1, 3), (2, 4), (3, 5), (16, 7), (64, 9)])
     def test_default_counting_bits(self, k, bits):
@@ -335,6 +359,21 @@ class TestExactCount:
 
 
 class TestPhaseEstimate:
+    def test_success_runs_are_computed_once_per_key(self):
+        phase_estimate(WORKED)
+        before = _success_runs.cache_info()
+        phase_estimate(WORKED)
+        after = _success_runs.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+    @pytest.mark.parametrize("spec", [WORKED, DISJOINT])
+    def test_t_rounded_is_the_windows_decode(self, spec):
+        estimates = [phase_estimate(spec)] + [
+            phase_estimate(spec, CountingConfig(mode="sample"),
+                           rng=np.random.default_rng(seed)) for seed in range(20)]
+        for est in estimates:
+            assert est.t_rounded == _rounded_count(est.y, spec.size_k, est.bits)
+
     def test_worked_instance_decodes_one_match(self):
         est = phase_estimate(WORKED, CountingConfig(bits=7))
         assert est.t_rounded == 1

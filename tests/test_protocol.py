@@ -32,6 +32,10 @@ class TestHonestRuns:
         assert check.detail["pass_probability"] == 1.0
         assert check.detail["passed"] is True
 
+    def test_build_preparation_returns_the_spec(self, worked_scenes):
+        assert build_preparation(*worked_scenes) == PreparationSpec(
+            DataTable((1, 2, 5, 6), 4), DataTable((6, 7, 10, 11), 4))
+
     def test_disjoint_scenes(self, grid4):
         transcript = run_protocol(Scene(grid4, cells=(1, 2)),
                                   Scene(grid4, cells=(3, 4)))
@@ -71,7 +75,7 @@ class TestHonestRuns:
         assert check.detail == {"passed": True}
         rng = np.random.default_rng(seed)
         rng.random()
-        spec, _, _ = build_preparation(*worked_scenes)
+        spec = build_preparation(*worked_scenes)
         assert run.estimate.y == phase_estimate(spec, cfg, rng=rng).y
 
     def test_mismatched_grids_rejected(self, grid4):
@@ -225,7 +229,7 @@ class TestDetectionInOnePipeline:
         rng = np.random.default_rng(7000 + side)
         for _ in range(8):
             scene_a, scene_b = random_cell_scenes(rng, side, max_cells)
-            spec, _, _ = build_preparation(scene_a, scene_b)
+            spec = build_preparation(scene_a, scene_b)
             layout_a = prepare_encoded(spec.table_a, ADDR_A, DATA_A).layout
             message = random_state(layout_a, rng)
             monkeypatch.setattr(AliceParty, "prepare_message",
@@ -493,7 +497,7 @@ class TestOnePreparationPerRun:
         assert built == []
 
     def test_joint_layout_is_the_specs(self, worked_scenes):
-        spec, _, _ = build_preparation(*worked_scenes)
+        spec = build_preparation(*worked_scenes)
         message = prepare_encoded(spec.table_a, ADDR_A, DATA_A)
         own = prepare_encoded(spec.table_b, ADDR_B, DATA_B)
         assert tensor(own, message).layout is spec.layout()
@@ -533,7 +537,7 @@ class TestOnePreparationPerRun:
             return original(message, table_b)
         for module in (qgi.oracles, qgi.protocol):
             monkeypatch.setattr(module, "respond", counted)
-        spec, _, _ = build_preparation(*worked_scenes)
+        spec = build_preparation(*worked_scenes)
         for call in (lambda: run_protocol(*worked_scenes),
                      lambda: qgi.oracles.prepare_joint(spec),
                      lambda: detection_probability(*worked_scenes)):
@@ -543,7 +547,7 @@ class TestOnePreparationPerRun:
 
     def test_honest_runs_equal_counting_on_a_fresh_preparation(self):
         for scene_a, scene_b in criterion_3_scene_pairs():
-            spec, _, _ = build_preparation(scene_a, scene_b)
+            spec = build_preparation(scene_a, scene_b)
             run = run_protocol(scene_a, scene_b).estimate
             fresh = phase_estimate(spec)
             assert (run.y, run.t_rounded) == (fresh.y, fresh.t_rounded)
@@ -578,7 +582,7 @@ class TestOnePreparationPerRun:
 
 class TestPrivacyBoundaries:
     def test_parties_only_hold_their_own_table(self, worked_scenes):
-        spec, _, _ = build_preparation(*worked_scenes)
+        spec = build_preparation(*worked_scenes)
         alice = AliceParty(spec.table_a)
         bob = BobParty(spec.table_b)
         assert vars(alice) == {"table": spec.table_a}
