@@ -5,34 +5,34 @@ rotation angle of the Grover iterate built around the joint preparation.
 Phase estimation reads that angle into a counting register; decoding maps
 the measured integer y to a count via t = K * sin^2(pi * y / 2^p).
 
-Two exact engines compute the outcome distribution for any initial
-state, honest or disturbed.  Both start from one pass over the union of
-the initial state's and the preparation's branches, which G never leaves
-(see ``GroverIterate``): it checks the preparation, counts its marked
-branches and gives the plane summary (see ``_Plane``), the iterate's
-rotation angle theta and the state on the basis in which G is a rotation
-of one plane, the identity and minus the identity.
+Two exact engines give the outcome distribution for any initial state,
+honest or disturbed, and both evaluate one formula.  Both start from one
+pass over the union of the initial state's and the preparation's
+branches, which G never leaves (see ``GroverIterate``): it checks the
+preparation, counts its marked branches and gives the plane summary (see
+``_Plane``), the iterate's rotation angle theta and the state on the
+basis in which G is a rotation of one plane, the identity and minus the
+identity.  On that basis the circuit's controlled iterate powers and
+inverse Fourier transform give each outcome's probability in closed
+form: a sum of Fejer kernels centred on the eigenphases, plus the
+off-plane masses at y = 0 and y = 2^bits / 2 (``_Plane.probabilities``).
+The engines differ only in where they evaluate it.
 
-* ``circuit`` is the textbook circuit on that basis: the controlled
-  iterate powers give the plane's rows R(z theta)(a, b) and a constant
-  and an alternating row, and the inverse Fourier transform on the
-  counting register is the FFT of the plane's two rows, while the other
-  two transform to deltas at y = 0 and y = 2^bits / 2.  It builds every
-  outcome and holds 2^bits x 2 complex values.
-* ``reduced`` writes each outcome's probability as a sum of Fejer kernels
-  centred on the eigenphases, evaluated only where it is read: in exact
-  mode at the outcomes near the peaks and on the two runs of y that
-  decode to the true count, and at every outcome only when the whole
-  distribution is read.
+* ``circuit`` tabulates the whole counting register's distribution up
+  front, 2^bits floats, and an estimate reads that table.
+* ``reduced`` evaluates it only at the outcomes read: in exact mode at
+  the outcomes near the peaks and on the two runs of y that decode to the
+  true count, 2^17 at a time when the runs are long, and at every
+  outcome only when the whole distribution is read.
 
 The engine is chosen by size alone: ``circuit`` when data plus counting
 qubits are at most ``CIRCUIT_AUTO_LIMIT``, within the qubit budget, and
-``reduced`` otherwise.  The engines agree within 1e-12 up to 9 counting
-bits.  At 12 bits, against a 40-digit reference on the worked, a disjoint
-and a 3x3-overlap spec, each engine is off by under 1e-14.  Over 150
-random specs at 12 bits the two differ by up to 6.9e-14, on a spec with
-t/K = 1/3, where theta carries the rounding of the computed marked norm
-and each engine is about 2e-13 from the reference.
+``reduced`` otherwise.  The two give bit-identical distributions and
+estimates.  The formula is within 1e-12 of the literal dense circuit up
+to 9 counting bits.  At 12 bits, against a 40-digit reference, it is off
+by under 1e-14 on the worked, a disjoint and a 3x3-overlap spec, and by
+up to 3.2e-13 over 150 random specs, on one with t/K = 1/3, where theta
+carries the rounding of the computed marked norm.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .state import QuantumState, align, reflect
 CIRCUIT_AUTO_LIMIT = 20
 _BRANCH_FLOOR = 1e-14
 _PEAK_TIE = 1e-12
+_WINDOW_CHUNK = 1 << 17  # success-window outcomes evaluated at a time
 
 
 class Verdict(str, enum.Enum):
@@ -312,30 +313,6 @@ class _Plane:
         return base, n_phi - base
 
 
-def _distribution_circuit(plane: _Plane, bits: int) -> np.ndarray:
-    """Phase-estimation outcome distribution from the circuit, on the plane.
-
-    The joint state after the controlled iterate powers is sum_z |z> (x)
-    G^z |initial> / sqrt(n), n = 2^bits, and the inverse Fourier transform
-    acts on the counting index.  Written in the plane's basis (see
-    ``_Plane``), the rows are (a cos z theta + b sin z theta,
-    b cos z theta - a sin z theta) on (m, u), and the constant and
-    alternating rows off the plane, which transform to their masses at
-    y = 0 and y = n/2.  The probability of outcome y is the squared norm
-    of the transformed rows at y, divided by n^2.  The engine holds
-    2^bits x 2 complex values.
-    """
-    size = 1 << bits
-    angles = np.arange(size) * plane.theta
-    cos, sin = np.cos(angles), np.sin(angles)
-    spectrum = np.fft.fft([plane.a * cos + plane.b * sin, plane.b * cos - plane.a * sin])
-    # Scaling by the power of two 1 / size^2 after squaring is exact.
-    probs = (spectrum.real ** 2 + spectrum.imag ** 2).sum(axis=0) / size ** 2
-    probs[0] += plane.off_marked
-    probs[size // 2] += plane.off_unmarked
-    return probs
-
-
 def _rounded_count(y: int, search_space: int, bits: int) -> int:
     """The count outcome y stands for: its decode rounded into [0, K]."""
     return int(min(search_space, max(0, round(decode_count(y, search_space, bits)))))
@@ -418,9 +395,10 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
         raise ValueError(f"prepared state layout {prepared.layout!r} does not "
                          f"match the spec's {spec.layout()!r}")
     plane = _Plane.of(GroverIterate(prepared), initial_state or prepared)
-    # Each engine gives P at given outcomes and the estimate's ``outcomes``.
+    # One formula in two places: ``circuit`` tabulates every outcome up
+    # front, and ``reduced`` evaluates the outcomes an estimate reads.
     if engine == "circuit":
-        outcomes = _distribution_circuit(plane, bits)
+        outcomes = plane.probabilities(bits, np.arange(size))
         at = outcomes.take
     else:
         at = functools.partial(plane.probabilities, bits)
@@ -432,17 +410,26 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
         y = int(rng.choice(size, p=probs / probs.sum()))
     else:
         runs = _success_runs(plane.count, search_space, bits) if initial_state is None else []
-        # P at the outcomes that can hold the maximum and on the runs at once.
         candidates = plane.candidates(bits)
-        probs = at(np.concatenate(
-            [candidates, *(np.arange(run.start, run.stop) for run in runs)]))
-        peaks, window = probs[:len(candidates)], probs[len(candidates):]
+        if len(candidates) + sum(map(len, runs)) <= _WINDOW_CHUNK:
+            # P at the outcomes that can hold the maximum and on the runs at
+            # once, and one pairwise sum in ascending y, as over a mask of
+            # all outcomes.
+            probs = at(np.concatenate(
+                [candidates, *(np.arange(run.start, run.stop) for run in runs)]))
+            peaks, window_sum = probs[:len(candidates)], probs[len(candidates):].sum()
+        else:
+            # A wide window in fixed chunks, their sums combined pairwise, as
+            # ``state._norm_sq`` does: memory stays bounded at any width.
+            peaks = at(candidates)
+            window_sum = np.add.reduce([
+                at(np.arange(start, min(start + _WINDOW_CHUNK, run.stop))).sum()
+                for run in runs for start in range(run.start, run.stop, _WINDOW_CHUNK)])
         # Rounding noise must not choose between equal peaks, such as the
         # mirrors y and 2^bits - y.
         y = int(candidates[np.flatnonzero(peaks >= peaks.max() - _PEAK_TIE)[0]])
         if initial_state is None:
-            # One pairwise sum in ascending y, as over a mask of all outcomes.
-            success = float(window.sum())
+            success = float(window_sum)
 
     return CountEstimate(
         y=y, bits=bits, search_space=search_space,

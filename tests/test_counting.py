@@ -12,8 +12,8 @@ from qgi import (DATA_B, QUBIT_BUDGET, AdversaryStrategy, CountingConfig,
                  Verdict, decide_intersection, decode_count, default_counting_bits,
                  exact_count, grover_iterate, phase_estimate, prepare_joint,
                  run_protocol)
-from qgi.counting import (CIRCUIT_AUTO_LIMIT, _distribution_circuit, _Plane,
-                          _rounded_count, _success_runs)
+from qgi.counting import (CIRCUIT_AUTO_LIMIT, _Plane, _rounded_count,
+                          _success_runs)
 from support import (dense_circuit_distribution, dense_state, random_spec,
                      random_state)
 
@@ -22,6 +22,15 @@ WORKED = PreparationSpec(DataTable((1, 2, 5, 6), 4), DataTable((6, 7, 10, 11), 4
 DISJOINT = PreparationSpec(DataTable((1, 2), 4), DataTable((3, 4), 4))
 # ``use_engine`` patches a constant that every example reads afresh.
 ENGINE_FIXTURE = [HealthCheck.function_scoped_fixture]
+
+
+def assert_same_estimate(circuit, reduced):
+    """One formula behind both engines: the same bits, y, success
+    probability and distribution, bit for bit."""
+    assert (circuit.engine, reduced.engine) == ("circuit", "reduced")
+    assert ((circuit.bits, circuit.y, circuit.success_prob)
+            == (reduced.bits, reduced.y, reduced.success_prob))
+    assert np.array_equal(circuit.distribution, reduced.distribution)
 
 
 def flip_marked(state):
@@ -84,15 +93,19 @@ def counting_cases(draw):
     return spec, draw(st.integers(1, 9)), state
 
 
+@pytest.mark.parametrize("engine", ["circuit", "reduced"])
 @settings(max_examples=150, deadline=None, suppress_health_check=ENGINE_FIXTURE)
 @given(case=counting_cases())
-def test_circuit_equals_the_dense_literal_circuit(case, use_engine):
+def test_engine_equals_the_literal_circuit(engine, case, use_engine):
+    # Either engine's Fejer-kernel distribution of the plane summary against
+    # the literal circuit's powers and Fourier transform, on any counted state.
     spec, bits, state = case
-    use_engine("circuit")
+    literal = dense_circuit_distribution(spec, bits, state or prepare_joint(spec))
+    use_engine(engine)
     est = phase_estimate(spec, CountingConfig(bits=bits), initial_state=state)
-    dense = dense_circuit_distribution(spec, bits, state or prepare_joint(spec))
-    assert np.max(np.abs(est.distribution - dense)) < 1e-12
-    assert est.y == np.flatnonzero(dense >= dense.max() - 1e-12)[0]
+    assert est.engine == engine
+    assert np.max(np.abs(est.distribution - literal)) < 1e-12
+    assert est.y == np.flatnonzero(literal >= literal.max() - 1e-12)[0]
 
 
 # The worked pair's success probability and its +phi peak at 12 bits, from
@@ -119,19 +132,6 @@ def test_worked_pair_meets_the_forty_digit_reference(engine, use_engine):
                                 / size)) ** 2
                for shift, rest in ((-base, -frac), (base, frac))]
     assert np.max(np.abs(est.distribution - (kernels[0] + kernels[1]) / 2)) < 2e-14
-
-
-@settings(max_examples=150, deadline=None, suppress_health_check=ENGINE_FIXTURE)
-@given(case=counting_cases())
-def test_kernel_equals_the_literal_circuit(case, use_engine):
-    # The Fejer-kernel distribution of the plane summary against the
-    # literal circuit's powers and Fourier transform, on any counted state.
-    spec, bits, state = case
-    literal = dense_circuit_distribution(spec, bits, state or prepare_joint(spec))
-    use_engine("reduced")
-    est = phase_estimate(spec, CountingConfig(bits=bits), initial_state=state)
-    assert np.max(np.abs(est.distribution - literal)) < 1e-12
-    assert est.y == np.flatnonzero(literal >= literal.max() - 1e-12)[0]
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=ENGINE_FIXTURE)
@@ -302,7 +302,8 @@ class TestGroverIterate:
                                  - matrix.conj().T @ state.amplitudes)) < 1e-12
 
     def test_repeated_application_gives_the_circuit_distribution(self, rng):
-        # The circuit engine's rows are the iterate's powers on the initial state.
+        # The FFT of the iterate's powers on the initial state, the literal
+        # circuit's rows, is the plane's closed form at every outcome.
         bits = 4
         for _ in range(5):
             spec = random_spec(rng)
@@ -316,8 +317,8 @@ class TestGroverIterate:
                 state = iterate.apply(state)
             probs = np.sum(np.abs(np.fft.fft(rows, axis=0) / (1 << bits)) ** 2,
                            axis=1)
-            engine = _distribution_circuit(_Plane.of(iterate, initial), bits)
-            assert np.max(np.abs(probs - engine)) < 1e-12
+            closed = _Plane.of(iterate, initial).probabilities(bits, np.arange(1 << bits))
+            assert np.max(np.abs(probs - closed)) < 1e-12
 
     def test_apply_keeps_only_nonzero_branches(self):
         # |psi> has 16 unmarked branches of amplitude 1/4.  With 12 of them
@@ -414,9 +415,7 @@ class TestPhaseEstimate:
             circuit = phase_estimate(spec)
             use_engine("reduced")
             reduced = phase_estimate(spec)
-            assert circuit.bits == reduced.bits
-            assert np.max(np.abs(circuit.distribution
-                                 - reduced.distribution)) < 1e-10
+            assert_same_estimate(circuit, reduced)
 
     def test_map_decode_matches_exact_count_on_random_instances(self):
         gen = np.random.default_rng(777)
@@ -484,6 +483,33 @@ class TestPhaseEstimate:
             tracemalloc.stop()
         assert unread < 8 * 2 ** 20 <= read
 
+    def test_a_wide_success_window_is_summed_in_bounded_chunks(self):
+        # At 27 bits the worked pair's t = 1 runs hold about 11M outcomes,
+        # which evaluated at once peaked at 465 MB.
+        tracemalloc.start()
+        try:
+            est = phase_estimate(WORKED, CountingConfig(bits=27))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (est.y, est.t_rounded, est.engine) == (10795216, 1, "reduced")
+        assert est.success_prob >= 1.0 - 1e-6
+        assert peak < 150 * 2 ** 20
+
+    @pytest.mark.parametrize("engine", ["circuit", "reduced"])
+    def test_chunked_window_sum_equals_the_single_call(self, engine, use_engine,
+                                                       monkeypatch):
+        # Chunks of 7 split the candidates from the runs and each run in
+        # pieces; the estimate and its sum must not move beyond rounding.
+        use_engine(engine)
+        specs = (WORKED, DISJOINT)
+        whole = [phase_estimate(spec, CountingConfig(bits=8)) for spec in specs]
+        monkeypatch.setattr(qgi.counting, "_WINDOW_CHUNK", 7)
+        for spec, one in zip(specs, whole):
+            chunked = phase_estimate(spec, CountingConfig(bits=8))
+            assert (chunked.y, chunked.t_rounded) == (one.y, one.t_rounded)
+            assert abs(chunked.success_prob - one.success_prob) < 1e-15
+
     def test_sample_mode_is_seed_deterministic(self):
         cfg = CountingConfig(mode="sample")
         one = phase_estimate(WORKED, cfg, rng=np.random.default_rng(5))
@@ -504,7 +530,7 @@ class TestPhaseEstimate:
         assert est.success_prob is None
         use_engine("reduced")
         reduced = phase_estimate(WORKED, initial_state=collapsed)
-        assert np.max(np.abs(reduced.distribution - est.distribution)) < 1e-12
+        assert_same_estimate(est, reduced)
 
     @pytest.mark.parametrize("bits", [1, 3, 6])
     def test_reduced_matches_circuit_on_any_initial_state(self, bits, use_engine):
@@ -530,9 +556,7 @@ class TestPhaseEstimate:
                 use_engine("reduced")
                 reduced = phase_estimate(spec, CountingConfig(bits=bits),
                                          initial_state=state)
-                assert np.max(np.abs(circuit.distribution
-                                     - reduced.distribution)) < 1e-12
-                assert circuit.y == reduced.y
+                assert_same_estimate(circuit, reduced)
 
     @pytest.mark.parametrize("bits", [1, 3, 6])
     def test_circuit_matches_the_dense_literal_circuit(self, bits, use_engine):
