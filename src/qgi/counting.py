@@ -6,15 +6,15 @@ Phase estimation reads that angle into a counting register; decoding maps
 the measured integer y to a count via t = K * sin^2(pi * y / 2^p).
 
 Two exact engines give the outcome distribution for any initial state,
-honest or disturbed, and both evaluate one formula.  Both start from one
-pass over the union of the initial state's and the preparation's
-branches, which G never leaves (see ``GroverIterate``): it checks the
-preparation, counts its marked branches and gives the plane summary (see
-``_Plane``), the iterate's rotation angle theta and the state on the
-basis in which G is a rotation of one plane, the identity and minus the
-identity.  On that basis the circuit's controlled iterate powers and
-inverse Fourier transform give each outcome's probability in closed
-form: a sum of Fejer kernels centred on the eigenphases, plus the
+honest or disturbed, and both evaluate one formula.  Both start from the
+plane summary (see ``_Plane``).  One pass over the preparation's branches
+checks it and counts its t marked branches, which fixes the iterate's
+rotation angle: sin^2(theta / 2) = t / K.  A disturbed state's branches
+are looked up in the preparation's, so its coordinates on the basis in
+which G is a rotation of one plane, the identity and minus the identity
+cost its own branches.  On that basis the circuit's controlled iterate
+powers and inverse Fourier transform give each outcome's probability in
+closed form: a sum of Fejer kernels centred on the eigenphases, plus the
 off-plane masses at y = 0 and y = 2^bits / 2 (``_Plane.probabilities``).
 The engines differ only in where they evaluate it.
 
@@ -31,8 +31,7 @@ qubits are at most ``CIRCUIT_AUTO_LIMIT``, within the qubit budget, and
 estimates.  The formula is within 1e-12 of the literal dense circuit up
 to 9 counting bits.  At 12 bits, against a 40-digit reference, it is off
 by under 1e-14 on the worked, a disjoint and a 3x3-overlap spec, and by
-up to 3.2e-13 over 150 random specs, on one with t/K = 1/3, where theta
-carries the rounding of the computed marked norm.
+up to 6.3e-14 over 150 random specs, on one with t/K = 1/3.
 """
 
 from __future__ import annotations
@@ -148,8 +147,8 @@ class GroverIterate:
     is diagonal and the reflection adds a multiple of |psi>, G maps the
     span of any branches that include |psi>'s into itself.
 
-    ``prepared`` is |psi>; a protocol run passes the preparation Alice
-    already holds, and ``grover_iterate`` builds one from a spec.
+    ``prepared`` is |psi>, which ``grover_iterate`` builds from a spec.
+    ``apply`` is the literal step; no estimate takes one (see ``_Plane``).
     """
 
     def __init__(self, prepared: QuantumState):
@@ -158,12 +157,9 @@ class GroverIterate:
     def on_support(self, state: QuantumState) -> tuple[np.ndarray, ...]:
         """The union of the state's and |psi>'s branches, and on it their
         values and the branches S marks."""
-        if state is self.prepared:  # its own branches; no union to sort
-            support, values, axis = state.indices, state.values, state.values
-        elif state.layout != self.prepared.layout:
+        if state.layout != self.prepared.layout:
             raise ValueError("state layout does not match the preparation")
-        else:
-            support, (values, axis) = align(state, self.prepared)
+        support, (values, axis) = align(state, self.prepared)
         return support, values, axis, state.layout.extract(support, DATA_B) == 0
 
     def apply(self, state: QuantumState) -> QuantumState:
@@ -183,7 +179,7 @@ def exact_count(state: QuantumState) -> int:
     Rejects states whose nonzero branches are not all of equal magnitude,
     since those cannot come from the honest pipeline.
     """
-    return _Plane.of(GroverIterate(state), state).count
+    return _Plane.of(state).count
 
 
 @dataclass(frozen=True)
@@ -213,9 +209,10 @@ class _Plane:
 
     with w+- = |c+-|^2 and F_n(d) = sin^2(pi d) / (n sin(pi d / n))^2.
 
-    The pass also checks the preparation every iterate reflects about: it
-    refuses one whose branches above ``_BRANCH_FLOOR`` differ in magnitude,
-    and ``count`` is the number of its marked branches.
+    ``of`` reads the preparation's branches once: it refuses them if those
+    above ``_BRANCH_FLOOR`` differ in magnitude, and the t = ``count``
+    marked ones among those B give sin(theta / 2) = |m| = sqrt(t / B), with
+    no sum.  A disturbed state's branches are looked up in the preparation's.
     """
 
     theta: float
@@ -226,10 +223,9 @@ class _Plane:
     count: int
 
     @classmethod
-    def of(cls, iterate: GroverIterate, initial: QuantumState) -> "_Plane":
-        _, values, axis, marked = iterate.on_support(initial)
-        probs = np.abs(axis) ** 2
-        # The floor leaves out the exact zeros the axis holds on a union.
+    def of(cls, prepared: QuantumState, initial: QuantumState | None = None) -> "_Plane":
+        probs = np.abs(prepared.values) ** 2
+        # The floor leaves out zero branches a preparation may list.
         nonzero = probs > _BRANCH_FLOOR
         branches = int(np.count_nonzero(nonzero))
         if branches == 0:
@@ -241,29 +237,31 @@ class _Plane:
         if max(math.sqrt(kept.max()) - uniform, uniform - math.sqrt(kept.min())) > 1e-9:
             raise ValueError("branch magnitudes are not uniform; "
                              "state is not an honest preparation")
+        marked = prepared.layout.extract(prepared.indices, DATA_B) == 0
+        count = int(np.count_nonzero(marked if kept is probs else nonzero & marked))
+        norms = math.sqrt(count / branches), math.sqrt((branches - count) / branches)
+        theta = 2.0 * math.asin(norms[0])
+        if initial is None:
+            return cls(theta, *norms, 0.0, 0.0, count)
+        if initial.layout != prepared.layout:
+            raise ValueError("state layout does not match the preparation")
+        # The preparation's amplitude on each initial branch, or 0 off its
+        # branches, so the sums run over the initial state's branches alone.
+        at = np.minimum(np.searchsorted(prepared.indices, initial.indices),
+                        len(prepared.indices) - 1)
+        axis = np.where(prepared.indices[at] == initial.indices, prepared.values[at], 0)
+        marked = initial.layout.extract(initial.indices, DATA_B) == 0
 
         def parts(array: np.ndarray) -> tuple[float, float]:
             # Marked and unmarked sums: the whole less the marked part, so the
             # mostly unmarked branches are summed pairwise once, never copied.
             whole, part = array.sum(), array[marked].sum()
             return part, whole - part
-        axis_parts = parts(probs)
-        # Counting the preparation itself, its overlap with the axis and its
-        # mass on each part are the axis's own: |psi|^2 is summed once.
-        if values is axis:
-            inners = masses = axis_parts
-        else:
-            inners, masses = parts(values * axis.conj()), parts(np.abs(values) ** 2)
-        norms = [math.sqrt(max(0.0, float(mass))) for mass in axis_parts]
         a, b = (complex(inner) / norm if norm > 0 else 0j
-                for inner, norm in zip(inners, norms))
-        masses = [float(mass) for mass in masses]
-        return cls(
-            # sin(theta / 2) is the norm of the preparation's marked part.
-            theta=2.0 * math.asin(min(1.0, norms[0])), a=a, b=b,
-            off_marked=max(0.0, masses[0] - abs(a) ** 2),
-            off_unmarked=max(0.0, masses[1] - abs(b) ** 2),
-            count=int(np.count_nonzero(marked if kept is probs else nonzero & marked)))
+                for inner, norm in zip(parts(initial.values * axis.conj()), norms))
+        off = [max(0.0, float(mass) - abs(c) ** 2)
+               for mass, c in zip(parts(np.abs(initial.values) ** 2), (a, b))]
+        return cls(theta, a, b, *off, count)
 
     def probabilities(self, bits: int, ys: np.ndarray) -> np.ndarray:
         """P(y) at the int64 outcomes ``ys``, from the kernels.
@@ -394,7 +392,7 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     elif prepared.layout != spec.layout():
         raise ValueError(f"prepared state layout {prepared.layout!r} does not "
                          f"match the spec's {spec.layout()!r}")
-    plane = _Plane.of(GroverIterate(prepared), initial_state or prepared)
+    plane = _Plane.of(prepared, initial_state)
     # One formula in two places: ``circuit`` tabulates every outcome up
     # front, and ``reduced`` evaluates the outcomes an estimate reads.
     if engine == "circuit":

@@ -14,12 +14,14 @@ from qgi import (DATA_B, QUBIT_BUDGET, AdversaryStrategy, CountingConfig,
                  run_protocol)
 from qgi.counting import (CIRCUIT_AUTO_LIMIT, _Plane, _rounded_count,
                           _success_runs)
+from qgi.state import xor_register
 from support import (dense_circuit_distribution, dense_state, random_spec,
                      random_state)
 
 EIGHT_OVER_PI_SQ = 8.0 / math.pi ** 2
 WORKED = PreparationSpec(DataTable((1, 2, 5, 6), 4), DataTable((6, 7, 10, 11), 4))
 DISJOINT = PreparationSpec(DataTable((1, 2), 4), DataTable((3, 4), 4))
+THREE_OF_NINE = PreparationSpec(DataTable((1, 2, 3), 2), DataTable((1, 2, 3), 2))
 # ``use_engine`` patches a constant that every example reads afresh.
 ENGINE_FIXTURE = [HealthCheck.function_scoped_fixture]
 
@@ -152,13 +154,25 @@ def test_estimate_from_the_windows_equals_the_full_table(case, engine, use_engin
 @settings(max_examples=100, deadline=None)
 @given(case=counting_cases())
 def test_the_plane_pass_counts_the_preparation_on_any_union(case):
-    # On the union with another state's branches the axis holds exact
-    # zeros; the count is still the preparation's own, and the classical one.
+    # With another state's branches looked up in the preparation, the
+    # count is still the preparation's own, and the classical one.
     spec, _, state = case
-    iterate = grover_iterate(spec)
-    count = exact_count(iterate.prepared)
+    prepared = prepare_joint(spec)
+    count = exact_count(prepared)
     assert count == len(set(spec.table_a.entries) & set(spec.table_b.entries))
-    assert _Plane.of(iterate, state or iterate.prepared).count == count
+    assert _Plane.of(prepared, state).count == count
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=counting_cases())
+def test_an_honest_angle_is_the_counts_own(case):
+    # sin^2(theta / 2) = t / K for the uniform preparation, bit for bit: no
+    # summed mass carries its rounding into theta.
+    for spec in (case[0], THREE_OF_NINE):
+        count = len(set(spec.table_a.entries) & set(spec.table_b.entries))
+        plane = _Plane.of(prepare_joint(spec))
+        assert plane.theta == 2 * math.asin(math.sqrt(count / spec.size_k))
+        assert (plane.off_marked, plane.off_unmarked) == (0.0, 0.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -317,7 +331,8 @@ class TestGroverIterate:
                 state = iterate.apply(state)
             probs = np.sum(np.abs(np.fft.fft(rows, axis=0) / (1 << bits)) ** 2,
                            axis=1)
-            closed = _Plane.of(iterate, initial).probabilities(bits, np.arange(1 << bits))
+            plane = _Plane.of(iterate.prepared, initial)
+            closed = plane.probabilities(bits, np.arange(1 << bits))
             assert np.max(np.abs(probs - closed)) < 1e-12
 
     def test_apply_keeps_only_nonzero_branches(self):
@@ -585,18 +600,36 @@ class TestPhaseEstimate:
     def test_an_estimate_passes_over_the_support_once(self, monkeypatch,
                                                        use_engine, worked_scenes):
         # Either engine reads the plane summary, the honesty check and the
-        # true count off one pass over the branches and never steps the
-        # iterate: at 12 bits the circuit's 4,096 rows are the plane's
-        # rotations.  While counting, no second |psi|^2 or register extract
-        # is built, through a run of the protocol too.
-        passes, steps, counting = [], [], []
-        on_support = GroverIterate.on_support
+        # true count off one pass over each state's branches and never
+        # steps the iterate: at 12 bits the circuit's 4,096 rows are the
+        # plane's rotations.  While counting, each state's amplitudes are
+        # squared once and Bob's data register is extracted once from its
+        # branches, and nothing else is built, through a run of the
+        # protocol too.
+        passes, steps, counting, squared, extracted = [], [], [], [], []
+        plane_of = _Plane.of.__func__
 
-        def counted(iterate, state):
-            passes.append(state)
-            return on_support(iterate, state)
-        monkeypatch.setattr(GroverIterate, "on_support", counted)
+        def counted(cls, prepared, initial=None):
+            passes.append(initial)
+            return plane_of(cls, prepared, initial)
+        monkeypatch.setattr(_Plane, "of", classmethod(counted))
         monkeypatch.setattr(qgi.counting, "reflect", lambda *args: steps.append(args))
+
+        class Numpy:  # numpy, recording the arrays |.| is taken of while counting
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def abs(self, array):
+                if counting:
+                    squared.append(array)
+                return np.abs(array)
+        monkeypatch.setattr(qgi.counting, "np", Numpy())
+
+        def extract(layout, index, name, _original=RegisterLayout.extract):
+            if counting:
+                extracted.append((index, name))
+            return _original(layout, index, name)
+        monkeypatch.setattr(RegisterLayout, "extract", extract)
         for name in ("branch_probabilities", "register_values"):
             def refused(state, *args, _original=getattr(QuantumState, name)):
                 assert not counting, "counting made a second pass over the branches"
@@ -617,15 +650,40 @@ class TestPhaseEstimate:
             for cfg, state, gen in ((CountingConfig(bits=12), None, None),
                                     (CountingConfig(bits=12, mode="sample"), disturbed,
                                      np.random.default_rng(0))):
-                passes.clear()
+                for log in (passes, squared, extracted):
+                    log.clear()
                 est = estimate(WORKED, cfg, initial_state=state, rng=gen, prepared=held)
                 assert est.engine == engine
-                assert (len(passes), steps) == (1, [])
-            passes.clear()
+                assert (passes, steps) == ([state], [])
+                read = [held] if state is None else [held, state]
+                assert len(squared) == len(extracted) == len(read)
+                for values, (indices, name), each in zip(squared, extracted, read):
+                    assert values is each.values
+                    assert (indices, name) == (each.indices, DATA_B)
+            for log in (passes, squared, extracted):
+                log.clear()
             run = run_protocol(*worked_scenes)
             assert (run.verdict, run.estimate.t_rounded) == (Verdict.INTERSECT, 1)
             assert run.estimate.engine == engine
-            assert (len(passes), steps) == (1, [])
+            assert (passes, steps) == ([None], [])
+            assert (len(squared), [name for _, name in extracted]) == (1, [DATA_B])
+
+    def test_a_state_off_the_preparation_lies_off_the_plane(self, use_engine):
+        # No branch of the counted state is one of the preparation's, so the
+        # lookup finds none: its whole mass is off the plane, as the literal
+        # circuit shows.
+        prepared = prepare_joint(WORKED)
+        state = xor_register(prepared, DATA_B, 1)
+        assert not np.intersect1d(state.indices, prepared.indices).size
+        plane = _Plane.of(prepared, state)
+        assert (plane.a, plane.b) == (0, 0)
+        assert abs(plane.off_marked + plane.off_unmarked - 1.0) < 1e-15
+        for engine in ("circuit", "reduced"):
+            use_engine(engine)
+            est = phase_estimate(WORKED, CountingConfig(bits=7), initial_state=state)
+            literal = dense_circuit_distribution(WORKED, 7, state)
+            assert est.engine == engine
+            assert np.max(np.abs(est.distribution - literal)) < 1e-12
 
     def test_circuit_peak_memory_stays_on_the_branches(self, use_engine):
         # 256 rows over the 16 branches; a dense 256 x 4096 row matrix is 16 MB.

@@ -200,6 +200,17 @@ class TestSceneParsing:
          "shapes[0].cells[0] must be an integer, got 2.5"),
         ({"grid": {"rows": 4, "cols": 4}, "cells": [{1}]},
          'cells[0] must be an integer, got "{1}"'),
+        ({"grid": {"rows": 4, "cols": 4}, "shapes": [{"rect": [2, 0, 1, 1]}]},
+         "shapes[0].rect: rectangle corners out of order: Rect(r0=2, c0=0, r1=1, c1=1)"),
+        ({"grid": {"rows": 4, "cols": 4}, "shapes": [{"rect": [0, -1, 1, 1]}]},
+         "shapes[0].rect: rectangle extends outside the grid: "
+         "Rect(r0=0, c0=-1, r1=1, c1=1)"),
+        ({"grid": {"rows": 4, "cols": 4}, "shapes": [{}]},
+         'shapes[0] needs a "rect" or a "cells" field'),
+        ({"grid": {"rows": 4, "cols": 4}, "cells": [0]},
+         "cell serial 0 outside [1, 16]"),
+        ({"grid": {"rows": 0, "cols": 4}, "cells": [1]},
+         'bad "grid": grid needs rows, cols >= 1, got 0x4'),
     ])
     def test_refusals_give_their_whole_message(self, doc, message):
         with pytest.raises(SceneFormatError) as exc:

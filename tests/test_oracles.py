@@ -196,6 +196,12 @@ class TestOracleXor:
         twice = oracle_xor(oracle_xor(state, DATA_A, DATA_B), DATA_A, DATA_B)
         assert np.max(np.abs(twice.amplitudes - state.amplitudes)) < 1e-12
 
+    def test_xor_into_the_source_itself_rejected(self):
+        # A register XORed into itself would clear it: not a bijection.
+        state = basis_state(worked_spec().layout(), {DATA_A: 6})
+        with pytest.raises(ValueError, match="^cannot XOR register data_a into itself$"):
+            oracle_xor(state, DATA_A, DATA_A)
+
     def test_width_mismatch_rejected(self):
         layout = RegisterLayout([(DATA_A, 4), (DATA_B, 3)])
         with pytest.raises(ValueError, match="widths differ"):

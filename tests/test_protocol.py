@@ -410,13 +410,15 @@ class TestOnePreparationPerRun:
         assert run_protocol(*worked_scenes, cfg=cfg, seed=3).estimate is not None
         assert alignments == []
 
-    def test_disturbed_run_aligns_its_state_with_the_axis(self, worked_scenes,
-                                                          alignments):
-        transcript = run_protocol(
-            *worked_scenes, adversary=AdversaryStrategy(Attack.BOB_MEASURE_ALL),
-            seed=5)
-        assert transcript.estimate is not None
-        assert alignments == [2]
+    def test_disturbed_run_aligns_nothing(self, worked_scenes, alignments):
+        # The counted state's branches are looked up in the axis's; no union
+        # of the two is sorted.
+        for attack in (Attack.BOB_MEASURE_ALL, Attack.BOB_MEASURE_DATA,
+                       Attack.ALICE_MEASURE_RESULT):
+            transcript = run_protocol(*worked_scenes,
+                                      adversary=AdversaryStrategy(attack), seed=5)
+            assert transcript.estimate is not None
+        assert alignments == []
 
     def test_exact_honest_run_builds_no_generator(self, worked_scenes,
                                                   monkeypatch):
@@ -621,6 +623,24 @@ class TestTranscriptValidation:
             verdict=Verdict.ABORT, estimate=None, cost=transcript.cost,
             adversary="honest", seed=None, mode="exact")
         with pytest.raises(ValueError, match="failed check"):
+            broken.validate()
+
+    @pytest.mark.parametrize("counted, message", [
+        ("step", "abort must end the run at step 3"),
+        ("estimate", "aborted run must not carry a count estimate")])
+    def test_abort_after_a_failed_check_carries_no_count(self, worked_scenes,
+                                                         counted, message):
+        # An aborted transcript that has its failed check yet goes on to
+        # step 4, or carries the estimate that step would give.
+        transcript = run_protocol(*worked_scenes)
+        failed = StepRecord(3, "alice", "uncompute_and_check", detail={"passed": False})
+        broken = ProtocolTranscript(
+            steps=transcript.steps[:2] + [failed]
+            + (transcript.steps[3:4] if counted == "step" else []),
+            verdict=Verdict.ABORT, cost=transcript.cost,
+            estimate=transcript.estimate if counted == "estimate" else None,
+            adversary="honest", seed=None, mode="exact")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             broken.validate()
 
     def test_completed_run_requires_all_steps(self, worked_scenes):
