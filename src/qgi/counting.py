@@ -19,7 +19,8 @@ off-plane masses at y = 0 and y = 2^bits / 2 (``_Plane.probabilities``).
 The engines differ only in where they evaluate it.
 
 * ``circuit`` tabulates the whole counting register's distribution up
-  front, 2^bits floats, and an estimate reads that table.
+  front, 2^bits floats, and an exact estimate reads that table once per
+  plane (``_exact_read``).
 * ``reduced`` evaluates it only at the outcomes read: in exact mode at
   the outcomes near the peaks and on the two runs of y that decode to the
   true count, 2^17 at a time when the runs are long, and at every
@@ -322,7 +323,8 @@ def _success_runs(count: int, search_space: int, bits: int) -> tuple[range, ...]
 
     ``_rounded_count`` rises on [0, n/2] and falls on (n/2, n), so on each
     half the y it maps to ``count`` are one run, which bisection finds.
-    The runs depend on the sizes alone, so each key is bisected once.
+    The runs depend on the sizes alone, so each key is bisected once; a
+    memoized ``_exact_read`` asks for them only on its first read of a plane.
     """
     def run(side: range, sign: int) -> range:
         key = lambda y: sign * _rounded_count(y, search_space, bits)
@@ -331,6 +333,44 @@ def _success_runs(count: int, search_space: int, bits: int) -> tuple[range, ...]
     size = 1 << bits
     runs = (run(range(size // 2 + 1), 1), run(range(size // 2 + 1, size), -1))
     return tuple(r for r in runs if r)
+
+
+@functools.lru_cache(maxsize=128)
+def _exact_read(plane: _Plane, search_space: int, bits: int, engine: str,
+                reports_success: bool) -> tuple[int, float | None, np.ndarray | None]:
+    """Exact mode's outcome y, success probability and ``circuit`` table.
+
+    A pure function of the plane and the sizes, memoized on them: an honest
+    plane is fixed by (t, B), so a repeated (t, K, bits) costs a caller only
+    its plane pass.  ``circuit`` tabulates every outcome, shared read-only
+    by each hit; ``reduced`` evaluates the outcomes read and keeps no table.
+    """
+    if engine == "circuit":
+        table = plane.probabilities(bits, np.arange(1 << bits))
+        table.flags.writeable = False
+        at = table.take
+    else:
+        table, at = None, functools.partial(plane.probabilities, bits)
+    runs = _success_runs(plane.count, search_space, bits) if reports_success else []
+    candidates = plane.candidates(bits)
+    if len(candidates) + sum(map(len, runs)) <= _WINDOW_CHUNK:
+        # P at the outcomes that can hold the maximum and on the runs at
+        # once, and one pairwise sum in ascending y, as over a mask of
+        # all outcomes.
+        probs = at(np.concatenate(
+            [candidates, *(np.arange(run.start, run.stop) for run in runs)]))
+        peaks, window_sum = probs[:len(candidates)], probs[len(candidates):].sum()
+    else:
+        # A wide window in fixed chunks, their sums combined pairwise, as
+        # ``state._norm_sq`` does: memory stays bounded at any width.
+        peaks = at(candidates)
+        window_sum = np.add.reduce([
+            at(np.arange(start, min(start + _WINDOW_CHUNK, run.stop))).sum()
+            for run in runs for start in range(run.start, run.stop, _WINDOW_CHUNK)])
+    # Rounding noise must not choose between equal peaks, such as the
+    # mirrors y and 2^bits - y.
+    y = int(candidates[np.flatnonzero(peaks >= peaks.max() - _PEAK_TIE)[0]])
+    return y, float(window_sum) if reports_success else None, table
 
 
 def plan_counting(spec: PreparationSpec, cfg: CountingConfig,
@@ -377,8 +417,9 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     (used to study runs where the in-flight state was disturbed).  Both
     engines take it, and the engine choice does not depend on it; it
     disables the success-probability report, since the true count is
-    then undefined.  The plane pass refuses a preparation whose branch
-    magnitudes are not uniform and gives exact mode the true count.
+    then undefined.  The plane pass, made on every call, refuses a
+    preparation whose branch magnitudes are not uniform and gives the
+    memoized exact read (``_exact_read``) its key and the true count.
     Sample mode draws the outcome from ``rng``, the run's generator, and needs one.
     """
     cfg = cfg or CountingConfig()
@@ -393,41 +434,15 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
         raise ValueError(f"prepared state layout {prepared.layout!r} does not "
                          f"match the spec's {spec.layout()!r}")
     plane = _Plane.of(prepared, initial_state)
-    # One formula in two places: ``circuit`` tabulates every outcome up
-    # front, and ``reduced`` evaluates the outcomes an estimate reads.
-    if engine == "circuit":
-        outcomes = plane.probabilities(bits, np.arange(size))
-        at = outcomes.take
-    else:
-        at = functools.partial(plane.probabilities, bits)
-        outcomes = lambda: at(np.arange(size))
-
-    success = None
+    lazy = lambda: plane.probabilities(bits, np.arange(size))
     if cfg.mode == "sample":
-        probs = at(np.arange(size))
+        probs = lazy()
         y = int(rng.choice(size, p=probs / probs.sum()))
+        success, table = None, probs if engine == "circuit" else None
     else:
-        runs = _success_runs(plane.count, search_space, bits) if initial_state is None else []
-        candidates = plane.candidates(bits)
-        if len(candidates) + sum(map(len, runs)) <= _WINDOW_CHUNK:
-            # P at the outcomes that can hold the maximum and on the runs at
-            # once, and one pairwise sum in ascending y, as over a mask of
-            # all outcomes.
-            probs = at(np.concatenate(
-                [candidates, *(np.arange(run.start, run.stop) for run in runs)]))
-            peaks, window_sum = probs[:len(candidates)], probs[len(candidates):].sum()
-        else:
-            # A wide window in fixed chunks, their sums combined pairwise, as
-            # ``state._norm_sq`` does: memory stays bounded at any width.
-            peaks = at(candidates)
-            window_sum = np.add.reduce([
-                at(np.arange(start, min(start + _WINDOW_CHUNK, run.stop))).sum()
-                for run in runs for start in range(run.start, run.stop, _WINDOW_CHUNK)])
-        # Rounding noise must not choose between equal peaks, such as the
-        # mirrors y and 2^bits - y.
-        y = int(candidates[np.flatnonzero(peaks >= peaks.max() - _PEAK_TIE)[0]])
-        if initial_state is None:
-            success = float(window_sum)
+        y, success, table = _exact_read(plane, search_space, bits, engine,
+                                        initial_state is None)
+    outcomes = lazy if table is None else table
 
     return CountEstimate(
         y=y, bits=bits, search_space=search_space,

@@ -5,6 +5,13 @@ import qgi.counting
 from qgi import QUBIT_BUDGET, GridConfig, QuantumState, Rect, Scene
 
 
+@pytest.fixture(autouse=True)
+def cold_exact_read():
+    """Start each test with no memoized exact read, so that no result
+    depends on the tests run before it."""
+    qgi.counting._exact_read.cache_clear()
+
+
 @pytest.fixture
 def grid4():
     return GridConfig(4, 4)

@@ -12,8 +12,9 @@ from qgi import (DATA_B, QUBIT_BUDGET, AdversaryStrategy, CountingConfig,
                  Verdict, decide_intersection, decode_count, default_counting_bits,
                  exact_count, grover_iterate, phase_estimate, prepare_joint,
                  run_protocol)
-from qgi.counting import (CIRCUIT_AUTO_LIMIT, _Plane, _rounded_count,
-                          _success_runs)
+from qgi.counting import (CIRCUIT_AUTO_LIMIT, _exact_read, _Plane, _rounded_count,
+                          _success_runs, plan_counting)
+from qgi.oracles import address_bits
 from qgi.state import xor_register
 from support import (dense_circuit_distribution, dense_state, random_spec,
                      random_state)
@@ -376,11 +377,19 @@ class TestExactCount:
 
 class TestPhaseEstimate:
     def test_success_runs_are_computed_once_per_key(self):
+        # A repeated exact estimate is one hit of the memoized read, which
+        # looks up no success runs; a cold read of the same key finds them
+        # bisected already.
+        def counts():
+            return [(info.hits, info.misses)
+                    for info in (_exact_read.cache_info(), _success_runs.cache_info())]
         phase_estimate(WORKED)
-        before = _success_runs.cache_info()
+        (read_hits, read_misses), runs = counts()
         phase_estimate(WORKED)
-        after = _success_runs.cache_info()
-        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        assert counts() == [(read_hits + 1, read_misses), runs]
+        _exact_read.cache_clear()
+        phase_estimate(WORKED)
+        assert counts()[1] == (runs[0] + 1, runs[1])
 
     @pytest.mark.parametrize("spec", [WORKED, DISJOINT])
     def test_t_rounded_is_the_windows_decode(self, spec):
@@ -520,6 +529,7 @@ class TestPhaseEstimate:
         specs = (WORKED, DISJOINT)
         whole = [phase_estimate(spec, CountingConfig(bits=8)) for spec in specs]
         monkeypatch.setattr(qgi.counting, "_WINDOW_CHUNK", 7)
+        _exact_read.cache_clear()  # or the reads below would be hits
         for spec, one in zip(specs, whole):
             chunked = phase_estimate(spec, CountingConfig(bits=8))
             assert (chunked.y, chunked.t_rounded) == (one.y, one.t_rounded)
@@ -757,3 +767,100 @@ class TestPhaseEstimate:
                 with pytest.raises(ValueError, match="not uniform"):
                     phase_estimate(WORKED, cfg, initial_state=state, prepared=skewed,
                                    rng=np.random.default_rng(0))
+
+
+class TestExactRead:
+    """The exact read is a pure function of the plane and the sizes, so
+    it is memoized on them; every estimate still makes its plane pass."""
+
+    def test_a_memoized_read_equals_a_cold_one(self, use_engine):
+        gen = np.random.default_rng(29)
+        for _ in range(20):
+            spec = random_spec(gen)
+            prepared = prepare_joint(spec)
+            disturbed = random_state(spec.layout(), gen)
+            for engine in ("circuit", "reduced"):
+                use_engine(engine)
+                for state in (None, disturbed):
+                    _exact_read.cache_clear()
+                    cold = phase_estimate(spec, initial_state=state, prepared=prepared)
+                    # An equal copy of the state has the same plane: a hit.
+                    copy = None if state is None else QuantumState.from_branches(
+                        state.layout, state.indices.copy(), state.values.copy())
+                    hit = phase_estimate(spec, initial_state=copy, prepared=prepared)
+                    assert _exact_read.cache_info()[:2] == (1, 1)
+                    assert hit.engine == engine
+                    assert ((hit.y, hit.t_rounded, hit.success_prob)
+                            == (cold.y, cold.t_rounded, cold.success_prob))
+                    assert np.array_equal(hit.distribution, cold.distribution)
+
+    @pytest.mark.parametrize("engine", ["circuit", "reduced"])
+    def test_a_repeated_estimate_costs_only_the_plane_pass(self, engine, use_engine,
+                                                           monkeypatch):
+        use_engine(engine)
+        phase_estimate(WORKED)
+        passes, evaluated = [], []
+        plane_of, probabilities = _Plane.of.__func__, _Plane.probabilities
+
+        def counted_of(cls, *args):
+            passes.append(args)
+            return plane_of(cls, *args)
+
+        def counted_probabilities(plane, *args):
+            evaluated.append(args)
+            return probabilities(plane, *args)
+        monkeypatch.setattr(_Plane, "of", classmethod(counted_of))
+        monkeypatch.setattr(_Plane, "probabilities", counted_probabilities)
+        est = phase_estimate(WORKED)
+        assert (est.engine, est.t_rounded) == (engine, 1)
+        assert (len(passes), len(evaluated)) == (1, 0)
+
+    def test_a_memoized_plane_still_checks_each_preparation(self, worked_scenes):
+        honest = run_protocol(*worked_scenes)
+        assert (honest.verdict, _exact_read.cache_info().currsize) == (Verdict.INTERSECT, 1)
+        skewed = random_state(WORKED.layout(), np.random.default_rng(8))
+        with pytest.raises(ValueError, match="not uniform"):
+            phase_estimate(WORKED, prepared=skewed)
+        tampered = run_protocol(*worked_scenes,
+                                adversary=AdversaryStrategy.parse("bob-tamper:1"))
+        assert (tampered.verdict, tampered.estimate) == (Verdict.ABORT, None)
+
+    def test_a_shared_table_is_read_only(self):
+        cold, hit = phase_estimate(WORKED), phase_estimate(WORKED)
+        assert hit.engine == "circuit" and hit.distribution is cold.distribution
+        with pytest.raises(ValueError, match="read-only"):
+            hit.distribution[0] = 1.0
+
+    def test_the_memo_holds_at_most_64_mib_of_tables(self):
+        # Only ``circuit`` tables are held.  At default widths the widest
+        # has 2^8 floats (7 x 4 tables of 3-bit serials; no layout of 8
+        # value bits fits the limit at any width).  An explicit
+        # width reaches 2^(CIRCUIT_AUTO_LIMIT - 4) = 2^16 floats on the
+        # smallest layout, one value bit and one address bit a party.
+        widest = max(default_counting_bits(m * n)
+                     for r in range(1, 8) for m in range(1, 1 << r) for n in range(1, 1 << r)
+                     if 2 * r + address_bits(m) + address_bits(n)
+                     + default_counting_bits(m * n) <= CIRCUIT_AUTO_LIMIT)
+        assert widest == 8
+        smallest = PreparationSpec(DataTable((1,), 1), DataTable((1,), 1))
+        bits = CIRCUIT_AUTO_LIMIT - smallest.layout().total_qubits
+        assert plan_counting(smallest, CountingConfig(bits=bits)) == (bits, "circuit")
+        assert plan_counting(smallest, CountingConfig(bits=bits + 1))[1] == "reduced"
+        entries = _exact_read.cache_info().maxsize
+        assert entries * (8 << widest) <= 2 ** 18
+        assert entries * (8 << bits) <= 64 * 2 ** 20
+
+    def test_a_read_reduced_distribution_is_not_kept(self, use_engine):
+        # 2^20 float64 outcomes are 8 MiB: built when read, freed with the
+        # estimate, never held by the memo.
+        use_engine("reduced")
+        tracemalloc.start()
+        try:
+            est = phase_estimate(WORKED, CountingConfig(bits=20))
+            assert len(est.distribution) == 1 << 20
+            del est
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert _exact_read.cache_info().currsize == 1
+        assert kept < 8 * 2 ** 20
