@@ -5,34 +5,31 @@ rotation angle of the Grover iterate built around the joint preparation.
 Phase estimation reads that angle into a counting register; decoding maps
 the measured integer y to a count via t = K * sin^2(pi * y / 2^p).
 
-Two exact engines give the outcome distribution for any initial state,
-honest or disturbed, and both evaluate one formula.  Both start from the
-plane summary (see ``_Plane``).  One pass over the preparation's branches
-checks it and counts its t marked branches, which fixes the iterate's
-rotation angle: sin^2(theta / 2) = t / K.  A disturbed state's branches
-are looked up in the preparation's, so its coordinates on the basis in
-which G is a rotation of one plane, the identity and minus the identity
-cost its own branches.  On that basis the circuit's controlled iterate
-powers and inverse Fourier transform give each outcome's probability in
-closed form: a sum of Fejer kernels centred on the eigenphases, plus the
+One closed form gives the outcome distribution for any initial state,
+honest or disturbed.  It starts from the plane summary (see ``_Plane``).
+One pass over the preparation's branches checks it and counts its t
+marked branches, which fixes the iterate's rotation angle:
+sin^2(theta / 2) = t / K.  A disturbed state's branches are looked up in
+the preparation's, so its coordinates on the basis in which G is a
+rotation of one plane, the identity and minus the identity cost its own
+branches.  On that basis the circuit's controlled iterate powers and
+inverse Fourier transform give each outcome's probability in closed
+form: a sum of Fejer kernels centred on the eigenphases, plus the
 off-plane masses at y = 0 and y = 2^bits / 2 (``_Plane.probabilities``).
-The engines differ only in where they evaluate it.
+It is evaluated only at the outcomes a caller reads: in exact mode at
+the outcomes near the peaks and on the two runs of y that decode to the
+true count, 2^17 at a time when the runs are long, and at every outcome
+only when the whole distribution is read or an outcome is sampled.
 
-* ``circuit`` tabulates the whole counting register's distribution up
-  front, 2^bits floats, and an exact estimate reads that table once per
-  plane (``_exact_read``).
-* ``reduced`` evaluates it only at the outcomes read: in exact mode at
-  the outcomes near the peaks and on the two runs of y that decode to the
-  true count, 2^17 at a time when the runs are long, and at every
-  outcome only when the whole distribution is read.
-
-The engine is chosen by size alone: ``circuit`` when data plus counting
-qubits are at most ``CIRCUIT_AUTO_LIMIT``, within the qubit budget, and
-``reduced`` otherwise.  The two give bit-identical distributions and
-estimates.  The formula is within 1e-12 of the literal dense circuit up
-to 9 counting bits.  At 12 bits, against a 40-digit reference, it is off
-by under 1e-14 on the worked, a disjoint and a 3x3-overlap spec, and by
-up to 6.3e-14 over 150 random specs, on one with t/K = 1/3.
+The engine name records the run's size class and nothing else:
+``circuit`` when data plus counting qubits are at most
+``CIRCUIT_AUTO_LIMIT``, within the qubit budget, and ``reduced``
+otherwise.  Both names take the one evaluation path above, so they give
+bit-identical distributions and estimates.  The formula is within 1e-12
+of the literal dense circuit up to 9 counting bits.  At 12 bits, against
+a 40-digit reference, it is off by under 1e-14 on the worked, a disjoint
+and a 3x3-overlap spec, and by up to 6.3e-14 over 150 random specs, on
+one with t/K = 1/3.
 """
 
 from __future__ import annotations
@@ -102,9 +99,8 @@ class CountingConfig:
 class CountEstimate:
     """Decoded phase-estimation outcome.
 
-    ``distribution``, every outcome's probability, is ``outcomes`` when
-    that is an array, and otherwise built by it when first read, refused
-    above the qubit budget.
+    ``distribution``, every outcome's probability, is built by
+    ``outcomes`` when first read, refused above the qubit budget.
     """
 
     y: int
@@ -115,20 +111,17 @@ class CountEstimate:
     t_rounded: int
     success_prob: float | None
     engine: str
-    outcomes: np.ndarray | Callable[[], np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
+    outcomes: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @functools.cached_property
-    def distribution(self) -> np.ndarray | None:
-        if not callable(self.outcomes):
-            return self.outcomes
+    def distribution(self) -> np.ndarray:
         check_budget(self.bits, "outcome distribution")
         return self.outcomes()
 
     def to_dict(self, include_distribution: bool = False) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name != "outcomes"}
-        if include_distribution and self.distribution is not None:
+        if include_distribution:
             doc["distribution"] = [float(p) for p in self.distribution]
         return doc
 
@@ -317,14 +310,13 @@ def _rounded_count(y: int, search_space: int, bits: int) -> int:
     return int(min(search_space, max(0, round(decode_count(y, search_space, bits)))))
 
 
-@functools.lru_cache(maxsize=4096)
 def _success_runs(count: int, search_space: int, bits: int) -> tuple[range, ...]:
     """The outcomes y that decode to ``count``, as ascending runs.
 
     ``_rounded_count`` rises on [0, n/2] and falls on (n/2, n), so on each
     half the y it maps to ``count`` are one run, which bisection finds.
-    The runs depend on the sizes alone, so each key is bisected once; a
-    memoized ``_exact_read`` asks for them only on its first read of a plane.
+    A memoized ``_exact_read`` asks for them only on its first read of a
+    plane; at 27 bits a bisection takes about 0.1 ms.
     """
     def run(side: range, sign: int) -> range:
         key = lambda y: sign * _rounded_count(y, search_space, bits)
@@ -336,21 +328,16 @@ def _success_runs(count: int, search_space: int, bits: int) -> tuple[range, ...]
 
 
 @functools.lru_cache(maxsize=128)
-def _exact_read(plane: _Plane, search_space: int, bits: int, engine: str,
-                reports_success: bool) -> tuple[int, float | None, np.ndarray | None]:
-    """Exact mode's outcome y, success probability and ``circuit`` table.
+def _exact_read(plane: _Plane, search_space: int, bits: int,
+                reports_success: bool) -> tuple[int, float | None]:
+    """Exact mode's outcome y and success probability.
 
     A pure function of the plane and the sizes, memoized on them: an honest
     plane is fixed by (t, B), so a repeated (t, K, bits) costs a caller only
-    its plane pass.  ``circuit`` tabulates every outcome, shared read-only
-    by each hit; ``reduced`` evaluates the outcomes read and keeps no table.
+    its plane pass.  P is evaluated only at the outcomes read, never
+    tabulated, so the memo holds numbers only.
     """
-    if engine == "circuit":
-        table = plane.probabilities(bits, np.arange(1 << bits))
-        table.flags.writeable = False
-        at = table.take
-    else:
-        table, at = None, functools.partial(plane.probabilities, bits)
+    at = functools.partial(plane.probabilities, bits)
     runs = _success_runs(plane.count, search_space, bits) if reports_success else []
     candidates = plane.candidates(bits)
     if len(candidates) + sum(map(len, runs)) <= _WINDOW_CHUNK:
@@ -370,7 +357,7 @@ def _exact_read(plane: _Plane, search_space: int, bits: int, engine: str,
     # Rounding noise must not choose between equal peaks, such as the
     # mirrors y and 2^bits - y.
     y = int(candidates[np.flatnonzero(peaks >= peaks.max() - _PEAK_TIE)[0]])
-    return y, float(window_sum) if reports_success else None, table
+    return y, float(window_sum) if reports_success else None
 
 
 def plan_counting(spec: PreparationSpec, cfg: CountingConfig,
@@ -414,13 +401,15 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     caller already holds after checking its layout against the spec; when
     it is not given, the preparation pipeline runs here.
     ``initial_state`` overrides the preparation as the state counted
-    (used to study runs where the in-flight state was disturbed).  Both
-    engines take it, and the engine choice does not depend on it; it
-    disables the success-probability report, since the true count is
-    then undefined.  The plane pass, made on every call, refuses a
-    preparation whose branch magnitudes are not uniform and gives the
-    memoized exact read (``_exact_read``) its key and the true count.
-    Sample mode draws the outcome from ``rng``, the run's generator, and needs one.
+    (used to study runs where the in-flight state was disturbed).  The
+    engine name does not depend on it; it disables the success-probability
+    report, since the true count is then undefined.  The plane pass, made
+    on every call, refuses a preparation whose branch magnitudes are not
+    uniform and gives the memoized exact read (``_exact_read``) its key
+    and the true count.  Sample mode draws the outcome from ``rng``, the
+    run's generator, and needs one.  Under either engine name the estimate
+    holds no outcome table: ``distribution`` evaluates every outcome when
+    read.
     """
     cfg = cfg or CountingConfig()
     if cfg.mode == "sample" and rng is None:
@@ -434,15 +423,12 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
         raise ValueError(f"prepared state layout {prepared.layout!r} does not "
                          f"match the spec's {spec.layout()!r}")
     plane = _Plane.of(prepared, initial_state)
-    lazy = lambda: plane.probabilities(bits, np.arange(size))
+    outcomes = lambda: plane.probabilities(bits, np.arange(size))
     if cfg.mode == "sample":
-        probs = lazy()
-        y = int(rng.choice(size, p=probs / probs.sum()))
-        success, table = None, probs if engine == "circuit" else None
+        probs = outcomes()
+        y, success = int(rng.choice(size, p=probs / probs.sum())), None
     else:
-        y, success, table = _exact_read(plane, search_space, bits, engine,
-                                        initial_state is None)
-    outcomes = lazy if table is None else table
+        y, success = _exact_read(plane, search_space, bits, initial_state is None)
 
     return CountEstimate(
         y=y, bits=bits, search_space=search_space,

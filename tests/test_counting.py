@@ -13,8 +13,7 @@ from qgi import (DATA_B, QUBIT_BUDGET, AdversaryStrategy, CountingConfig,
                  exact_count, grover_iterate, phase_estimate, prepare_joint,
                  run_protocol)
 from qgi.counting import (CIRCUIT_AUTO_LIMIT, _exact_read, _Plane, _rounded_count,
-                          _success_runs, plan_counting)
-from qgi.oracles import address_bits
+                          _success_runs)
 from qgi.state import xor_register
 from support import (dense_circuit_distribution, dense_state, random_spec,
                      random_state)
@@ -150,6 +149,28 @@ def test_estimate_from_the_windows_equals_the_full_table(case, engine, use_engin
     assert est.y == np.flatnonzero(probs >= probs.max() - 1e-12)[0]
     true_t = exact_count(prepare_joint(spec))
     assert abs(est.success_prob - probs[decoded == true_t].sum()) < 1e-12
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=ENGINE_FIXTURE)
+@given(case=counting_cases())
+def test_success_prob_is_the_literal_circuits_mass_on_the_true_count(case, use_engine):
+    # With the preparation itself counted, the reported success probability
+    # is the literal circuit's mass on the outcomes that decode to the
+    # classical count, under either engine name; a disturbed state has none.
+    spec, bits, state = case
+    prepared = prepare_joint(spec)
+    literal = dense_circuit_distribution(spec, bits, prepared)
+    true_t = len(set(spec.table_a.entries) & set(spec.table_b.entries))
+    decodes = np.array([_rounded_count(y, spec.size_k, bits) for y in range(1 << bits)])
+    cfg = CountingConfig(bits=bits)
+    for engine in ("circuit", "reduced"):
+        use_engine(engine)
+        est = phase_estimate(spec, cfg, prepared=prepared)
+        assert est.engine == engine
+        assert abs(est.success_prob - literal[decodes == true_t].sum()) < 1e-12
+        if state is not None:
+            assert phase_estimate(spec, cfg, initial_state=state,
+                                  prepared=prepared).success_prob is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -376,20 +397,23 @@ class TestExactCount:
 
 
 class TestPhaseEstimate:
-    def test_success_runs_are_computed_once_per_key(self):
+    def test_success_runs_are_computed_once_per_key(self, monkeypatch):
         # A repeated exact estimate is one hit of the memoized read, which
-        # looks up no success runs; a cold read of the same key finds them
-        # bisected already.
-        def counts():
-            return [(info.hits, info.misses)
-                    for info in (_exact_read.cache_info(), _success_runs.cache_info())]
+        # bisects no success runs; a cold read of the same key bisects them
+        # once.
+        calls, original = [], qgi.counting._success_runs
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(qgi.counting, "_success_runs", counted)
         phase_estimate(WORKED)
-        (read_hits, read_misses), runs = counts()
+        calls.clear()
         phase_estimate(WORKED)
-        assert counts() == [(read_hits + 1, read_misses), runs]
+        assert calls == []
         _exact_read.cache_clear()
         phase_estimate(WORKED)
-        assert counts()[1] == (runs[0] + 1, runs[1])
+        assert calls == [(1, 16, 7)]
 
     @pytest.mark.parametrize("spec", [WORKED, DISJOINT])
     def test_t_rounded_is_the_windows_decode(self, spec):
@@ -449,8 +473,8 @@ class TestPhaseEstimate:
             assert est.t_rounded == exact_count(prepare_joint(spec))
 
     def test_circuit_engine_respects_qubit_cap(self):
-        # The circuit's arrays are allocated unchecked: every size that
-        # picks it must fit the budget.
+        # The ``circuit`` name marks runs whose data plus counting qubits
+        # fit the budget, so its limit lies within the budget.
         assert CIRCUIT_AUTO_LIMIT <= QUBIT_BUDGET
         # 18 data + 9 counting qubits take the reduced engine.
         top = (1 << 6) - 1
@@ -825,30 +849,27 @@ class TestExactRead:
                                 adversary=AdversaryStrategy.parse("bob-tamper:1"))
         assert (tampered.verdict, tampered.estimate) == (Verdict.ABORT, None)
 
-    def test_a_shared_table_is_read_only(self):
-        cold, hit = phase_estimate(WORKED), phase_estimate(WORKED)
-        assert hit.engine == "circuit" and hit.distribution is cold.distribution
-        with pytest.raises(ValueError, match="read-only"):
-            hit.distribution[0] = 1.0
-
-    def test_the_memo_holds_at_most_64_mib_of_tables(self):
-        # Only ``circuit`` tables are held.  At default widths the widest
-        # has 2^8 floats (7 x 4 tables of 3-bit serials; no layout of 8
-        # value bits fits the limit at any width).  An explicit
-        # width reaches 2^(CIRCUIT_AUTO_LIMIT - 4) = 2^16 floats on the
-        # smallest layout, one value bit and one address bit a party.
-        widest = max(default_counting_bits(m * n)
-                     for r in range(1, 8) for m in range(1, 1 << r) for n in range(1, 1 << r)
-                     if 2 * r + address_bits(m) + address_bits(n)
-                     + default_counting_bits(m * n) <= CIRCUIT_AUTO_LIMIT)
-        assert widest == 8
+    def test_the_memo_holds_numbers_only(self):
+        # 128 exact reads on the smallest layout at 16 bits, each of a
+        # distinct disturbed state and so a distinct plane, fill the memo
+        # under the ``circuit`` name; a table of 2^16 outcomes an entry
+        # would keep 64 MiB once the estimates are gone.
         smallest = PreparationSpec(DataTable((1,), 1), DataTable((1,), 1))
-        bits = CIRCUIT_AUTO_LIMIT - smallest.layout().total_qubits
-        assert plan_counting(smallest, CountingConfig(bits=bits)) == (bits, "circuit")
-        assert plan_counting(smallest, CountingConfig(bits=bits + 1))[1] == "reduced"
+        cfg, prepared = CountingConfig(bits=16), prepare_joint(smallest)
+        gen = np.random.default_rng(41)
         entries = _exact_read.cache_info().maxsize
-        assert entries * (8 << widest) <= 2 ** 18
-        assert entries * (8 << bits) <= 64 * 2 ** 20
+        tracemalloc.start()
+        try:
+            estimates = [phase_estimate(smallest, cfg, prepared=prepared,
+                                        initial_state=random_state(smallest.layout(), gen))
+                         for _ in range(entries)]
+            assert {est.engine for est in estimates} == {"circuit"}
+            del estimates
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert _exact_read.cache_info().currsize == entries
+        assert kept < 2 ** 20
 
     def test_a_read_reduced_distribution_is_not_kept(self, use_engine):
         # 2^20 float64 outcomes are 8 MiB: built when read, freed with the

@@ -553,8 +553,8 @@ class TestOnePreparationPerRun:
             run = run_protocol(scene_a, scene_b).estimate
             fresh = phase_estimate(spec)
             assert (run.y, run.t_rounded) == (fresh.y, fresh.t_rounded)
-            assert np.max(np.abs(run.distribution - fresh.distribution)) < 1e-12
-            assert abs(run.success_prob - fresh.success_prob) < 1e-12
+            assert np.array_equal(run.distribution, fresh.distribution)
+            assert run.success_prob == fresh.success_prob
 
     def test_counting_starts_with_no_second_pair_array(self, monkeypatch):
         # 16x16 squares shifted by a cell on a 64x64 grid: K = 65,536 pairs.
