@@ -274,7 +274,9 @@ class _Plane:
             kernels = (offsets == 0).astype(np.float64)
         else:
             kernels = offsets - np.array([[frac], [-frac]])
-            del offsets  # in place from here: a window can hold 2^24 outcomes
+            # In place from here: a window comes 2^17 outcomes at a time, but a
+            # whole-distribution read (--verbose, sample mode) holds 2^24.
+            del offsets
             kernels *= math.pi / size
             np.sin(kernels, out=kernels)
             kernels *= size
@@ -315,8 +317,8 @@ def _success_runs(count: int, search_space: int, bits: int) -> tuple[range, ...]
 
     ``_rounded_count`` rises on [0, n/2] and falls on (n/2, n), so on each
     half the y it maps to ``count`` are one run, which bisection finds.
-    A memoized ``_exact_read`` asks for them only on its first read of a
-    plane; at 27 bits a bisection takes about 0.1 ms.
+    Only ``_exact_read`` asks for them, on its first read of a plane; at
+    27 bits a bisection takes about 0.1 ms.
     """
     def run(side: range, sign: int) -> range:
         key = lambda y: sign * _rounded_count(y, search_space, bits)
@@ -364,29 +366,21 @@ def plan_counting(spec: PreparationSpec, cfg: CountingConfig,
                   distribution: bool = False) -> tuple[int, str]:
     """Counting-register width and engine for a spec, refused above the budget.
 
-    Depends only on the spec's sizes, so a run can call it before any
+    Arithmetic on the spec's sizes alone, so a run can call it before any
     state is prepared.  The engine is ``circuit`` when data plus counting
     qubits are at most ``CIRCUIT_AUTO_LIMIT``, which is within the budget,
     and ``reduced`` otherwise.  The budget caps what is built: all 2^bits
     outcomes in sample mode or for a caller that reads them
-    (``distribution``); in exact mode, up to the default width for the
-    largest K, the success runs, whose longest are those of t = 0 and
-    t = K.
+    (``distribution``).  Exact mode builds only the peaks and success
+    windows summed ``_WINDOW_CHUNK`` outcomes at a time, so it refuses by
+    width alone, above the default width for the largest K.
     """
-    search_space = spec.size_k
-    bits = cfg.bits if cfg.bits is not None else default_counting_bits(search_space)
+    bits = cfg.bits if cfg.bits is not None else default_counting_bits(spec.size_k)
     if cfg.mode == "sample" or distribution:
         check_budget(bits, "outcome distribution")
     elif bits > _EXACT_BITS_CAP:
         raise ValueError(f"counting register of {bits} qubits exceeds the cap "
                          f"of {_EXACT_BITS_CAP}")
-    elif bits > QUBIT_BUDGET:  # a window is never longer than 2^bits
-        widest = max(sum(map(len, _success_runs(count, search_space, bits)))
-                     for count in (0, search_space))
-        if widest > 1 << QUBIT_BUDGET:
-            raise ValueError(
-                f"counting register of {bits} qubits needs a success window of "
-                f"{widest} outcomes, exceeding the cap of {1 << QUBIT_BUDGET}")
     small = spec.layout().total_qubits + bits <= CIRCUIT_AUTO_LIMIT
     return bits, "circuit" if small else "reduced"
 

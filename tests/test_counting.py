@@ -13,7 +13,7 @@ from qgi import (DATA_B, QUBIT_BUDGET, AdversaryStrategy, CountingConfig,
                  exact_count, grover_iterate, phase_estimate, prepare_joint,
                  run_protocol)
 from qgi.counting import (CIRCUIT_AUTO_LIMIT, _exact_read, _Plane, _rounded_count,
-                          _success_runs)
+                          _success_runs, plan_counting)
 from qgi.state import xor_register
 from support import (dense_circuit_distribution, dense_state, random_spec,
                      random_state)
@@ -22,6 +22,8 @@ EIGHT_OVER_PI_SQ = 8.0 / math.pi ** 2
 WORKED = PreparationSpec(DataTable((1, 2, 5, 6), 4), DataTable((6, 7, 10, 11), 4))
 DISJOINT = PreparationSpec(DataTable((1, 2), 4), DataTable((3, 4), 4))
 THREE_OF_NINE = PreparationSpec(DataTable((1, 2, 3), 2), DataTable((1, 2, 3), 2))
+# One pair: half of all outcomes decode to t = 0, and half to t = 1.
+SINGLE = PreparationSpec(DataTable((5,), 3), DataTable((5,), 3))
 # ``use_engine`` patches a constant that every example reads afresh.
 ENGINE_FIXTURE = [HealthCheck.function_scoped_fixture]
 
@@ -492,8 +494,8 @@ class TestPhaseEstimate:
     def test_counting_bits_above_the_cap_rejected_for_both_engines(self, use_engine):
         # The budget caps what is built.  Sample mode and a read
         # distribution hold all 2^bits outcomes; exact ``reduced`` holds
-        # the peaks and the success windows, and admits up to 27 bits
-        # while the widest window, at t = 0 or t = K, fits 2^24.
+        # the peaks and the success windows, summed 2^17 outcomes at a
+        # time, and admits up to 27 bits whatever the windows' length.
         use_engine("reduced")
         with pytest.raises(ValueError, match="outcome distribution of 25 qubits "
                                              "exceeds the cap of 24"):
@@ -501,17 +503,33 @@ class TestPhaseEstimate:
                            rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="28 qubits exceeds the cap of 27"):
             phase_estimate(WORKED, CountingConfig(bits=28))
-        # One pair: half of all outcomes decode to t = 0, and half to t = 1.
-        single = PreparationSpec(DataTable((5,), 3), DataTable((5,), 3))
-        with pytest.raises(ValueError, match="26 qubits needs a success window "
-                                             "of 33554432 outcomes"):
-            phase_estimate(single, CountingConfig(bits=26))
+        # The one pair's windows are the widest exact mode meets: 2^26
+        # outcomes at 27 bits.
+        for bits in (26, 27):
+            tracemalloc.start()
+            try:
+                est = phase_estimate(SINGLE, CountingConfig(bits=bits))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (est.t_rounded, est.y, est.success_prob) == (1, 2 ** (bits - 1), 1.0)
+            assert peak < 150 * 2 ** 20
         est = phase_estimate(WORKED, CountingConfig(bits=25))
         assert (est.t_rounded, est.bits) == (1, 25)
         assert est.success_prob >= EIGHT_OVER_PI_SQ
         with pytest.raises(ValueError, match="outcome distribution of 25 qubits "
                                              "exceeds the cap of 24"):
             est.distribution
+
+    @pytest.mark.parametrize("spec", [WORKED, SINGLE])
+    def test_exact_planning_never_bisects_the_decode(self, spec, monkeypatch):
+        # Planning is arithmetic on the sizes: the success runs are found
+        # only by the exact read, after a state is prepared.
+        def refuse(*args):
+            raise AssertionError("plan_counting bisected the decode")
+        monkeypatch.setattr(qgi.counting, "_success_runs", refuse)
+        for bits in range(1, 28):
+            assert plan_counting(spec, CountingConfig(bits=bits))[0] == bits
 
     def test_exact_reduced_builds_no_outcome_table_unless_read(self, use_engine):
         # One table of 2^20 float64 outcomes is 8 MiB.  Exact mode evaluates
@@ -776,6 +794,12 @@ class TestPhaseEstimate:
             fresh = phase_estimate(WORKED)
             assert (est.y, est.success_prob) == (fresh.y, fresh.success_prob)
             assert np.array_equal(est.distribution, fresh.distribution)
+
+    def test_a_disturbed_state_on_another_layout_is_refused(self):
+        # Three value bits where the worked pair has four.
+        other = prepare_joint(PreparationSpec(DataTable((1,), 3), DataTable((2,), 3)))
+        with pytest.raises(ValueError, match="state layout does not match the preparation"):
+            phase_estimate(WORKED, initial_state=other)
 
     def test_a_held_preparation_is_checked(self):
         with pytest.raises(ValueError, match="layout"):

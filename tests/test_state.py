@@ -262,6 +262,20 @@ def test_sampling_draws_as_generator_choice():
             assert sampler.bit_generator.state == reference.bit_generator.state
 
 
+def test_a_draw_below_the_collapse_floor_is_refused():
+    # A double at the first cumulative step draws the second outcome,
+    # whose probability 1e-16 is below COLLAPSE_FLOOR.
+    layout = RegisterLayout([("reg", 1)])
+    state = QuantumState.from_branches(layout, [0, 1], [math.sqrt(1 - 1e-16), 1e-8])
+
+    class FirstStep:
+        def random(self):
+            return 0.9999999999999999
+    with pytest.raises(ValueError, match=r"cannot renormalize onto reg=1: "
+                                         r"probability 1\.0+2e-16 underflows"):
+        measure_register(state, "reg", FirstStep())
+
+
 def test_unreachable_outcomes_have_no_collapsed_state(pair_layout):
     state = basis_state(pair_layout, {"addr_a": 1})
     assert set(measure_distribution(state, "addr_a")) == {1}
