@@ -52,6 +52,12 @@ class Attack(str, enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+    @classmethod
+    def _missing_(cls, value):
+        """``Attack(name)`` refuses an unknown name by listing the known ones."""
+        raise ValueError(f"unknown adversary {value!r}; choose from "
+                         f"{[a.value for a in cls]}")
+
 
 @dataclass(frozen=True)
 class AdversaryStrategy:
@@ -59,6 +65,7 @@ class AdversaryStrategy:
     tamper_mask: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "attack", Attack(self.attack))
         if self.attack is Attack.BOB_TAMPER:
             if self.tamper_mask == 0:
                 raise ValueError("bob-tamper needs a nonzero mask")
@@ -68,12 +75,7 @@ class AdversaryStrategy:
     @classmethod
     def parse(cls, text: str) -> "AdversaryStrategy":
         name, colon, arg = text.partition(":")
-        try:
-            attack = Attack(name)
-        except ValueError:
-            raise ValueError(
-                f"unknown adversary {name!r}; choose from "
-                f"{[a.value for a in Attack]}") from None
+        attack = Attack(name)
         if attack is Attack.BOB_TAMPER:
             if not arg:
                 raise ValueError("bob-tamper needs a mask, e.g. bob-tamper:1")

@@ -55,7 +55,7 @@ class QuantumState:
         """
         state = cls._moved(layout, indices, values)
         norm_sq = _norm_sq(state.values)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}")
         return state
 

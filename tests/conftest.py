@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qgi.counting
-from qgi import QUBIT_BUDGET, GridConfig, QuantumState, Rect, Scene
+from qgi import GridConfig, QuantumState, Rect, Scene
 
 
 @pytest.fixture(autouse=True)
@@ -42,12 +42,3 @@ def states_built(monkeypatch):
     monkeypatch.setattr(QuantumState, "_moved", classmethod(counted))
     return calls
 
-
-@pytest.fixture
-def use_engine(monkeypatch):
-    """Make counting pick the named engine from here on: ``reduced``
-    always, ``circuit`` wherever data plus counting qubits fit the budget."""
-    def use(engine):
-        limits = {"circuit": QUBIT_BUDGET, "reduced": 0}
-        monkeypatch.setattr(qgi.counting, "CIRCUIT_AUTO_LIMIT", limits[engine])
-    return use

@@ -7,12 +7,11 @@ shares no code with the branch engine beyond the register layout.
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, CountingConfig, DataTable,
-                 PreparationSpec, RegisterLayout, oracle_load, oracle_xor,
-                 phase_estimate, prepare_joint, tensor)
+from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, DataTable, PreparationSpec,
+                 RegisterLayout, oracle_load, oracle_xor, prepare_joint, tensor)
 from qgi.protocol import _tamper
 from support import (basis_state, measure_distribution, prepare_uniform,
                      random_state, unpack)
@@ -21,8 +20,8 @@ TOL = 1e-12
 
 
 @st.composite
-def tables(draw, value_bits=None):
-    bits = value_bits or draw(st.integers(1, 4))
+def tables(draw):
+    bits = draw(st.integers(1, 4))
     entries = draw(st.lists(st.integers(1, (1 << bits) - 1), min_size=1,
                             max_size=min(4, (1 << bits) - 1), unique=True))
     return DataTable(tuple(entries), bits)
@@ -145,20 +144,6 @@ def test_measure_distribution_matches_reference(table, reg, seed):
         keep = layout.index_values(reg) == value
         reference = np.where(keep, state.amplitudes, 0) / math.sqrt(expected[value])
         assert_close(post, reference)
-
-
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(table_a=tables(value_bits=3), table_b=tables(value_bits=3),
-       bits=st.integers(1, 6))
-def test_phase_estimate_engines_agree_on_honest_specs(table_a, table_b, bits,
-                                                      use_engine):
-    spec = PreparationSpec(table_a, table_b)
-    use_engine("circuit")
-    circuit = phase_estimate(spec, CountingConfig(bits=bits))
-    use_engine("reduced")
-    reduced = phase_estimate(spec, CountingConfig(bits=bits))
-    assert np.max(np.abs(circuit.distribution - reduced.distribution)) < TOL
 
 
 def test_branch_count_of_the_joint_state_is_the_pair_count():

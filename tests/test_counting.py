@@ -3,12 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgi
 from qgi import (DATA_B, QUBIT_BUDGET, AdversaryStrategy, CountingConfig,
-                 DataTable, GroverIterate, PreparationSpec, QuantumState, RegisterLayout,
+                 DataTable, PreparationSpec, QuantumState, RegisterLayout,
                  Verdict, decide_intersection, decode_count, default_counting_bits,
                  exact_count, grover_iterate, phase_estimate, prepare_joint,
                  run_protocol)
@@ -24,17 +24,9 @@ DISJOINT = PreparationSpec(DataTable((1, 2), 4), DataTable((3, 4), 4))
 THREE_OF_NINE = PreparationSpec(DataTable((1, 2, 3), 2), DataTable((1, 2, 3), 2))
 # One pair: half of all outcomes decode to t = 0, and half to t = 1.
 SINGLE = PreparationSpec(DataTable((5,), 3), DataTable((5,), 3))
-# ``use_engine`` patches a constant that every example reads afresh.
-ENGINE_FIXTURE = [HealthCheck.function_scoped_fixture]
-
-
-def assert_same_estimate(circuit, reduced):
-    """One formula behind both engines: the same bits, y, success
-    probability and distribution, bit for bit."""
-    assert (circuit.engine, reduced.engine) == ("circuit", "reduced")
-    assert ((circuit.bits, circuit.y, circuit.success_prob)
-            == (reduced.bits, reduced.y, reduced.success_prob))
-    assert np.array_equal(circuit.distribution, reduced.distribution)
+# No branch of it is one of the worked preparation's: all its mass is off
+# the iterate's plane.
+OFF_PLANE = xor_register(prepare_joint(WORKED), DATA_B, 1)
 
 
 def flip_marked(state):
@@ -45,16 +37,19 @@ def flip_marked(state):
 
 
 @st.composite
-def counting_cases(draw):
+def counting_cases(draw, engine="circuit"):
     """A spec, a counting width of 1-9 bits and the state counted (None for
-    the preparation itself).
+    the preparation itself), sized so that ``plan_counting`` names ``engine``.
 
     Tables overlap anyhow, not at all (t = 0), in half or a quarter of the
     pairs, or are one identical entry (t = K), and a basis or sparse state
     on a one-pair spec has a support of one to three branches, so the
-    iterate's orbit can span fewer than four dimensions.
+    iterate's orbit can span fewer than four dimensions.  ``circuit`` specs
+    hold 1-3 value bits (4-10 data qubits) at any width; ``reduced`` specs
+    hold 5 (12-14 data qubits) at the narrowest width past
+    ``CIRCUIT_AUTO_LIMIT``, 7-9 bits.
     """
-    value_bits = draw(st.sampled_from([3, 2, 1]))
+    value_bits = draw(st.sampled_from([3, 2, 1] if engine == "circuit" else [5]))
     values = draw(st.permutations(range(1, 1 << value_bits)))
     kind = draw(st.sampled_from(["any", "disjoint", "identical", "half", "quarter"]
                                 if len(values) > 1 else ["identical"]))
@@ -94,18 +89,20 @@ def counting_cases(draw):
         amps = gen.normal(size=len(indices)) + 1j * gen.normal(size=len(indices))
         state = QuantumState.from_branches(layout, indices,
                                            amps / np.linalg.norm(amps))
-    return spec, draw(st.integers(1, 9)), state
+    if engine == "circuit":
+        return spec, draw(st.integers(1, 9)), state
+    return spec, CIRCUIT_AUTO_LIMIT + 1 - layout.total_qubits, state
 
 
 @pytest.mark.parametrize("engine", ["circuit", "reduced"])
-@settings(max_examples=150, deadline=None, suppress_health_check=ENGINE_FIXTURE)
-@given(case=counting_cases())
-def test_engine_equals_the_literal_circuit(engine, case, use_engine):
-    # Either engine's Fejer-kernel distribution of the plane summary against
-    # the literal circuit's powers and Fourier transform, on any counted state.
-    spec, bits, state = case
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_engine_equals_the_literal_circuit(engine, data):
+    # The Fejer-kernel distribution of the plane summary against the literal
+    # circuit's powers and Fourier transform, on any counted state, at the
+    # sizes each engine name covers.
+    spec, bits, state = data.draw(counting_cases(engine))
     literal = dense_circuit_distribution(spec, bits, state or prepare_joint(spec))
-    use_engine(engine)
     est = phase_estimate(spec, CountingConfig(bits=bits), initial_state=state)
     assert est.engine == engine
     assert np.max(np.abs(est.distribution - literal)) < 1e-12
@@ -119,13 +116,16 @@ WORKED_SUCCESS = {7: 0.94904406306172143342, 12: 0.99775460479605455966}
 WORKED_PEAK_12 = (329, 0.44383285316093448581)  # 4096 asin(1/4) / pi
 
 
-@pytest.mark.parametrize("engine", ["circuit", "reduced"])
-def test_worked_pair_meets_the_forty_digit_reference(engine, use_engine):
-    use_engine(engine)
-    for bits, reference in WORKED_SUCCESS.items():
-        est = phase_estimate(WORKED, CountingConfig(bits=bits))
-        assert (est.engine, est.t_rounded) == (engine, 1)
-        assert abs(est.success_prob - reference) < 1e-15
+# 7 bits plan as ``circuit`` on the worked pair's 12 data qubits, 12 as
+# ``reduced``.
+@pytest.mark.parametrize("engine, bits", [("circuit", 7), ("reduced", 12)],
+                         ids=["circuit", "reduced"])
+def test_worked_pair_meets_the_forty_digit_reference(engine, bits):
+    est = phase_estimate(WORKED, CountingConfig(bits=bits))
+    assert (est.engine, est.t_rounded) == (engine, 1)
+    assert abs(est.success_prob - WORKED_SUCCESS[bits]) < 1e-15
+    if bits != 12:
+        return
     # The kernels at 12 bits, each distance an exact integer offset from the
     # reference peak less its fraction: accurate to a few ulp of P.
     size, half = 1 << 12, 1 << 11
@@ -138,13 +138,12 @@ def test_worked_pair_meets_the_forty_digit_reference(engine, use_engine):
     assert np.max(np.abs(est.distribution - (kernels[0] + kernels[1]) / 2)) < 2e-14
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=ENGINE_FIXTURE)
-@given(case=counting_cases(), engine=st.sampled_from(["circuit", "reduced"]))
-def test_estimate_from_the_windows_equals_the_full_table(case, engine, use_engine):
+@settings(max_examples=100, deadline=None)
+@given(case=counting_cases())
+def test_estimate_from_the_windows_equals_the_full_table(case):
     # Exact mode reads the candidate peaks and the success windows only;
     # the whole distribution and the decode of every outcome must agree.
     spec, bits, _ = case
-    use_engine(engine)
     est = phase_estimate(spec, CountingConfig(bits=bits))
     probs, size, k = est.distribution, 1 << bits, spec.size_k
     decoded = np.round(np.clip(k * np.sin(np.pi * np.arange(size) / size) ** 2, 0, k))
@@ -153,26 +152,23 @@ def test_estimate_from_the_windows_equals_the_full_table(case, engine, use_engin
     assert abs(est.success_prob - probs[decoded == true_t].sum()) < 1e-12
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=ENGINE_FIXTURE)
+@settings(max_examples=100, deadline=None)
 @given(case=counting_cases())
-def test_success_prob_is_the_literal_circuits_mass_on_the_true_count(case, use_engine):
+def test_success_prob_is_the_literal_circuits_mass_on_the_true_count(case):
     # With the preparation itself counted, the reported success probability
     # is the literal circuit's mass on the outcomes that decode to the
-    # classical count, under either engine name; a disturbed state has none.
+    # classical count; a disturbed state has none.
     spec, bits, state = case
     prepared = prepare_joint(spec)
     literal = dense_circuit_distribution(spec, bits, prepared)
     true_t = len(set(spec.table_a.entries) & set(spec.table_b.entries))
     decodes = np.array([_rounded_count(y, spec.size_k, bits) for y in range(1 << bits)])
     cfg = CountingConfig(bits=bits)
-    for engine in ("circuit", "reduced"):
-        use_engine(engine)
-        est = phase_estimate(spec, cfg, prepared=prepared)
-        assert est.engine == engine
-        assert abs(est.success_prob - literal[decodes == true_t].sum()) < 1e-12
-        if state is not None:
-            assert phase_estimate(spec, cfg, initial_state=state,
-                                  prepared=prepared).success_prob is None
+    est = phase_estimate(spec, cfg, prepared=prepared)
+    assert abs(est.success_prob - literal[decodes == true_t].sum()) < 1e-12
+    if state is not None:
+        assert phase_estimate(spec, cfg, initial_state=state,
+                              prepared=prepared).success_prob is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -440,14 +436,12 @@ class TestPhaseEstimate:
         assert abs(est.theta_hat - 2 * math.pi * est.y / 128) < 1e-12
         assert abs(est.distribution.sum() - 1.0) < 1e-12
 
-    def test_no_match_is_deterministic_zero(self, use_engine):
-        for engine in ("circuit", "reduced"):
-            use_engine(engine)
-            est = phase_estimate(DISJOINT)
-            assert est.y == 0
-            assert est.distribution[0] >= 1.0 - 1e-10
-            assert est.t_rounded == 0
-            assert decide_intersection(est) is Verdict.DISJOINT
+    def test_no_match_is_deterministic_zero(self):
+        est = phase_estimate(DISJOINT)
+        assert est.y == 0
+        assert est.distribution[0] >= 1.0 - 1e-10
+        assert est.t_rounded == 0
+        assert decide_intersection(est) is Verdict.DISJOINT
 
     def test_full_overlap_singleton_hits_half_turn(self):
         spec = PreparationSpec(DataTable((5,), 3), DataTable((5,), 3))
@@ -456,16 +450,6 @@ class TestPhaseEstimate:
         assert abs(est.distribution[4] - 1.0) < 1e-10
         assert est.t_rounded == 1
         assert decide_intersection(est) is Verdict.INTERSECT
-
-    def test_engines_agree_on_random_instances(self, use_engine):
-        gen = np.random.default_rng(31337)
-        for _ in range(12):
-            spec = random_spec(gen)
-            use_engine("circuit")
-            circuit = phase_estimate(spec)
-            use_engine("reduced")
-            reduced = phase_estimate(spec)
-            assert_same_estimate(circuit, reduced)
 
     def test_map_decode_matches_exact_count_on_random_instances(self):
         gen = np.random.default_rng(777)
@@ -491,12 +475,11 @@ class TestPhaseEstimate:
         assert phase_estimate(WORKED, CountingConfig(bits=8)).engine == "circuit"
         assert phase_estimate(WORKED, CountingConfig(bits=9)).engine == "reduced"
 
-    def test_counting_bits_above_the_cap_rejected_for_both_engines(self, use_engine):
+    def test_counting_bits_above_the_cap_rejected(self):
         # The budget caps what is built.  Sample mode and a read
-        # distribution hold all 2^bits outcomes; exact ``reduced`` holds
-        # the peaks and the success windows, summed 2^17 outcomes at a
-        # time, and admits up to 27 bits whatever the windows' length.
-        use_engine("reduced")
+        # distribution hold all 2^bits outcomes; exact mode holds the
+        # peaks and the success windows, summed 2^17 outcomes at a time,
+        # and admits up to 27 bits whatever the windows' length.
         with pytest.raises(ValueError, match="outcome distribution of 25 qubits "
                                              "exceeds the cap of 24"):
             phase_estimate(WORKED, CountingConfig(bits=25, mode="sample"),
@@ -531,11 +514,10 @@ class TestPhaseEstimate:
         for bits in range(1, 28):
             assert plan_counting(spec, CountingConfig(bits=bits))[0] == bits
 
-    def test_exact_reduced_builds_no_outcome_table_unless_read(self, use_engine):
+    def test_exact_reduced_builds_no_outcome_table_unless_read(self):
         # One table of 2^20 float64 outcomes is 8 MiB.  Exact mode evaluates
         # the candidate peaks and the success windows, about 90,000
         # outcomes for the worked pair's t = 1 of 16.
-        use_engine("reduced")
         cfg = CountingConfig(bits=20)
         phase_estimate(WORKED, cfg)
         tracemalloc.start()
@@ -562,18 +544,21 @@ class TestPhaseEstimate:
         assert est.success_prob >= 1.0 - 1e-6
         assert peak < 150 * 2 ** 20
 
-    @pytest.mark.parametrize("engine", ["circuit", "reduced"])
-    def test_chunked_window_sum_equals_the_single_call(self, engine, use_engine,
+    # 8 bits plan as ``circuit`` on both specs' 10 and 12 data qubits, 11
+    # as ``reduced``.
+    @pytest.mark.parametrize("engine, bits", [("circuit", 8), ("reduced", 11)],
+                             ids=["circuit", "reduced"])
+    def test_chunked_window_sum_equals_the_single_call(self, engine, bits,
                                                        monkeypatch):
         # Chunks of 7 split the candidates from the runs and each run in
         # pieces; the estimate and its sum must not move beyond rounding.
-        use_engine(engine)
         specs = (WORKED, DISJOINT)
-        whole = [phase_estimate(spec, CountingConfig(bits=8)) for spec in specs]
+        whole = [phase_estimate(spec, CountingConfig(bits=bits)) for spec in specs]
         monkeypatch.setattr(qgi.counting, "_WINDOW_CHUNK", 7)
         _exact_read.cache_clear()  # or the reads below would be hits
         for spec, one in zip(specs, whole):
-            chunked = phase_estimate(spec, CountingConfig(bits=8))
+            chunked = phase_estimate(spec, CountingConfig(bits=bits))
+            assert chunked.engine == one.engine == engine
             assert (chunked.y, chunked.t_rounded) == (one.y, one.t_rounded)
             assert abs(chunked.success_prob - one.success_prob) < 1e-15
 
@@ -590,48 +575,20 @@ class TestPhaseEstimate:
         with pytest.raises(ValueError, match="sample mode needs a generator"):
             phase_estimate(WORKED, CountingConfig(mode="sample"))
 
-    def test_auto_engine_choice_ignores_the_initial_state(self, use_engine):
+    def test_auto_engine_choice_ignores_the_initial_state(self):
         collapsed = prepare_joint(WORKED)
         est = phase_estimate(WORKED, initial_state=collapsed)
         assert est.engine == "circuit"
         assert est.success_prob is None
-        use_engine("reduced")
-        reduced = phase_estimate(WORKED, initial_state=collapsed)
-        assert_same_estimate(est, reduced)
 
     @pytest.mark.parametrize("bits", [1, 3, 6])
-    def test_reduced_matches_circuit_on_any_initial_state(self, bits, use_engine):
-        gen = np.random.default_rng(4100 + bits)
-        specs = [random_spec(gen) for _ in range(10)]
-        # Marked mass 0 and 1: one of the plane's two axes is missing.
-        specs += [DISJOINT, PreparationSpec(DataTable((5,), 3), DataTable((5,), 3))]
-        for spec in specs:
-            layout = spec.layout()
-            prepared = prepare_joint(spec)
-            # Part of the prepared support with random amplitudes, plus two
-            # stray branches.
-            stray = np.setdiff1d(np.arange(layout.dim), prepared.indices)
-            kept = prepared.indices[gen.random(len(prepared.indices)) < 0.5]
-            indices = np.concatenate([kept, gen.choice(stray, 2, replace=False)])
-            amps = gen.normal(size=len(indices)) + 1j * gen.normal(size=len(indices))
-            sparse = QuantumState.from_branches(layout, indices,
-                                                amps / np.linalg.norm(amps))
-            for state in (prepared, random_state(layout, gen), sparse):
-                use_engine("circuit")
-                circuit = phase_estimate(spec, CountingConfig(bits=bits),
-                                         initial_state=state)
-                use_engine("reduced")
-                reduced = phase_estimate(spec, CountingConfig(bits=bits),
-                                         initial_state=state)
-                assert_same_estimate(circuit, reduced)
-
-    @pytest.mark.parametrize("bits", [1, 3, 6])
-    def test_circuit_matches_the_dense_literal_circuit(self, bits, use_engine):
-        use_engine("circuit")
+    def test_circuit_matches_the_dense_literal_circuit(self, bits):
+        # Fixed cases beside the drawn ones: random specs, t = 0 (DISJOINT)
+        # and t = K (SINGLE), each counting the preparation, a dense state
+        # and a sparse one, and a state wholly off the plane.
         gen = np.random.default_rng(5300 + bits)
-        specs = [random_spec(gen) for _ in range(12)]
-        specs += [DISJOINT, PreparationSpec(DataTable((5,), 3), DataTable((5,), 3))]
-        for spec in specs:
+        cases = [(WORKED, OFF_PLANE)]
+        for spec in [random_spec(gen) for _ in range(12)] + [DISJOINT, SINGLE]:
             layout = spec.layout()
             prepared = prepare_joint(spec)
             # Part of the prepared support plus three stray branches.
@@ -641,20 +598,20 @@ class TestPhaseEstimate:
             amps = gen.normal(size=len(indices)) + 1j * gen.normal(size=len(indices))
             sparse = QuantumState.from_branches(layout, indices,
                                                 amps / np.linalg.norm(amps))
-            for state in (None, random_state(layout, gen), sparse):
-                est = phase_estimate(spec, CountingConfig(bits=bits),
-                                     initial_state=state)
-                dense = dense_circuit_distribution(spec, bits, state or prepared)
-                assert est.engine == "circuit"
-                assert np.max(np.abs(est.distribution - dense)) < 1e-12
-                assert est.y == np.flatnonzero(dense >= dense.max() - 1e-12)[0]
+            cases += [(spec, None), (spec, random_state(layout, gen)), (spec, sparse)]
+        for spec, state in cases:
+            est = phase_estimate(spec, CountingConfig(bits=bits), initial_state=state)
+            dense = dense_circuit_distribution(spec, bits, state or prepare_joint(spec))
+            assert est.engine == "circuit"
+            assert np.max(np.abs(est.distribution - dense)) < 1e-12
+            assert est.y == np.flatnonzero(dense >= dense.max() - 1e-12)[0]
 
     def test_an_estimate_passes_over_the_support_once(self, monkeypatch,
-                                                       use_engine, worked_scenes):
-        # Either engine reads the plane summary, the honesty check and the
+                                                       worked_scenes):
+        # An estimate reads the plane summary, the honesty check and the
         # true count off one pass over each state's branches and never
-        # steps the iterate: at 12 bits the circuit's 4,096 rows are the
-        # plane's rotations.  While counting, each state's amplitudes are
+        # steps the iterate: at 12 bits its 4,096 powers are the plane's
+        # rotations.  While counting, each state's amplitudes are
         # squared once and Bob's data register is extracted once from its
         # branches, and nothing else is built, through a run of the
         # protocol too.
@@ -697,49 +654,41 @@ class TestPhaseEstimate:
         monkeypatch.setattr(qgi.protocol, "phase_estimate", estimate)
         held = prepare_joint(WORKED)
         disturbed = random_state(WORKED.layout(), np.random.default_rng(24))
-        for engine in ("circuit", "reduced"):
-            use_engine(engine)
-            for cfg, state, gen in ((CountingConfig(bits=12), None, None),
-                                    (CountingConfig(bits=12, mode="sample"), disturbed,
-                                     np.random.default_rng(0))):
-                for log in (passes, squared, extracted):
-                    log.clear()
-                est = estimate(WORKED, cfg, initial_state=state, rng=gen, prepared=held)
-                assert est.engine == engine
-                assert (passes, steps) == ([state], [])
-                read = [held] if state is None else [held, state]
-                assert len(squared) == len(extracted) == len(read)
-                for values, (indices, name), each in zip(squared, extracted, read):
-                    assert values is each.values
-                    assert (indices, name) == (each.indices, DATA_B)
+        for cfg, state, gen in ((CountingConfig(bits=12), None, None),
+                                (CountingConfig(bits=12, mode="sample"), disturbed,
+                                 np.random.default_rng(0))):
             for log in (passes, squared, extracted):
                 log.clear()
-            run = run_protocol(*worked_scenes)
-            assert (run.verdict, run.estimate.t_rounded) == (Verdict.INTERSECT, 1)
-            assert run.estimate.engine == engine
-            assert (passes, steps) == ([None], [])
-            assert (len(squared), [name for _, name in extracted]) == (1, [DATA_B])
+            est = estimate(WORKED, cfg, initial_state=state, rng=gen, prepared=held)
+            assert (passes, steps) == ([state], [])
+            read = [held] if state is None else [held, state]
+            assert len(squared) == len(extracted) == len(read)
+            for values, (indices, name), each in zip(squared, extracted, read):
+                assert values is each.values
+                assert (indices, name) == (each.indices, DATA_B)
+        for log in (passes, squared, extracted):
+            log.clear()
+        run = run_protocol(*worked_scenes)
+        assert (run.verdict, run.estimate.t_rounded) == (Verdict.INTERSECT, 1)
+        assert (passes, steps) == ([None], [])
+        assert (len(squared), [name for _, name in extracted]) == (1, [DATA_B])
 
-    def test_a_state_off_the_preparation_lies_off_the_plane(self, use_engine):
+    def test_a_state_off_the_preparation_lies_off_the_plane(self):
         # No branch of the counted state is one of the preparation's, so the
         # lookup finds none: its whole mass is off the plane, as the literal
         # circuit shows.
         prepared = prepare_joint(WORKED)
-        state = xor_register(prepared, DATA_B, 1)
-        assert not np.intersect1d(state.indices, prepared.indices).size
-        plane = _Plane.of(prepared, state)
+        assert not np.intersect1d(OFF_PLANE.indices, prepared.indices).size
+        plane = _Plane.of(prepared, OFF_PLANE)
         assert (plane.a, plane.b) == (0, 0)
         assert abs(plane.off_marked + plane.off_unmarked - 1.0) < 1e-15
-        for engine in ("circuit", "reduced"):
-            use_engine(engine)
-            est = phase_estimate(WORKED, CountingConfig(bits=7), initial_state=state)
-            literal = dense_circuit_distribution(WORKED, 7, state)
-            assert est.engine == engine
-            assert np.max(np.abs(est.distribution - literal)) < 1e-12
+        est = phase_estimate(WORKED, CountingConfig(bits=7), initial_state=OFF_PLANE)
+        literal = dense_circuit_distribution(WORKED, 7, OFF_PLANE)
+        assert np.max(np.abs(est.distribution - literal)) < 1e-12
 
-    def test_circuit_peak_memory_stays_on_the_branches(self, use_engine):
-        # 256 rows over the 16 branches; a dense 256 x 4096 row matrix is 16 MB.
-        use_engine("circuit")
+    def test_circuit_peak_memory_stays_on_the_branches(self):
+        # 8 bits on the 16 branches; a dense row of 4,096 amplitudes for
+        # each of the 256 powers would be 16 MB.
         tracemalloc.start()
         try:
             phase_estimate(WORKED, CountingConfig(bits=8))
@@ -748,22 +697,18 @@ class TestPhaseEstimate:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
 
-    def test_circuit_memory_does_not_grow_with_the_union(self, use_engine):
-        # A dense 4,096-branch state at 12 bits: the engine holds 4,096 rows
-        # of two plane coordinates, where rows over the union would
-        # take 4,096 x 4,096 x 16 B = 256 MB.
+    def test_a_dense_disturbed_state_is_counted_in_bounded_memory(self):
+        # A dense 4,096-branch state at 12 bits: the plane pass holds arrays
+        # of its branches, where a row of them for each of the 4,096 powers
+        # would take 4,096 x 4,096 x 16 B = 256 MB.
         state = random_state(WORKED.layout(), np.random.default_rng(12))
-        use_engine("circuit")
         tracemalloc.start()
         try:
-            est = phase_estimate(WORKED, CountingConfig(bits=12), initial_state=state)
+            phase_estimate(WORKED, CountingConfig(bits=12), initial_state=state)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
-        use_engine("reduced")
-        reduced = phase_estimate(WORKED, CountingConfig(bits=12), initial_state=state)
-        assert est.y == reduced.y
 
     def test_circuit_runs_build_no_dense_view(self, worked_scenes, monkeypatch):
         def refuse(*args):
@@ -776,24 +721,18 @@ class TestPhaseEstimate:
                                       adversary=AdversaryStrategy.parse(label))
             assert transcript.estimate.engine == "circuit"
 
-    def test_exact_estimate_is_the_lower_of_mirror_peaks(self, use_engine):
+    def test_exact_estimate_is_the_lower_of_mirror_peaks(self):
         # An honest distribution is symmetric under y -> 2^bits - y.
         gen = np.random.default_rng(1)
         for _ in range(40):
-            spec = random_spec(gen)
-            for engine in ("circuit", "reduced"):
-                use_engine(engine)
-                est = phase_estimate(spec)
-                assert est.y <= 1 << (est.bits - 1)
+            est = phase_estimate(random_spec(gen))
+            assert est.y <= 1 << (est.bits - 1)
 
-    def test_a_held_preparation_replaces_a_fresh_one(self, use_engine):
-        held = prepare_joint(WORKED)
-        for engine in ("circuit", "reduced"):
-            use_engine(engine)
-            est = phase_estimate(WORKED, prepared=held)
-            fresh = phase_estimate(WORKED)
-            assert (est.y, est.success_prob) == (fresh.y, fresh.success_prob)
-            assert np.array_equal(est.distribution, fresh.distribution)
+    def test_a_held_preparation_replaces_a_fresh_one(self):
+        est = phase_estimate(WORKED, prepared=prepare_joint(WORKED))
+        fresh = phase_estimate(WORKED)
+        assert (est.y, est.success_prob) == (fresh.y, fresh.success_prob)
+        assert np.array_equal(est.distribution, fresh.distribution)
 
     def test_a_disturbed_state_on_another_layout_is_refused(self):
         # Three value bits where the worked pair has four.
@@ -821,32 +760,31 @@ class TestExactRead:
     """The exact read is a pure function of the plane and the sizes, so
     it is memoized on them; every estimate still makes its plane pass."""
 
-    def test_a_memoized_read_equals_a_cold_one(self, use_engine):
+    def test_a_memoized_read_equals_a_cold_one(self):
         gen = np.random.default_rng(29)
         for _ in range(20):
             spec = random_spec(gen)
             prepared = prepare_joint(spec)
-            disturbed = random_state(spec.layout(), gen)
-            for engine in ("circuit", "reduced"):
-                use_engine(engine)
-                for state in (None, disturbed):
-                    _exact_read.cache_clear()
-                    cold = phase_estimate(spec, initial_state=state, prepared=prepared)
-                    # An equal copy of the state has the same plane: a hit.
-                    copy = None if state is None else QuantumState.from_branches(
-                        state.layout, state.indices.copy(), state.values.copy())
-                    hit = phase_estimate(spec, initial_state=copy, prepared=prepared)
-                    assert _exact_read.cache_info()[:2] == (1, 1)
-                    assert hit.engine == engine
-                    assert ((hit.y, hit.t_rounded, hit.success_prob)
-                            == (cold.y, cold.t_rounded, cold.success_prob))
-                    assert np.array_equal(hit.distribution, cold.distribution)
+            for state in (None, random_state(spec.layout(), gen)):
+                _exact_read.cache_clear()
+                cold = phase_estimate(spec, initial_state=state, prepared=prepared)
+                # An equal copy of the state has the same plane: a hit.
+                copy = None if state is None else QuantumState.from_branches(
+                    state.layout, state.indices.copy(), state.values.copy())
+                hit = phase_estimate(spec, initial_state=copy, prepared=prepared)
+                assert _exact_read.cache_info()[:2] == (1, 1)
+                assert ((hit.y, hit.t_rounded, hit.success_prob)
+                        == (cold.y, cold.t_rounded, cold.success_prob))
+                assert np.array_equal(hit.distribution, cold.distribution)
 
-    @pytest.mark.parametrize("engine", ["circuit", "reduced"])
-    def test_a_repeated_estimate_costs_only_the_plane_pass(self, engine, use_engine,
+    # The default 7 bits plan as ``circuit`` on the worked pair, 12 as
+    # ``reduced``.
+    @pytest.mark.parametrize("engine, bits", [("circuit", 7), ("reduced", 12)],
+                             ids=["circuit", "reduced"])
+    def test_a_repeated_estimate_costs_only_the_plane_pass(self, engine, bits,
                                                            monkeypatch):
-        use_engine(engine)
-        phase_estimate(WORKED)
+        cfg = CountingConfig(bits=bits)
+        phase_estimate(WORKED, cfg)
         passes, evaluated = [], []
         plane_of, probabilities = _Plane.of.__func__, _Plane.probabilities
 
@@ -859,7 +797,7 @@ class TestExactRead:
             return probabilities(plane, *args)
         monkeypatch.setattr(_Plane, "of", classmethod(counted_of))
         monkeypatch.setattr(_Plane, "probabilities", counted_probabilities)
-        est = phase_estimate(WORKED)
+        est = phase_estimate(WORKED, cfg)
         assert (est.engine, est.t_rounded) == (engine, 1)
         assert (len(passes), len(evaluated)) == (1, 0)
 
@@ -895,10 +833,9 @@ class TestExactRead:
         assert _exact_read.cache_info().currsize == entries
         assert kept < 2 ** 20
 
-    def test_a_read_reduced_distribution_is_not_kept(self, use_engine):
+    def test_a_read_reduced_distribution_is_not_kept(self):
         # 2^20 float64 outcomes are 8 MiB: built when read, freed with the
         # estimate, never held by the memo.
-        use_engine("reduced")
         tracemalloc.start()
         try:
             est = phase_estimate(WORKED, CountingConfig(bits=20))

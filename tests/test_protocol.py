@@ -129,6 +129,14 @@ class TestAdversaries:
         with pytest.raises(ValueError, match="does not take a mask"):
             AdversaryStrategy(Attack.HONEST, 1)
 
+    def test_strategy_takes_an_attack_by_name(self, worked_scenes):
+        honest = AdversaryStrategy("honest")
+        assert honest.attack is Attack.HONEST
+        assert run_protocol(*worked_scenes, adversary=honest).verdict is Verdict.INTERSECT
+        assert AdversaryStrategy("bob-tamper", 1).attack is Attack.BOB_TAMPER
+        with pytest.raises(ValueError, match="unknown adversary 'eve'; choose from"):
+            AdversaryStrategy("eve")
+
     def test_tamper_aborts_the_run(self, worked_scenes):
         adversary = AdversaryStrategy(Attack.BOB_TAMPER, 1)
         transcript = run_protocol(*worked_scenes, adversary=adversary)
@@ -399,14 +407,11 @@ class TestOnePreparationPerRun:
         monkeypatch.setattr(qgi.counting, "align", counted)
         return calls
 
-    @pytest.mark.parametrize("cfg, engine", [(CountingConfig(), "circuit"),
-                                             (CountingConfig(mode="sample"), "circuit"),
-                                             (CountingConfig(), "reduced")],
-                             ids=["cfg0", "cfg1", "cfg2"])
-    def test_honest_run_aligns_nothing(self, worked_scenes, alignments, cfg,
-                                       engine, use_engine):
+    # The third reads at 12 bits, past the worked pair's circuit-sized widths.
+    @pytest.mark.parametrize("cfg", [CountingConfig(), CountingConfig(mode="sample"),
+                                     CountingConfig(bits=12)])
+    def test_honest_run_aligns_nothing(self, worked_scenes, alignments, cfg):
         # The counted state is the axis itself, so its branches are the support.
-        use_engine(engine)
         assert run_protocol(*worked_scenes, cfg=cfg, seed=3).estimate is not None
         assert alignments == []
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import qgi.state
 from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, QUBIT_BUDGET, DataTable,
                  PreparationSpec, QuantumState, RegisterLayout,
-                 grover_iterate, leakage_report, measure_register, tensor)
+                 grover_iterate, leakage_report, measure_register, phase_estimate,
+                 tensor)
 from qgi.state import (_norm_sq, project, reflect, register_distribution,
                        xor_register)
 from support import (basis_state, dense_state, encoded_gram, gram_entropy,
@@ -43,6 +44,18 @@ def test_state_must_be_normalized(pair_layout):
     with pytest.raises(ValueError, match="norm"):
         QuantumState.from_branches(pair_layout, np.arange(pair_layout.dim),
                                    np.ones(pair_layout.dim))
+
+
+def test_a_nan_norm_is_refused():
+    # NaN fails every comparison, so a check written as "too far from 1"
+    # would pass it, and counting the state would fail in its peak pick.
+    nan = [float("nan")]
+    with pytest.raises(ValueError, match=r"norm\^2 = nan is not 1"):
+        QuantumState.from_branches(RegisterLayout([("a", 2)]), [0], nan)
+    spec = PreparationSpec(DataTable((1,), 1), DataTable((1,), 1))
+    with pytest.raises(ValueError, match=r"norm\^2 = nan is not 1"):
+        phase_estimate(spec, initial_state=QuantumState.from_branches(
+            spec.layout(), [0], nan))
 
 
 def test_identity_permutation_is_noop(pair_layout, rng):
