@@ -7,19 +7,19 @@ the measured integer y to a count via t = K * sin^2(pi * y / 2^p).
 
 One closed form gives the outcome distribution for any initial state,
 honest or disturbed.  It starts from the plane summary (see ``_Plane``).
-One pass over the preparation's branches checks it and counts its t
-marked branches, which fixes the iterate's rotation angle:
-sin^2(theta / 2) = t / K.  A disturbed state's branches are looked up in
-the preparation's, so its coordinates on the basis in which G is a
-rotation of one plane, the identity and minus the identity cost its own
-branches.  On that basis the circuit's controlled iterate powers and
-inverse Fourier transform give each outcome's probability in closed
-form: a sum of Fejer kernels centred on the eigenphases, plus the
-off-plane masses at y = 0 and y = 2^bits / 2 (``_Plane.probabilities``).
-It is evaluated only at the outcomes a caller reads: in exact mode at
-the outcomes near the peaks and on the two runs of y that decode to the
-true count, 2^17 at a time when the runs are long, and at every outcome
-only when the whole distribution is read or an outcome is sampled.
+sin^2(theta / 2) = t / K fixes the iterate's rotation angle: a pass over
+a held preparation checks it and counts t, or t is the tables' common
+entries.  A disturbed state's overlap with the preparation is read from
+the tables, so its coordinates on the basis in which G is a rotation of
+one plane, the identity and minus the identity cost its own branches.
+On that basis the circuit's controlled iterate powers and inverse
+Fourier transform give each outcome's probability in closed form: a sum
+of Fejer kernels centred on the eigenphases, plus the off-plane masses
+at y = 0 and y = 2^bits / 2 (``_Plane.probabilities``).  It is evaluated
+only at the outcomes a caller reads: in exact mode near the peaks and on
+the two runs of y that decode to the true count, 2^17 at a time (at the
+peaks alone if exact deltas), and at every outcome only when the whole
+distribution is read or sampled.
 
 The engine name records the run's size class and nothing else:
 ``circuit`` when data plus counting qubits are at most
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .oracles import DATA_B, PreparationSpec, prepare_joint
+from .oracles import ADDR_A, ADDR_B, DATA_A, DATA_B, PreparationSpec, prepare_joint
 from .registers import QUBIT_BUDGET, check_budget
 from .state import QuantumState, align, reflect
 
@@ -206,7 +206,8 @@ class _Plane:
     ``of`` reads the preparation's branches once: it refuses them if those
     above ``_BRANCH_FLOOR`` differ in magnitude, and the t = ``count``
     marked ones among those B give sin(theta / 2) = |m| = sqrt(t / B), with
-    no sum.  A disturbed state's branches are looked up in the preparation's.
+    no sum (``of_count``).  ``on``, on such a plane, reads the preparation from
+    the tables: 1/sqrt(M) 1/sqrt(N) where i < M, j < N, data_a 0, data_b a[i] ^ b[j].
     """
 
     theta: float
@@ -217,7 +218,7 @@ class _Plane:
     count: int
 
     @classmethod
-    def of(cls, prepared: QuantumState, initial: QuantumState | None = None) -> "_Plane":
+    def of(cls, prepared: QuantumState) -> "_Plane":
         probs = np.abs(prepared.values) ** 2
         # The floor leaves out zero branches a preparation may list.
         nonzero = probs > _BRANCH_FLOOR
@@ -233,18 +234,25 @@ class _Plane:
                              "state is not an honest preparation")
         marked = prepared.layout.extract(prepared.indices, DATA_B) == 0
         count = int(np.count_nonzero(marked if kept is probs else nonzero & marked))
+        return cls.of_count(count, branches)
+
+    @classmethod
+    def of_count(cls, count: int, branches: int) -> "_Plane":
         norms = math.sqrt(count / branches), math.sqrt((branches - count) / branches)
-        theta = 2.0 * math.asin(norms[0])
-        if initial is None:
-            return cls(theta, *norms, 0.0, 0.0, count)
-        if initial.layout != prepared.layout:
+        return cls(2.0 * math.asin(norms[0]), *norms, 0.0, 0.0, count)
+
+    def on(self, spec: PreparationSpec, initial: QuantumState) -> "_Plane":
+        if initial.layout != spec.layout():
             raise ValueError("state layout does not match the preparation")
+        i, j, data_a, data_b = (initial.layout.extract(initial.indices, name)
+                                for name in (ADDR_A, ADDR_B, DATA_A, DATA_B))
         # The preparation's amplitude on each initial branch, or 0 off its
         # branches, so the sums run over the initial state's branches alone.
-        at = np.minimum(np.searchsorted(prepared.indices, initial.indices),
-                        len(prepared.indices) - 1)
-        axis = np.where(prepared.indices[at] == initial.indices, prepared.values[at], 0)
-        marked = initial.layout.extract(initial.indices, DATA_B) == 0
+        size_a, size_b = spec.table_a.size, spec.table_b.size
+        axis = np.where((i < size_a) & (j < size_b) & (data_a == 0)
+                        & (data_b == spec.table_a.lookup[i] ^ spec.table_b.lookup[j]),
+                        np.complex128(1 / math.sqrt(size_a)) * (1 / math.sqrt(size_b)), 0)
+        marked = data_b == 0
 
         def parts(array: np.ndarray) -> tuple[float, float]:
             # Marked and unmarked sums: the whole less the marked part, so the
@@ -252,10 +260,10 @@ class _Plane:
             whole, part = array.sum(), array[marked].sum()
             return part, whole - part
         a, b = (complex(inner) / norm if norm > 0 else 0j
-                for inner, norm in zip(parts(initial.values * axis.conj()), norms))
+                for inner, norm in zip(parts(initial.values * axis.conj()), (self.a, self.b)))
         off = [max(0.0, float(mass) - abs(c) ** 2)
                for mass, c in zip(parts(np.abs(initial.values) ** 2), (a, b))]
-        return cls(theta, a, b, *off, count)
+        return _Plane(self.theta, a, b, *off, self.count)
 
     def probabilities(self, bits: int, ys: np.ndarray) -> np.ndarray:
         """P(y) at the int64 outcomes ``ys``, from the kernels.
@@ -342,6 +350,8 @@ def _exact_read(plane: _Plane, search_space: int, bits: int,
     at = functools.partial(plane.probabilities, bits)
     runs = _success_runs(plane.count, search_space, bits) if reports_success else []
     candidates = plane.candidates(bits)
+    if plane._centre(bits)[1] == 0.0:  # exact deltas: P is 0 off the candidates
+        runs = [range(y, y + 1) for y in candidates.tolist() if any(y in run for run in runs)]
     if len(candidates) + sum(map(len, runs)) <= _WINDOW_CHUNK:
         # P at the outcomes that can hold the maximum and on the runs at
         # once, and one pairwise sum in ascending y, as over a mask of
@@ -393,17 +403,17 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
 
     The iterate reflects about ``prepared``, the joint preparation the
     caller already holds after checking its layout against the spec; when
-    it is not given, the preparation pipeline runs here.
-    ``initial_state`` overrides the preparation as the state counted
-    (used to study runs where the in-flight state was disturbed).  The
-    engine name does not depend on it; it disables the success-probability
-    report, since the true count is then undefined.  The plane pass, made
-    on every call, refuses a preparation whose branch magnitudes are not
-    uniform and gives the memoized exact read (``_exact_read``) its key
-    and the true count.  Sample mode draws the outcome from ``rng``, the
-    run's generator, and needs one.  Under either engine name the estimate
-    holds no outcome table: ``distribution`` evaluates every outcome when
-    read.
+    neither it nor ``initial_state`` is given, the preparation pipeline
+    runs here.  ``initial_state`` overrides the preparation as the state
+    counted (used to study runs where the in-flight state was disturbed),
+    with its overlap read from the tables, so none is built.  The engine
+    name does not depend on it; it disables the success-probability
+    report, since the true count is then undefined.  A preparation's pass
+    refuses one whose branch magnitudes are not uniform and gives the
+    exact read (``_exact_read``) its key and the true count.  Sample mode
+    draws the outcome from ``rng``, the run's generator, and needs one.
+    Under either engine name the estimate holds no outcome table:
+    ``distribution`` evaluates every outcome when read.
     """
     cfg = cfg or CountingConfig()
     if cfg.mode == "sample" and rng is None:
@@ -411,12 +421,15 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     search_space = spec.size_k
     bits, engine = plan_counting(spec, cfg)
     size = 1 << bits
-    if prepared is None:
+    if prepared is None and initial_state is None:
         prepared = prepare_joint(spec)
-    elif prepared.layout != spec.layout():
+    elif prepared is not None and prepared.layout != spec.layout():
         raise ValueError(f"prepared state layout {prepared.layout!r} does not "
                          f"match the spec's {spec.layout()!r}")
-    plane = _Plane.of(prepared, initial_state)
+    plane = _Plane.of(prepared) if prepared is not None else _Plane.of_count(
+        len(set(spec.table_a.entries) & set(spec.table_b.entries)), search_space)
+    if initial_state is not None:
+        plane = plane.on(spec, initial_state)
     outcomes = lambda: plane.probabilities(bits, np.arange(size))
     if cfg.mode == "sample":
         probs = outcomes()

@@ -13,9 +13,9 @@ before the final count touches its own table alone.  The counting step's
 Grover iterate reflects about the joint preparation.  On an undisturbed
 run that is the state Alice holds after the cheat check, which equals
 the honest preparation, so no second copy is built.  On a disturbed run
-the state Alice holds is what gets counted, and the iterate reflects
-about ``prepare_joint``, built once: the parties' steps without the
-measurement, the shared oracle access the counting algorithm assumes.
+the state Alice holds is what gets counted against ``prepare_joint``,
+the parties' steps without the measurement and the shared oracle access
+the counting algorithm assumes, read from the two tables, never built.
 
 A protocol run resolves adversarial measurements by drawing once from
 the seeded generator, even in exact mode, because a cheater's projective
@@ -66,6 +66,8 @@ class AdversaryStrategy:
 
     def __post_init__(self):
         object.__setattr__(self, "attack", Attack(self.attack))
+        if type(self.tamper_mask) is not int:
+            raise ValueError(f"tamper mask must be an int, got {self.tamper_mask!r}")
         if self.attack is Attack.BOB_TAMPER:
             if self.tamper_mask == 0:
                 raise ValueError("bob-tamper needs a nonzero mask")
@@ -362,8 +364,8 @@ def _run(spec: PreparationSpec, total_cells: int, cfg: CountingConfig | None,
                 4, "alice", "attack:alice-measure-result",
                 detail={"measured_xor_value": learned,
                         "note": "one address-pair xor; the raw serial stays hidden"}))
-        # Undisturbed, Alice holds the preparation itself; otherwise the
-        # iterate reflects about a fresh one and her state is counted.
+        # Undisturbed, Alice holds the preparation itself; otherwise her
+        # state is counted against the axis read from the two tables.
         if honest:
             estimate = phase_estimate(spec, cfg, rng=rng, prepared=alice_state)
         else:

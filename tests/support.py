@@ -9,6 +9,7 @@ from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, HONEST, Attack, DataTable,
                  PreparationSpec, QuantumState, RegisterLayout,
                  build_preparation, cheat_check, oracle_load, oracle_xor,
                  prepare_joint)
+from qgi.counting import _Plane
 from qgi.protocol import AliceParty, BobParty, _check_mask, _tamper
 from qgi.state import project, register_distribution
 
@@ -136,6 +137,30 @@ def dense_circuit_distribution(spec, bits, initial) -> np.ndarray:
             current = 2.0 * np.vdot(axis, flipped) * axis - flipped
     transformed = np.fft.fft(rows, axis=0) / size
     return np.sum(np.abs(transformed) ** 2, axis=1)
+
+
+def looked_up_plane(spec: PreparationSpec, initial: QuantumState) -> _Plane:
+    """A disturbed state's plane summary by the literal lookup: each of its
+    branches is searched for in the sorted indices of ``prepare_joint(spec)``,
+    and the preparation's amplitude there, or 0 where it has no branch, is
+    the axis the sums run against.  ``_Plane.on`` reads those amplitudes
+    from the two tables and must equal this field for field."""
+    prepared = prepare_joint(spec)
+    honest = _Plane.of(prepared)
+    at = np.minimum(np.searchsorted(prepared.indices, initial.indices),
+                    len(prepared.indices) - 1)
+    axis = np.where(prepared.indices[at] == initial.indices, prepared.values[at], 0)
+    marked = initial.register_values(DATA_B) == 0
+
+    def parts(array):
+        whole, part = array.sum(), array[marked].sum()
+        return part, whole - part
+    a, b = (complex(inner) / norm if norm > 0 else 0j
+            for inner, norm in zip(parts(initial.values * axis.conj()),
+                                   (honest.a, honest.b)))
+    off = [max(0.0, float(mass) - abs(c) ** 2)
+           for mass, c in zip(parts(np.abs(initial.values) ** 2), (a, b))]
+    return _Plane(honest.theta, a, b, *off, honest.count)
 
 
 def encoded_gram(table: DataTable) -> np.ndarray:

@@ -3,20 +3,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qgi
-from qgi import (DATA_B, QUBIT_BUDGET, AdversaryStrategy, CountingConfig,
-                 DataTable, PreparationSpec, QuantumState, RegisterLayout,
-                 Verdict, decide_intersection, decode_count, default_counting_bits,
-                 exact_count, grover_iterate, phase_estimate, prepare_joint,
-                 run_protocol)
+from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, HONEST, QUBIT_BUDGET,
+                 AdversaryStrategy, CountingConfig, DataTable, PreparationSpec,
+                 QuantumState, RegisterLayout, Verdict, decide_intersection,
+                 decode_count, default_counting_bits, exact_count, grover_iterate,
+                 phase_estimate, prepare_joint, run_protocol)
 from qgi.counting import (CIRCUIT_AUTO_LIMIT, _exact_read, _Plane, _rounded_count,
                           _success_runs, plan_counting)
 from qgi.state import xor_register
-from support import (dense_circuit_distribution, dense_state, random_spec,
-                     random_state)
+from support import (dense_circuit_distribution, dense_state, looked_up_plane,
+                     random_spec, random_state)
 
 EIGHT_OVER_PI_SQ = 8.0 / math.pi ** 2
 WORKED = PreparationSpec(DataTable((1, 2, 5, 6), 4), DataTable((6, 7, 10, 11), 4))
@@ -174,13 +174,65 @@ def test_success_prob_is_the_literal_circuits_mass_on_the_true_count(case):
 @settings(max_examples=100, deadline=None)
 @given(case=counting_cases())
 def test_the_plane_pass_counts_the_preparation_on_any_union(case):
-    # With another state's branches looked up in the preparation, the
-    # count is still the preparation's own, and the classical one.
+    # With another state placed on the preparation's plane, the count is
+    # still the preparation's own, and the classical one.
     spec, _, state = case
     prepared = prepare_joint(spec)
     count = exact_count(prepared)
     assert count == len(set(spec.table_a.entries) & set(spec.table_b.entries))
-    assert _Plane.of(prepared, state).count == count
+    plane = _Plane.of(prepared)
+    assert (plane if state is None else plane.on(spec, state)).count == count
+
+
+@st.composite
+def padded_cases(draw):
+    """A spec whose tables are not a power of two long, so the addresses
+    past them hold 0 in ``lookup``, and a disturbed state on its layout:
+    dense, part of the preparation plus three stray branches, the
+    preparation moved off its plane, or a branch at every address pair,
+    padded ones included, holding the XOR of the two lookups there."""
+    value_bits = draw(st.sampled_from([3, 4]))
+    values = draw(st.permutations(range(1, 1 << value_bits)))
+    table_a, table_b = (
+        DataTable(tuple(draw(st.lists(st.sampled_from(values), min_size=size,
+                                      max_size=size, unique=True))), value_bits)
+        for size in [draw(st.sampled_from([3, 5, 6, 7])) for _ in "ab"])
+    spec = PreparationSpec(table_a, table_b)
+    layout = spec.layout()
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["dense", "sparse", "off-plane", "padded"]))
+    if kind == "dense":
+        return spec, random_state(layout, gen)
+    prepared = prepare_joint(spec)
+    if kind == "off-plane":
+        return spec, xor_register(prepared, DATA_B, 1)
+    if kind == "sparse":
+        stray = np.setdiff1d(np.arange(layout.dim), prepared.indices)
+        indices = np.concatenate([prepared.indices[gen.random(len(prepared.indices)) < 0.5],
+                                  gen.choice(stray, 3, replace=False)])
+    else:
+        i, j = np.divmod(np.arange(1 << (table_a.address_bits + table_b.address_bits)),
+                         1 << table_b.address_bits)
+        indices = ((i << layout.offset(ADDR_A)) | (j << layout.offset(ADDR_B))
+                   | (table_a.lookup[i] ^ table_b.lookup[j]))
+    amps = gen.normal(size=len(indices)) + 1j * gen.normal(size=len(indices))
+    return spec, QuantumState.from_branches(layout, indices, amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=padded_cases())
+@example(case=(WORKED, OFF_PLANE))
+def test_the_plane_read_from_the_tables_equals_the_lookup(case):
+    # The preparation's amplitude on each disturbed branch, read from the
+    # two tables, against a search of the prepared indices: the same plane,
+    # field for field and with no tolerance, whether the angle comes from a
+    # held preparation's pass or from t = |A & B| over K, as in a disturbed
+    # estimate that holds none.
+    spec, state = case
+    reference = looked_up_plane(spec, state)
+    count = len(set(spec.table_a.entries) & set(spec.table_b.entries))
+    assert _Plane.of(prepare_joint(spec)).on(spec, state) == reference
+    assert _Plane.of_count(count, spec.size_k).on(spec, state) == reference
 
 
 @settings(max_examples=100, deadline=None)
@@ -351,7 +403,7 @@ class TestGroverIterate:
                 state = iterate.apply(state)
             probs = np.sum(np.abs(np.fft.fft(rows, axis=0) / (1 << bits)) ** 2,
                            axis=1)
-            plane = _Plane.of(iterate.prepared, initial)
+            plane = _Plane.of(iterate.prepared).on(spec, initial)
             closed = plane.probabilities(bits, np.arange(1 << bits))
             assert np.max(np.abs(probs - closed)) < 1e-12
 
@@ -611,16 +663,19 @@ class TestPhaseEstimate:
         # An estimate reads the plane summary, the honesty check and the
         # true count off one pass over each state's branches and never
         # steps the iterate: at 12 bits its 4,096 powers are the plane's
-        # rotations.  While counting, each state's amplitudes are
-        # squared once and Bob's data register is extracted once from its
-        # branches, and nothing else is built, through a run of the
-        # protocol too.
+        # rotations.  While counting, each state's amplitudes are squared
+        # once; Bob's data register is extracted once from a preparation's
+        # branches, and each of the four registers once from a disturbed
+        # state's, and nothing else is built, through a run of the
+        # protocol too.  A disturbed run holds no preparation, so its
+        # count passes over the counted state alone.
         passes, steps, counting, squared, extracted = [], [], [], [], []
         plane_of = _Plane.of.__func__
+        registers = [ADDR_A, ADDR_B, DATA_A, DATA_B]
 
-        def counted(cls, prepared, initial=None):
-            passes.append(initial)
-            return plane_of(cls, prepared, initial)
+        def counted(cls, prepared):
+            passes.append(prepared)
+            return plane_of(cls, prepared)
         monkeypatch.setattr(_Plane, "of", classmethod(counted))
         monkeypatch.setattr(qgi.counting, "reflect", lambda *args: steps.append(args))
 
@@ -660,26 +715,30 @@ class TestPhaseEstimate:
             for log in (passes, squared, extracted):
                 log.clear()
             est = estimate(WORKED, cfg, initial_state=state, rng=gen, prepared=held)
-            assert (passes, steps) == ([state], [])
+            assert (passes, steps) == ([held], [])
             read = [held] if state is None else [held, state]
-            assert len(squared) == len(extracted) == len(read)
-            for values, (indices, name), each in zip(squared, extracted, read):
-                assert values is each.values
-                assert (indices, name) == (each.indices, DATA_B)
-        for log in (passes, squared, extracted):
-            log.clear()
-        run = run_protocol(*worked_scenes)
-        assert (run.verdict, run.estimate.t_rounded) == (Verdict.INTERSECT, 1)
-        assert (passes, steps) == ([None], [])
-        assert (len(squared), [name for _, name in extracted]) == (1, [DATA_B])
+            assert len(squared) == len(read)
+            assert all(values is each.values for values, each in zip(squared, read))
+            # Identical index arrays, so no element-wise comparison is made.
+            assert extracted == [(held.indices, DATA_B)] + (
+                [] if state is None else [(state.indices, name) for name in registers])
+        for adversary in (HONEST, AdversaryStrategy.parse("alice-measure-result")):
+            for log in (passes, squared, extracted):
+                log.clear()
+            run = run_protocol(*worked_scenes, adversary=adversary, seed=3)
+            # Measuring the pair-XOR leaves a state almost wholly off the plane.
+            assert run.estimate.t_rounded == (1 if adversary is HONEST else 16)
+            assert (len(passes), steps) == (int(adversary is HONEST), [])
+            assert (len(squared), [name for _, name in extracted]) == (
+                (1, [DATA_B]) if adversary is HONEST else (1, registers))
 
     def test_a_state_off_the_preparation_lies_off_the_plane(self):
-        # No branch of the counted state is one of the preparation's, so the
-        # lookup finds none: its whole mass is off the plane, as the literal
-        # circuit shows.
+        # No branch of the counted state is one of the preparation's, so
+        # none is on its axis: its whole mass is off the plane, as the
+        # literal circuit shows.
         prepared = prepare_joint(WORKED)
         assert not np.intersect1d(OFF_PLANE.indices, prepared.indices).size
-        plane = _Plane.of(prepared, OFF_PLANE)
+        plane = _Plane.of(prepared).on(WORKED, OFF_PLANE)
         assert (plane.a, plane.b) == (0, 0)
         assert abs(plane.off_marked + plane.off_unmarked - 1.0) < 1e-15
         est = phase_estimate(WORKED, CountingConfig(bits=7), initial_state=OFF_PLANE)
@@ -800,6 +859,23 @@ class TestExactRead:
         est = phase_estimate(WORKED, cfg)
         assert (est.engine, est.t_rounded) == (engine, 1)
         assert (len(passes), len(evaluated)) == (1, 0)
+
+    # One pair, matching or not: theta is pi or 0, so both peaks sit exactly
+    # on y = n/2 or on y = 0, and at 27 bits 2^26 outcomes decode to each count.
+    @pytest.mark.parametrize("entry_b, y", [(6, 1 << 26), (7, 0)])
+    def test_an_exact_delta_plane_reads_only_its_peaks(self, entry_b, y, monkeypatch):
+        # P is 0 off the candidates, so the success sum adds those in a run
+        # and evaluates no other outcome: a dozen at most, each at most twice.
+        spec = PreparationSpec(DataTable((6,), 4), DataTable((entry_b,), 4))
+        evaluated, probabilities = [], _Plane.probabilities
+
+        def counted(plane, bits, ys):
+            evaluated.append(len(ys))
+            return probabilities(plane, bits, ys)
+        monkeypatch.setattr(_Plane, "probabilities", counted)
+        est = phase_estimate(spec, CountingConfig(bits=27))
+        assert (est.y, est.success_prob) == (y, 1.0)
+        assert sum(evaluated) <= 24
 
     def test_a_memoized_plane_still_checks_each_preparation(self, worked_scenes):
         honest = run_protocol(*worked_scenes)

@@ -129,6 +129,12 @@ class TestAdversaries:
         with pytest.raises(ValueError, match="does not take a mask"):
             AdversaryStrategy(Attack.HONEST, 1)
 
+    @pytest.mark.parametrize("mask", [1.5, 2.0, True])
+    def test_a_mask_that_is_not_an_int_is_refused(self, mask):
+        # XORed in, such a mask would be truncated while the trace recorded it.
+        with pytest.raises(ValueError, match=f"tamper mask must be an int, got {mask!r}"):
+            AdversaryStrategy(Attack.BOB_TAMPER, mask)
+
     def test_strategy_takes_an_attack_by_name(self, worked_scenes):
         honest = AdversaryStrategy("honest")
         assert honest.attack is Attack.HONEST
@@ -391,10 +397,11 @@ class TestOnePreparationPerRun:
                                         Attack.ALICE_MEASURE_RESULT])
     def test_disturbed_run_prepares_the_axis_once(self, worked_scenes,
                                                   preparations, attack):
+        # The axis is read from the two tables: no preparation is built.
         transcript = run_protocol(*worked_scenes,
                                   adversary=AdversaryStrategy(attack), seed=5)
         assert transcript.estimate is not None
-        assert len(preparations) == 1
+        assert preparations == []
 
     @pytest.fixture
     def alignments(self, monkeypatch):
@@ -416,8 +423,8 @@ class TestOnePreparationPerRun:
         assert alignments == []
 
     def test_disturbed_run_aligns_nothing(self, worked_scenes, alignments):
-        # The counted state's branches are looked up in the axis's; no union
-        # of the two is sorted.
+        # The axis's amplitude on each counted branch is read from the
+        # tables; no union of the two is sorted.
         for attack in (Attack.BOB_MEASURE_ALL, Attack.BOB_MEASURE_DATA,
                        Attack.ALICE_MEASURE_RESULT):
             transcript = run_protocol(*worked_scenes,
