@@ -7,10 +7,10 @@ the measured integer y to a count via t = K * sin^2(pi * y / 2^p).
 
 One closed form gives the outcome distribution for any initial state,
 honest or disturbed.  It starts from the plane summary (see ``_Plane``).
-sin^2(theta / 2) = t / K fixes the iterate's rotation angle: a pass over
-a held preparation checks it and counts t, or t is the tables' common
-entries.  A disturbed state's overlap with the preparation is read from
-the tables, so its coordinates on the basis in which G is a rotation of
+sin^2(theta / 2) = t / K fixes the iterate's rotation angle, with t the
+tables' common entries; a held preparation's one pass must count the
+same t of K branches.  A disturbed state's overlap with the preparation
+is read from the tables, so its coordinates on the basis in which G is a rotation of
 one plane, the identity and minus the identity cost its own branches.
 On that basis the circuit's controlled iterate powers and inverse
 Fourier transform give each outcome's probability in closed form: a sum
@@ -142,22 +142,18 @@ class GroverIterate:
     span of any branches that include |psi>'s into itself.
 
     ``prepared`` is |psi>, which ``grover_iterate`` builds from a spec.
-    ``apply`` is the literal step; no estimate takes one (see ``_Plane``).
+    ``apply`` is the literal step, on the union of the state's and |psi>'s
+    branches; no estimate takes one (see ``_Plane``).
     """
 
     def __init__(self, prepared: QuantumState):
         self.prepared = prepared
 
-    def on_support(self, state: QuantumState) -> tuple[np.ndarray, ...]:
-        """The union of the state's and |psi>'s branches, and on it their
-        values and the branches S marks."""
+    def apply(self, state: QuantumState) -> QuantumState:
         if state.layout != self.prepared.layout:
             raise ValueError("state layout does not match the preparation")
         support, (values, axis) = align(state, self.prepared)
-        return support, values, axis, state.layout.extract(support, DATA_B) == 0
-
-    def apply(self, state: QuantumState) -> QuantumState:
-        support, values, axis, marked = self.on_support(state)
+        marked = state.layout.extract(support, DATA_B) == 0
         out = reflect(values * np.where(marked, -1.0, 1.0), axis)
         keep = out != 0  # a state holds only its nonzero branches
         return QuantumState.from_branches(state.layout, support[keep], out[keep])
@@ -205,9 +201,10 @@ class _Plane:
 
     ``of`` reads the preparation's branches once: it refuses them if those
     above ``_BRANCH_FLOOR`` differ in magnitude, and the t = ``count``
-    marked ones among those B give sin(theta / 2) = |m| = sqrt(t / B), with
-    no sum (``of_count``).  ``on``, on such a plane, reads the preparation from
-    the tables: 1/sqrt(M) 1/sqrt(N) where i < M, j < N, data_a 0, data_b a[i] ^ b[j].
+    marked ones among those B = ``branches`` give sin(theta / 2) = |m| =
+    sqrt(t / B), with no sum (``of_count``).  ``on``, on such a plane, reads
+    the preparation from the tables: 1/sqrt(M) 1/sqrt(N) where i < M, j < N,
+    data_a 0, data_b a[i] ^ b[j].
     """
 
     theta: float
@@ -216,6 +213,7 @@ class _Plane:
     off_marked: float
     off_unmarked: float
     count: int
+    branches: int
 
     @classmethod
     def of(cls, prepared: QuantumState) -> "_Plane":
@@ -239,7 +237,7 @@ class _Plane:
     @classmethod
     def of_count(cls, count: int, branches: int) -> "_Plane":
         norms = math.sqrt(count / branches), math.sqrt((branches - count) / branches)
-        return cls(2.0 * math.asin(norms[0]), *norms, 0.0, 0.0, count)
+        return cls(2.0 * math.asin(norms[0]), *norms, 0.0, 0.0, count, branches)
 
     def on(self, spec: PreparationSpec, initial: QuantumState) -> "_Plane":
         if initial.layout != spec.layout():
@@ -263,7 +261,7 @@ class _Plane:
                 for inner, norm in zip(parts(initial.values * axis.conj()), (self.a, self.b)))
         off = [max(0.0, float(mass) - abs(c) ** 2)
                for mass, c in zip(parts(np.abs(initial.values) ** 2), (a, b))]
-        return _Plane(self.theta, a, b, *off, self.count)
+        return _Plane(self.theta, a, b, *off, self.count, self.branches)
 
     def probabilities(self, bits: int, ys: np.ndarray) -> np.ndarray:
         """P(y) at the int64 outcomes ``ys``, from the kernels.
@@ -401,19 +399,19 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
                    prepared: QuantumState | None = None) -> CountEstimate:
     """Estimate the marked count of the joint preparation.
 
-    The iterate reflects about ``prepared``, the joint preparation the
-    caller already holds after checking its layout against the spec; when
-    neither it nor ``initial_state`` is given, the preparation pipeline
-    runs here.  ``initial_state`` overrides the preparation as the state
-    counted (used to study runs where the in-flight state was disturbed),
-    with its overlap read from the tables, so none is built.  The engine
-    name does not depend on it; it disables the success-probability
-    report, since the true count is then undefined.  A preparation's pass
-    refuses one whose branch magnitudes are not uniform and gives the
-    exact read (``_exact_read``) its key and the true count.  Sample mode
-    draws the outcome from ``rng``, the run's generator, and needs one.
-    Under either engine name the estimate holds no outcome table:
-    ``distribution`` evaluates every outcome when read.
+    The iterate's plane comes from the tables on every path: t = |A ∩ B|
+    of K = M * N pairs, so with no state nothing is built.  ``prepared`` is
+    the joint preparation a caller holds, as an honest run holds the state
+    its own steps built; its layout must be the spec's, and its one pass
+    refuses it unless its branch magnitudes are uniform and it marks the
+    same t of K branches, so it changes no estimate.  ``initial_state``
+    overrides the preparation as the state counted (used to study runs
+    where the in-flight state was disturbed), with its overlap read from
+    the tables.  The engine name does not depend on it; it disables the
+    success-probability report, since the true count is then undefined.
+    Sample mode draws the outcome from ``rng``, the run's generator, and
+    needs one.  Under either engine name the estimate holds no outcome
+    table: ``distribution`` evaluates every outcome when read.
     """
     cfg = cfg or CountingConfig()
     if cfg.mode == "sample" and rng is None:
@@ -421,13 +419,15 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     search_space = spec.size_k
     bits, engine = plan_counting(spec, cfg)
     size = 1 << bits
-    if prepared is None and initial_state is None:
-        prepared = prepare_joint(spec)
-    elif prepared is not None and prepared.layout != spec.layout():
-        raise ValueError(f"prepared state layout {prepared.layout!r} does not "
-                         f"match the spec's {spec.layout()!r}")
-    plane = _Plane.of(prepared) if prepared is not None else _Plane.of_count(
+    plane = _Plane.of_count(
         len(set(spec.table_a.entries) & set(spec.table_b.entries)), search_space)
+    if prepared is not None:
+        if prepared.layout != spec.layout():
+            raise ValueError(f"prepared state layout {prepared.layout!r} does not "
+                             f"match the spec's {spec.layout()!r}")
+        if (held := _Plane.of(prepared)) != plane:
+            raise ValueError(f"prepared state marks {held.count} of {held.branches} branches; "
+                             f"the spec's tables match {plane.count} of {plane.branches} pairs")
     if initial_state is not None:
         plane = plane.on(spec, initial_state)
     outcomes = lambda: plane.probabilities(bits, np.arange(size))

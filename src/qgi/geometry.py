@@ -22,6 +22,8 @@ class GridConfig:
     cols: int
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            _integer(value, f"grid.{name}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"grid needs rows, cols >= 1, got {self.rows}x{self.cols}")
 
@@ -50,6 +52,8 @@ class Rect:
     c1: int
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            _integer(value, f"rect.{name}")
         if self.r0 > self.r1 or self.c0 > self.c1:
             raise ValueError(f"rectangle corners out of order: {self}")
         if self.r0 < 0 or self.c0 < 0:
@@ -70,8 +74,8 @@ class Scene:
                 raise ValueError(
                     f"rectangle {rect} extends outside the "
                     f"{self.grid.rows}x{self.grid.cols} grid")
-        for cell in self.cells:
-            if not 1 <= cell <= self.grid.total_cells:
+        for k, cell in enumerate(self.cells):
+            if not 1 <= _integer(cell, f"cells[{k}]") <= self.grid.total_cells:
                 raise ValueError(
                     f"cell serial {cell} outside [1, {self.grid.total_cells}]")
 
@@ -141,7 +145,8 @@ def _require(condition: bool, message: str):
 
 
 def _integer(value, path: str) -> int:
-    """A JSON integer; booleans, floats and strings are rejected, not coerced."""
+    """A JSON integer, or a scene value; booleans, floats and strings are
+    rejected, not coerced."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise SceneFormatError(
             f"{path} must be an integer, got {json.dumps(value, default=repr)}")

@@ -10,19 +10,21 @@ is an array map on whatever state arrives.
 
 Party objects hold only their own table; everything a party computes
 before the final count touches its own table alone.  The counting step's
-Grover iterate reflects about the joint preparation.  On an undisturbed
-run that is the state Alice holds after the cheat check, which equals
-the honest preparation, so no second copy is built.  On a disturbed run
-the state Alice holds is what gets counted against ``prepare_joint``,
+Grover iterate reflects about the joint preparation (``prepare_joint``:
 the parties' steps without the measurement and the shared oracle access
-the counting algorithm assumes, read from the two tables, never built.
+the counting algorithm assumes), whose count and size are read from the
+two tables, never built.  On an undisturbed run the state Alice holds
+after the cheat check is that preparation, and one pass over it checks
+so; on a disturbed run her state is counted against the tables.
 
-A protocol run resolves adversarial measurements by drawing once from
-the seeded generator, even in exact mode, because a cheater's projective
-measurement happens once per execution.  ``detection_probability`` is
-sampling-free and needs no branch per outcome: every step between Bob's
-measurement and Alice's check only moves branches, so it runs that
-pipeline once on the unmeasured message.
+Steps 1 and 2 and Alice's check are written once, in ``_exchange``.  A
+protocol run resolves adversarial measurements there by drawing once
+from the seeded generator, even in exact mode, because a cheater's
+projective measurement happens once per execution.
+``detection_probability`` is one minus the exchange's pass probability,
+sampling-free and with no branch per outcome: every step between Bob's
+measurement and Alice's check only moves branches, so the measurement is
+deferred and the exchange runs once on the unmeasured message.
 """
 
 from __future__ import annotations
@@ -281,16 +283,6 @@ def build_preparation(scene_a: Scene, scene_b: Scene) -> PreparationSpec:
     return PreparationSpec(*tables)
 
 
-def _tamper(state: QuantumState, mask: int) -> QuantumState:
-    return xor_register(state, DATA_A, mask)
-
-
-def _check_mask(mask: int, value_bits: int):
-    if not 1 <= mask < (1 << value_bits):
-        raise ValueError(
-            f"tamper mask {mask} does not fit in {value_bits} data bits")
-
-
 def run_protocol(scene_a: Scene, scene_b: Scene,
                  cfg: CountingConfig | None = None,
                  adversary: AdversaryStrategy = HONEST,
@@ -310,42 +302,14 @@ def _run(spec: PreparationSpec, total_cells: int, cfg: CountingConfig | None,
          adversary: AdversaryStrategy, seed: int | None) -> ProtocolTranscript:
     """``run_protocol`` on the spec of two scenes of ``total_cells`` cells."""
     cfg = cfg or CountingConfig()
-    # Refuse an over-budget register or an over-wide mask before any state.
+    # Refuse an over-budget register before any state.
     plan_counting(spec, cfg)
-    if adversary.attack is Attack.BOB_TAMPER:
-        _check_mask(adversary.tamper_mask, spec.value_bits)
     honest = adversary.attack is Attack.HONEST
     # An exact honest run draws nothing.
     rng = (np.random.default_rng(0 if seed is None else seed)
            if cfg.mode == "sample" or not honest else None)
-    alice = AliceParty(spec.table_a)
-    bob = BobParty(spec.table_b)
     steps: list[StepRecord] = []
-
-    message = alice.prepare_message()
-    steps.append(StepRecord(1, "alice", "prepare_and_send",
-                            qubits_sent=message.layout.total_qubits))
-
-    if adversary.attack in (Attack.BOB_MEASURE_ALL, Attack.BOB_MEASURE_DATA):
-        detail: dict[str, Any] = {}
-        if adversary.attack is Attack.BOB_MEASURE_ALL:
-            outcome, message = measure_register(message, ADDR_A, rng)
-            detail["address_outcome"] = outcome
-        outcome, message = measure_register(message, DATA_A, rng)
-        detail["data_outcome"] = outcome
-        steps.append(StepRecord(2, "bob", f"attack:{adversary.attack.value}",
-                                detail=detail))
-
-    joint = bob.respond(message)
-    if adversary.attack is Attack.BOB_TAMPER:
-        joint = _tamper(joint, adversary.tamper_mask)
-        steps.append(StepRecord(2, "bob", "attack:bob-tamper",
-                                detail={"mask": adversary.tamper_mask}))
-    steps.append(StepRecord(2, "bob", "entangle_and_send",
-                            qubits_sent=joint.layout.total_qubits))
-
-    pass_prob, alice_state = cheat_check(joint, alice.table)
-    del joint  # checked: free its K-branch indices before counting
+    pass_prob, alice_state = _exchange(spec, adversary, rng, steps)
     if cfg.mode == "exact":
         passed = pass_prob >= 0.5
         check_detail: dict[str, Any] = {"pass_probability": float(pass_prob),
@@ -386,31 +350,59 @@ def _run(spec: PreparationSpec, total_cells: int, cfg: CountingConfig | None,
     return transcript
 
 
+def _exchange(spec: PreparationSpec, adversary: AdversaryStrategy,
+              rng: np.random.Generator | None, steps: list[StepRecord]
+              ) -> tuple[float, QuantumState | None]:
+    """Steps 1 and 2, recorded in ``steps``, and Alice's check: its exact
+    pass probability and the state Alice holds after it (``cheat_check``).
+    A measurement draws from ``rng``; an over-wide mask is refused first."""
+    mask = adversary.tamper_mask
+    if adversary.attack is Attack.BOB_TAMPER and not 1 <= mask < 1 << spec.value_bits:
+        raise ValueError(f"tamper mask {mask} does not fit in {spec.value_bits} data bits")
+    alice = AliceParty(spec.table_a)
+    message = alice.prepare_message()
+    steps.append(StepRecord(1, "alice", "prepare_and_send",
+                            qubits_sent=message.layout.total_qubits))
+
+    if adversary.attack in (Attack.BOB_MEASURE_ALL, Attack.BOB_MEASURE_DATA):
+        detail: dict[str, Any] = {}
+        if adversary.attack is Attack.BOB_MEASURE_ALL:
+            outcome, message = measure_register(message, ADDR_A, rng)
+            detail["address_outcome"] = outcome
+        outcome, message = measure_register(message, DATA_A, rng)
+        detail["data_outcome"] = outcome
+        steps.append(StepRecord(2, "bob", f"attack:{adversary.attack.value}",
+                                detail=detail))
+
+    joint = BobParty(spec.table_b).respond(message)
+    if adversary.attack is Attack.BOB_TAMPER:
+        joint = xor_register(joint, DATA_A, mask)
+        steps.append(StepRecord(2, "bob", "attack:bob-tamper", detail={"mask": mask}))
+    steps.append(StepRecord(2, "bob", "entangle_and_send",
+                            qubits_sent=joint.layout.total_qubits))
+    return cheat_check(joint, alice.table)
+
+
 def detection_probability(scene_a: Scene, scene_b: Scene,
                           adversary: AdversaryStrategy = HONEST) -> float:
     """Exact probability that the data check catches the strategy.
 
-    Bob's response and Alice's check run once, on the unmeasured message,
-    for every strategy.  A measurement attack needs no branch of its own:
-    a computational-basis measurement followed only by steps that move
-    branches can be deferred to the end (Nielsen & Chuang, section 4.4).
-    Tensoring, XOR loads and tampering send distinct branches to distinct
-    indices (``xor_register`` refuses a collision), so the images of the
-    measurement's outcome branches stay disjoint and the check's failure
-    mass on the whole message is the sum over outcomes of their Born
-    weight times their failure probability.  Nothing is sampled.
+    It is one minus the pass probability of the run's own exchange
+    (``_exchange``) on the unmeasured message, honest or tampered.  A
+    measurement attack needs no branch of its own: a computational-basis
+    measurement followed only by steps that move branches can be deferred
+    to the end (Nielsen & Chuang, section 4.4).  Tensoring, XOR loads and
+    tampering send distinct branches to distinct indices (``xor_register``
+    refuses a collision), so the images of the measurement's outcome
+    branches stay disjoint and the check's failure mass on the whole
+    message is the sum over outcomes of their Born weight times their
+    failure probability.  Nothing is sampled.
     """
     return _detection(build_preparation(scene_a, scene_b), adversary.tamper_mask)
 
 
 def _detection(spec: PreparationSpec, tamper_mask: int) -> float:
-    """Failure probability of the check after Bob's response, XORing
-    ``tamper_mask`` into the checked register when it is nonzero."""
-    if tamper_mask:
-        _check_mask(tamper_mask, spec.value_bits)
-    message = AliceParty(spec.table_a).prepare_message()
-    joint = BobParty(spec.table_b).respond(message)
-    if tamper_mask:
-        joint = _tamper(joint, tamper_mask)
-    pass_prob, _ = cheat_check(joint, spec.table_a)
-    return 1.0 - pass_prob
+    """Failure probability of the run's own check under ``HONEST``, or under
+    ``bob-tamper:tamper_mask`` when the mask is nonzero."""
+    adversary = AdversaryStrategy(Attack.BOB_TAMPER, tamper_mask) if tamper_mask else HONEST
+    return 1.0 - _exchange(spec, adversary, None, [])[0]

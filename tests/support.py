@@ -10,8 +10,8 @@ from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, HONEST, Attack, DataTable,
                  build_preparation, cheat_check, oracle_load, oracle_xor,
                  prepare_joint)
 from qgi.counting import _Plane
-from qgi.protocol import AliceParty, BobParty, _check_mask, _tamper
-from qgi.state import project, register_distribution
+from qgi.protocol import AliceParty, BobParty
+from qgi.state import project, register_distribution, xor_register
 
 
 # Scene documents the parser refuses, with the reason it gives: a field
@@ -160,7 +160,7 @@ def looked_up_plane(spec: PreparationSpec, initial: QuantumState) -> _Plane:
                                    (honest.a, honest.b)))
     off = [max(0.0, float(mass) - abs(c) ** 2)
            for mass, c in zip(parts(np.abs(initial.values) ** 2), (a, b))]
-    return _Plane(honest.theta, a, b, *off, honest.count)
+    return _Plane(honest.theta, a, b, *off, honest.count, honest.branches)
 
 
 def encoded_gram(table: DataTable) -> np.ndarray:
@@ -203,7 +203,9 @@ def expanded_detection_probability(scene_a, scene_b, adversary=HONEST) -> float:
 
     Bob's measurements split the message into every outcome branch with
     its Born weight, and Bob's response and Alice's check run once per
-    branch.  ``detection_probability`` must equal this sum.
+    branch.  ``detection_probability`` must equal this sum; it is the
+    reference, so it keeps a pipeline of its own and never calls the
+    protocol's ``_exchange``.
     """
     spec = build_preparation(scene_a, scene_b)
     alice = AliceParty(spec.table_a)
@@ -216,13 +218,11 @@ def expanded_detection_probability(scene_a, scene_b, adversary=HONEST) -> float:
             branches = [(prob * sub_prob, sub)
                         for prob, st in branches
                         for sub_prob, sub in measure_distribution(st, reg).values()]
-    if adversary.attack is Attack.BOB_TAMPER:
-        _check_mask(adversary.tamper_mask, spec.value_bits)
     failure = 0.0
     for prob, st in branches:
         joint = bob.respond(st)
         if adversary.attack is Attack.BOB_TAMPER:
-            joint = _tamper(joint, adversary.tamper_mask)
+            joint = xor_register(joint, DATA_A, adversary.tamper_mask)
         pass_prob, _ = cheat_check(joint, spec.table_a)
         failure += prob * (1.0 - pass_prob)
     return failure

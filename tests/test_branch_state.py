@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, DataTable, PreparationSpec,
                  RegisterLayout, oracle_load, oracle_xor, prepare_joint, tensor)
-from qgi.protocol import _tamper
+from qgi.state import xor_register
 from support import (basis_state, measure_distribution, prepare_uniform,
                      random_state, unpack)
 
@@ -86,7 +86,7 @@ def test_tamper_xor_matches_reference(bits, data, seed):
         values[DATA_A] ^= mask
         return layout.pack(values)
 
-    assert_close(_tamper(state, mask), moved(state, move))
+    assert_close(xor_register(state, DATA_A, mask), moved(state, move))
 
 
 def around_cleared(reg, width, gen, low_bits=2):

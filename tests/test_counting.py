@@ -14,7 +14,7 @@ from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, HONEST, QUBIT_BUDGET,
                  phase_estimate, prepare_joint, run_protocol)
 from qgi.counting import (CIRCUIT_AUTO_LIMIT, _exact_read, _Plane, _rounded_count,
                           _success_runs, plan_counting)
-from qgi.state import xor_register
+from qgi.state import align, xor_register
 from support import (dense_circuit_distribution, dense_state, looked_up_plane,
                      random_spec, random_state)
 
@@ -395,7 +395,7 @@ class TestGroverIterate:
             spec = random_spec(rng)
             iterate = grover_iterate(spec)
             initial = random_state(spec.layout(), rng)
-            support = iterate.on_support(initial)[0]
+            support = align(initial, iterate.prepared)[0]
             rows = np.zeros((1 << bits, len(support)), dtype=np.complex128)
             state = initial
             for z in range(1 << bits):
@@ -814,6 +814,45 @@ class TestPhaseEstimate:
                     phase_estimate(WORKED, cfg, initial_state=state, prepared=skewed,
                                    rng=np.random.default_rng(0))
 
+    def test_a_count_with_no_state_builds_nothing(self, monkeypatch, states_built):
+        # t = |A ∩ B| and K = M * N come from the tables.
+        def refused(spec):
+            raise AssertionError("a preparation was built")
+        monkeypatch.setattr(qgi.counting, "prepare_joint", refused)
+        for spec, t in ((WORKED, 1), (DISJOINT, 0), (THREE_OF_NINE, 3)):
+            assert phase_estimate(spec).t_rounded == t
+        assert states_built == []
+
+    def test_a_held_state_that_is_not_the_preparation_is_refused(self):
+        # Both pairs of A = B = (1, 2) match; with 1 XORed into Bob's data
+        # register none does, a uniform state on the spec's layout that
+        # read as the preparation gave t = 0 with success_prob 1.0.
+        spec = PreparationSpec(DataTable((1, 2), 2), DataTable((1, 2), 2))
+        held = xor_register(prepare_joint(spec), DATA_B, 1)
+        for state in (None, random_state(spec.layout(), np.random.default_rng(34))):
+            with pytest.raises(ValueError, match="marks 0 of 4 branches; the spec's "
+                                                 "tables match 2 of 4 pairs"):
+                phase_estimate(spec, initial_state=state, prepared=held)
+        # Disjoint tables mark no pair: a uniform state of 2 of the 4
+        # branches marks none either, but is not the preparation.
+        part = QuantumState.from_branches(DISJOINT.layout(),
+                                          prepare_joint(DISJOINT).indices[:2],
+                                          [2 ** -0.5] * 2)
+        with pytest.raises(ValueError, match="marks 0 of 2 branches"):
+            phase_estimate(DISJOINT, prepared=part)
+
+    def test_a_held_preparation_does_not_change_a_disturbed_count(self):
+        gen = np.random.default_rng(34)
+        for spec in [random_spec(gen) for _ in range(10)] + [WORKED, SINGLE]:
+            held = prepare_joint(spec)
+            states = [random_state(spec.layout(), gen), held]
+            for state in states + [OFF_PLANE] * (spec is WORKED):
+                alone = phase_estimate(spec, initial_state=state)
+                both = phase_estimate(spec, initial_state=state, prepared=held)
+                assert ((both.y, both.t_rounded, both.success_prob)
+                        == (alone.y, alone.t_rounded, alone.success_prob))
+                assert np.array_equal(both.distribution, alone.distribution)
+
 
 class TestExactRead:
     """The exact read is a pure function of the plane and the sizes, so
@@ -842,8 +881,8 @@ class TestExactRead:
                              ids=["circuit", "reduced"])
     def test_a_repeated_estimate_costs_only_the_plane_pass(self, engine, bits,
                                                            monkeypatch):
-        cfg = CountingConfig(bits=bits)
-        phase_estimate(WORKED, cfg)
+        cfg, held = CountingConfig(bits=bits), prepare_joint(WORKED)
+        phase_estimate(WORKED, cfg, prepared=held)
         passes, evaluated = [], []
         plane_of, probabilities = _Plane.of.__func__, _Plane.probabilities
 
@@ -856,9 +895,13 @@ class TestExactRead:
             return probabilities(plane, *args)
         monkeypatch.setattr(_Plane, "of", classmethod(counted_of))
         monkeypatch.setattr(_Plane, "probabilities", counted_probabilities)
-        est = phase_estimate(WORKED, cfg)
+        est = phase_estimate(WORKED, cfg, prepared=held)
         assert (est.engine, est.t_rounded) == (engine, 1)
         assert (len(passes), len(evaluated)) == (1, 0)
+        # With no state the plane comes from the tables: no pass at all.
+        passes.clear()
+        assert phase_estimate(WORKED, cfg).y == est.y
+        assert (len(passes), len(evaluated)) == (0, 0)
 
     # One pair, matching or not: theta is pi or 0, so both peaks sit exactly
     # on y = n/2 or on y = 0, and at 27 bits 2^26 outcomes decode to each count.

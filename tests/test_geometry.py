@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,19 @@ class TestRasterize:
             Scene(grid4, rects=(Rect(0, 0, 4, 1),))
         with pytest.raises(ValueError, match="outside"):
             Scene(grid4, cells=(17,))
+
+    # Each would coerce silently if built: Rect(0, 0, 1.5, 1) rasterizes a
+    # third row, GridConfig(2.5, 4) has 10.0 cells, GridConfig(4, 4.0) fails
+    # only in a run on its table, and a cell True rasterizes to (True,).
+    @pytest.mark.parametrize("build, path", [
+        (lambda: Rect(0, 0, 1.5, 1), "rect.r1"),
+        (lambda: GridConfig(2.5, 4), "grid.rows"),
+        (lambda: GridConfig(4, 4.0), "grid.cols"),
+        (lambda: Scene(GridConfig(4, 4), cells=(True,)), "cells[0]"),
+    ], ids=["rect-float", "grid-float-rows", "grid-float-cols", "cell-bool"])
+    def test_scene_values_must_be_ints(self, build, path):
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)} must be an integer"):
+            build()
 
 
 class TestClassicalIntersect:

@@ -18,8 +18,9 @@ from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, HONEST, AdversaryStrategy, Atta
                  classical_intersect, comm_cost, detection_probability,
                  leakage_report, phase_estimate, prepare_encoded, rasterize,
                  run_protocol, tensor)
-from qgi.protocol import AliceParty, BobParty, StepRecord
-from support import expanded_detection_probability, gram_entropy, random_state
+from qgi.protocol import AliceParty, BobParty, StepRecord, _detection, _run
+from support import (expanded_detection_probability, gram_entropy, random_spec,
+                     random_state)
 
 
 class TestHonestRuns:
@@ -275,6 +276,19 @@ class TestDetectionInOnePipeline:
         monkeypatch.setattr(qgi.protocol, "cheat_check", counted_check)
         detection_probability(*worked_scenes, AdversaryStrategy.parse(label))
         assert calls == {"respond": 1, "cheat_check": 1}
+
+    def test_detection_is_the_runs_own_check(self):
+        # One minus the pass probability an exact run records, honest or
+        # tampered with each mask that fits.
+        rng = np.random.default_rng(34)
+        for _ in range(12):
+            spec = random_spec(rng, value_bits=3)
+            for mask in range(1 << spec.value_bits):
+                adversary = AdversaryStrategy(Attack.BOB_TAMPER, mask) if mask else HONEST
+                run = _run(spec, 8, None, adversary, seed=mask)
+                check = next(rec for rec in run.steps
+                             if rec.action == "uncompute_and_check")
+                assert _detection(spec, mask) == 1.0 - check.detail["pass_probability"]
 
 
 class TestCostSummary:

@@ -10,7 +10,7 @@ from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, QUBIT_BUDGET, DataTable,
                  PreparationSpec, QuantumState, RegisterLayout,
                  grover_iterate, leakage_report, measure_register, phase_estimate,
                  tensor)
-from qgi.state import (_norm_sq, project, reflect, register_distribution,
+from qgi.state import (_norm_sq, align, project, reflect, register_distribution,
                        xor_register)
 from support import (basis_state, dense_state, encoded_gram, gram_entropy,
                      measure_distribution, random_spec, random_state, unpack)
@@ -157,13 +157,16 @@ def test_xor_values_are_one_or_one_per_branch(pair_layout):
 
 
 def test_phase_flip_flips_only_matching_branches(rng):
+    # The reflection about |psi> is its own inverse, so reflecting the
+    # iterate's output once more leaves S|state>: the branches whose Bob
+    # data register is 0 negated, every other branch kept.
     spec = random_spec(rng)
     iterate = grover_iterate(spec)
     state = random_state(spec.layout(), rng)
-    support, values, _, marked = iterate.on_support(state)
+    support, (values, out, axis) = align(state, iterate.apply(state), iterate.prepared)
     assert np.array_equal(support, np.union1d(state.indices, iterate.prepared.indices))
-    assert np.array_equal(marked, spec.layout().extract(support, DATA_B) == 0)
-    assert np.array_equal(values[np.searchsorted(support, state.indices)], state.values)
+    signs = np.where(spec.layout().extract(support, DATA_B) == 0, -1.0, 1.0)
+    assert np.max(np.abs(reflect(out, axis) - signs * values)) < 1e-12
 
 
 def test_reflection_fixes_axis_and_negates_orthogonal():
