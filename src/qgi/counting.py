@@ -8,10 +8,11 @@ the measured integer y to a count via t = K * sin^2(pi * y / 2^p).
 One closed form gives the outcome distribution for any initial state,
 honest or disturbed.  It starts from the plane summary (see ``_Plane``).
 sin^2(theta / 2) = t / K fixes the iterate's rotation angle, with t the
-tables' common entries; a held preparation's one pass must count the
-same t of K branches.  A disturbed state's overlap with the preparation
-is read from the tables, so its coordinates on the basis in which G is a rotation of
-one plane, the identity and minus the identity cost its own branches.
+tables' common entries.  A counted state that equals the preparation
+branch for branch sits on that plane as the preparation does; any other
+state's overlap with the preparation is read from the tables, so its
+coordinates on the basis in which G is a rotation of one plane, the
+identity and minus the identity cost its own branches.
 On that basis the circuit's controlled iterate powers and inverse
 Fourier transform give each outcome's probability in closed form: a sum
 of Fejer kernels centred on the eigenphases, plus the off-plane masses
@@ -164,12 +165,44 @@ def grover_iterate(spec: PreparationSpec) -> GroverIterate:
 
 
 def exact_count(state: QuantumState) -> int:
-    """Marked-branch count of an honest joint preparation, by its plane pass.
+    """Marked-branch count of an honest joint preparation, in one pass.
 
     Rejects states whose nonzero branches are not all of equal magnitude,
     since those cannot come from the honest pipeline.
     """
-    return _Plane.of(state).count
+    magnitudes = np.abs(state.values)
+    # The floor leaves out zero branches a preparation may list.
+    nonzero = magnitudes ** 2 > _BRANCH_FLOOR
+    kept = magnitudes[nonzero]
+    if not kept.size:
+        raise ValueError("state has no nonzero branches")
+    if np.abs(kept - 1 / math.sqrt(kept.size)).max() > 1e-9:
+        raise ValueError("branch magnitudes are not uniform; "
+                         "state is not an honest preparation")
+    marked = state.layout.extract(state.indices, DATA_B) == 0
+    return int(np.count_nonzero(nonzero & marked))
+
+
+def _is_preparation(spec: PreparationSpec, state: QuantumState) -> bool:
+    """Whether ``state`` is ``prepare_joint(spec)`` branch for branch.
+
+    Its K indices are rebuilt from the two tables, ascending in (i, j):
+    ``i << offset | table_a[i]`` XOR ``j << offset | table_b[j]`` puts the
+    addresses in their registers, 0 in Alice's data register and the pair's
+    XOR in Bob's (see ``qgi.oracles``).  Every amplitude must be exactly
+    the one ``tensor`` forms, 1/sqrt(M) 1/sqrt(N).
+    """
+    size_a, size_b = spec.table_a.size, spec.table_b.size
+    layout = spec.layout()
+    if state.layout != layout or len(state.indices) != size_a * size_b:
+        return False
+    amplitude = np.complex128(1 / math.sqrt(size_a)) * (1 / math.sqrt(size_b))
+    if np.count_nonzero(state.values != amplitude):
+        return False
+    step_a, step_b = 1 << layout.offset(ADDR_A), 1 << layout.offset(ADDR_B)
+    rows_a = np.arange(0, size_a * step_a, step_a) | spec.table_a.lookup[:size_a]
+    rows_b = np.arange(0, size_b * step_b, step_b) | spec.table_b.lookup[:size_b]
+    return not np.count_nonzero(state.indices != (rows_a[:, None] ^ rows_b).ravel())
 
 
 @dataclass(frozen=True)
@@ -199,12 +232,10 @@ class _Plane:
 
     with w+- = |c+-|^2 and F_n(d) = sin^2(pi d) / (n sin(pi d / n))^2.
 
-    ``of`` reads the preparation's branches once: it refuses them if those
-    above ``_BRANCH_FLOOR`` differ in magnitude, and the t = ``count``
-    marked ones among those B = ``branches`` give sin(theta / 2) = |m| =
-    sqrt(t / B), with no sum (``of_count``).  ``on``, on such a plane, reads
-    the preparation from the tables: 1/sqrt(M) 1/sqrt(N) where i < M, j < N,
-    data_a 0, data_b a[i] ^ b[j].
+    ``of_count`` gives the preparation's own plane from its t = ``count``
+    marked branches of K: sin(theta / 2) = |m| = sqrt(t / K), with no sum.
+    ``on``, on that plane, reads the preparation from the tables:
+    1/sqrt(M) 1/sqrt(N) where i < M, j < N, data_a 0, data_b a[i] ^ b[j].
     """
 
     theta: float
@@ -213,31 +244,11 @@ class _Plane:
     off_marked: float
     off_unmarked: float
     count: int
-    branches: int
 
     @classmethod
-    def of(cls, prepared: QuantumState) -> "_Plane":
-        probs = np.abs(prepared.values) ** 2
-        # The floor leaves out zero branches a preparation may list.
-        nonzero = probs > _BRANCH_FLOOR
-        branches = int(np.count_nonzero(nonzero))
-        if branches == 0:
-            raise ValueError("state has no nonzero branches")
-        kept = probs if branches == len(probs) else probs[nonzero]
-        # The largest |sqrt(p) - 1/sqrt(branches)| is at an extreme p: sqrt and
-        # rounding are monotone, so no array of magnitudes is built.
-        uniform = 1.0 / math.sqrt(branches)
-        if max(math.sqrt(kept.max()) - uniform, uniform - math.sqrt(kept.min())) > 1e-9:
-            raise ValueError("branch magnitudes are not uniform; "
-                             "state is not an honest preparation")
-        marked = prepared.layout.extract(prepared.indices, DATA_B) == 0
-        count = int(np.count_nonzero(marked if kept is probs else nonzero & marked))
-        return cls.of_count(count, branches)
-
-    @classmethod
-    def of_count(cls, count: int, branches: int) -> "_Plane":
-        norms = math.sqrt(count / branches), math.sqrt((branches - count) / branches)
-        return cls(2.0 * math.asin(norms[0]), *norms, 0.0, 0.0, count, branches)
+    def of_count(cls, count: int, size: int) -> "_Plane":
+        norms = math.sqrt(count / size), math.sqrt((size - count) / size)
+        return cls(2.0 * math.asin(norms[0]), *norms, 0.0, 0.0, count)
 
     def on(self, spec: PreparationSpec, initial: QuantumState) -> "_Plane":
         if initial.layout != spec.layout():
@@ -261,7 +272,7 @@ class _Plane:
                 for inner, norm in zip(parts(initial.values * axis.conj()), (self.a, self.b)))
         off = [max(0.0, float(mass) - abs(c) ** 2)
                for mass, c in zip(parts(np.abs(initial.values) ** 2), (a, b))]
-        return _Plane(self.theta, a, b, *off, self.count, self.branches)
+        return _Plane(self.theta, a, b, *off, self.count)
 
     def probabilities(self, bits: int, ys: np.ndarray) -> np.ndarray:
         """P(y) at the int64 outcomes ``ys``, from the kernels.
@@ -341,9 +352,9 @@ def _exact_read(plane: _Plane, search_space: int, bits: int,
     """Exact mode's outcome y and success probability.
 
     A pure function of the plane and the sizes, memoized on them: an honest
-    plane is fixed by (t, B), so a repeated (t, K, bits) costs a caller only
-    its plane pass.  P is evaluated only at the outcomes read, never
-    tabulated, so the memo holds numbers only.
+    plane is fixed by (t, K), so a repeated (t, K, bits) costs a caller only
+    its comparison with the preparation.  P is evaluated only at the
+    outcomes read, never tabulated, so the memo holds numbers only.
     """
     at = functools.partial(plane.probabilities, bits)
     runs = _success_runs(plane.count, search_space, bits) if reports_success else []
@@ -395,23 +406,19 @@ def plan_counting(spec: PreparationSpec, cfg: CountingConfig,
 
 def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
                    initial_state: QuantumState | None = None,
-                   rng: np.random.Generator | None = None,
-                   prepared: QuantumState | None = None) -> CountEstimate:
+                   rng: np.random.Generator | None = None) -> CountEstimate:
     """Estimate the marked count of the joint preparation.
 
-    The iterate's plane comes from the tables on every path: t = |A ∩ B|
-    of K = M * N pairs, so with no state nothing is built.  ``prepared`` is
-    the joint preparation a caller holds, as an honest run holds the state
-    its own steps built; its layout must be the spec's, and its one pass
-    refuses it unless its branch magnitudes are uniform and it marks the
-    same t of K branches, so it changes no estimate.  ``initial_state``
-    overrides the preparation as the state counted (used to study runs
-    where the in-flight state was disturbed), with its overlap read from
-    the tables.  The engine name does not depend on it; it disables the
-    success-probability report, since the true count is then undefined.
+    The iterate's plane comes from the tables: t = |A ∩ B| of K = M * N
+    pairs, so with no state nothing is built.  ``initial_state``, the state
+    counted (a run's is the one Alice holds after her check), counts as the
+    preparation only if it equals it branch for branch (``_is_preparation``).
+    Any other state is disturbed: its overlap with the preparation is read
+    from the tables, and it reports no ``success_prob``, as the true count
+    is then undefined.  The engine name does not depend on the state.
     Sample mode draws the outcome from ``rng``, the run's generator, and
-    needs one.  Under either engine name the estimate holds no outcome
-    table: ``distribution`` evaluates every outcome when read.
+    needs one.  No estimate holds an outcome table: ``distribution``
+    evaluates every outcome when read.
     """
     cfg = cfg or CountingConfig()
     if cfg.mode == "sample" and rng is None:
@@ -421,21 +428,14 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     size = 1 << bits
     plane = _Plane.of_count(
         len(set(spec.table_a.entries) & set(spec.table_b.entries)), search_space)
-    if prepared is not None:
-        if prepared.layout != spec.layout():
-            raise ValueError(f"prepared state layout {prepared.layout!r} does not "
-                             f"match the spec's {spec.layout()!r}")
-        if (held := _Plane.of(prepared)) != plane:
-            raise ValueError(f"prepared state marks {held.count} of {held.branches} branches; "
-                             f"the spec's tables match {plane.count} of {plane.branches} pairs")
-    if initial_state is not None:
-        plane = plane.on(spec, initial_state)
+    honest = initial_state is None or _is_preparation(spec, initial_state)
+    plane = plane if honest else plane.on(spec, initial_state)
     outcomes = lambda: plane.probabilities(bits, np.arange(size))
     if cfg.mode == "sample":
         probs = outcomes()
         y, success = int(rng.choice(size, p=probs / probs.sum())), None
     else:
-        y, success = _exact_read(plane, search_space, bits, initial_state is None)
+        y, success = _exact_read(plane, search_space, bits, honest)
 
     return CountEstimate(
         y=y, bits=bits, search_space=search_space,

@@ -69,7 +69,11 @@ class Scene:
     cells: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for rect in self.rects:
+        if not isinstance(self.grid, GridConfig):
+            raise ValueError(f"grid must be a GridConfig, got {self.grid!r}")
+        for k, rect in enumerate(self.rects):
+            if not isinstance(rect, Rect):
+                raise ValueError(f"rects[{k}] must be a Rect, got {rect!r}")
             if rect.r1 >= self.grid.rows or rect.c1 >= self.grid.cols:
                 raise ValueError(
                     f"rectangle {rect} extends outside the "

@@ -13,9 +13,10 @@ before the final count touches its own table alone.  The counting step's
 Grover iterate reflects about the joint preparation (``prepare_joint``:
 the parties' steps without the measurement and the shared oracle access
 the counting algorithm assumes), whose count and size are read from the
-two tables, never built.  On an undisturbed run the state Alice holds
-after the cheat check is that preparation, and one pass over it checks
-so; on a disturbed run her state is counted against the tables.
+two tables, never built.  Every run counts the state Alice holds after
+the cheat check in one call: where it equals that preparation branch for
+branch, as on every undisturbed run, it is counted as the preparation;
+otherwise it is counted against the tables.
 
 Steps 1 and 2 and Alice's check are written once, in ``_exchange``.  A
 protocol run resolves adversarial measurements there by drawing once
@@ -304,10 +305,9 @@ def _run(spec: PreparationSpec, total_cells: int, cfg: CountingConfig | None,
     cfg = cfg or CountingConfig()
     # Refuse an over-budget register before any state.
     plan_counting(spec, cfg)
-    honest = adversary.attack is Attack.HONEST
     # An exact honest run draws nothing.
     rng = (np.random.default_rng(0 if seed is None else seed)
-           if cfg.mode == "sample" or not honest else None)
+           if cfg.mode == "sample" or adversary.attack is not Attack.HONEST else None)
     steps: list[StepRecord] = []
     pass_prob, alice_state = _exchange(spec, adversary, rng, steps)
     if cfg.mode == "exact":
@@ -328,12 +328,7 @@ def _run(spec: PreparationSpec, total_cells: int, cfg: CountingConfig | None,
                 4, "alice", "attack:alice-measure-result",
                 detail={"measured_xor_value": learned,
                         "note": "one address-pair xor; the raw serial stays hidden"}))
-        # Undisturbed, Alice holds the preparation itself; otherwise her
-        # state is counted against the axis read from the two tables.
-        if honest:
-            estimate = phase_estimate(spec, cfg, rng=rng, prepared=alice_state)
-        else:
-            estimate = phase_estimate(spec, cfg, initial_state=alice_state, rng=rng)
+        estimate = phase_estimate(spec, cfg, initial_state=alice_state, rng=rng)
         verdict = decide_intersection(estimate)
         steps.append(StepRecord(
             4, "alice", "quantum_count",

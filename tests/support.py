@@ -7,8 +7,8 @@ import numpy as np
 
 from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, HONEST, Attack, DataTable,
                  PreparationSpec, QuantumState, RegisterLayout,
-                 build_preparation, cheat_check, oracle_load, oracle_xor,
-                 prepare_joint)
+                 build_preparation, cheat_check, exact_count, oracle_load,
+                 oracle_xor, prepare_joint)
 from qgi.counting import _Plane
 from qgi.protocol import AliceParty, BobParty
 from qgi.state import project, register_distribution, xor_register
@@ -146,7 +146,7 @@ def looked_up_plane(spec: PreparationSpec, initial: QuantumState) -> _Plane:
     the axis the sums run against.  ``_Plane.on`` reads those amplitudes
     from the two tables and must equal this field for field."""
     prepared = prepare_joint(spec)
-    honest = _Plane.of(prepared)
+    honest = _Plane.of_count(exact_count(prepared), len(prepared.indices))
     at = np.minimum(np.searchsorted(prepared.indices, initial.indices),
                     len(prepared.indices) - 1)
     axis = np.where(prepared.indices[at] == initial.indices, prepared.values[at], 0)
@@ -160,7 +160,7 @@ def looked_up_plane(spec: PreparationSpec, initial: QuantumState) -> _Plane:
                                    (honest.a, honest.b)))
     off = [max(0.0, float(mass) - abs(c) ** 2)
            for mass, c in zip(parts(np.abs(initial.values) ** 2), (a, b))]
-    return _Plane(honest.theta, a, b, *off, honest.count, honest.branches)
+    return _Plane(honest.theta, a, b, *off, honest.count)
 
 
 def encoded_gram(table: DataTable) -> np.ndarray:

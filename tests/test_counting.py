@@ -164,11 +164,45 @@ def test_success_prob_is_the_literal_circuits_mass_on_the_true_count(case):
     true_t = len(set(spec.table_a.entries) & set(spec.table_b.entries))
     decodes = np.array([_rounded_count(y, spec.size_k, bits) for y in range(1 << bits)])
     cfg = CountingConfig(bits=bits)
-    est = phase_estimate(spec, cfg, prepared=prepared)
+    est = phase_estimate(spec, cfg, initial_state=prepared)
     assert abs(est.success_prob - literal[decodes == true_t].sum()) < 1e-12
-    if state is not None:
-        assert phase_estimate(spec, cfg, initial_state=state,
-                              prepared=prepared).success_prob is None
+    # A one-pair basis state on the preparation's branch is the preparation.
+    if state is not None and not same_branches(state, prepared):
+        assert phase_estimate(spec, cfg, initial_state=state).success_prob is None
+
+
+# Both pairs of A = B = (1, 2) match.  With 3 XORed into Bob's data register
+# they no longer do, while the other two pairs now do: a uniform state that
+# marks 2 of 4 branches, as the preparation does, but shares none with it.
+PAIRS = PreparationSpec(DataTable((1, 2), 2), DataTable((1, 2), 2))
+
+
+def same_branches(state, other):
+    return (state.indices.tolist() == other.indices.tolist()
+            and state.values.tolist() == other.values.tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=counting_cases())
+@example(case=(PAIRS, 3, None))
+def test_only_the_preparation_counts_as_the_preparation(case):
+    # Counting the preparation is counting with no state; the preparation
+    # with any nonzero mask XORed into Bob's data register is a disturbed
+    # state, read on the plane that the literal lookup gives.
+    spec, bits, _ = case
+    cfg, prepared = CountingConfig(bits=bits), prepare_joint(spec)
+    fresh = phase_estimate(spec, cfg)
+    held = phase_estimate(spec, cfg, initial_state=prepared)
+    assert ((held.y, held.t_rounded, held.success_prob)
+            == (fresh.y, fresh.t_rounded, fresh.success_prob))
+    assert np.array_equal(held.distribution, fresh.distribution)
+    outcomes = np.arange(1 << bits)
+    for mask in range(1, 1 << spec.value_bits):
+        moved = xor_register(prepared, DATA_B, mask)
+        est = phase_estimate(spec, cfg, initial_state=moved)
+        assert est.success_prob is None
+        assert np.array_equal(est.distribution,
+                              looked_up_plane(spec, moved).probabilities(bits, outcomes))
 
 
 @settings(max_examples=100, deadline=None)
@@ -180,7 +214,7 @@ def test_the_plane_pass_counts_the_preparation_on_any_union(case):
     prepared = prepare_joint(spec)
     count = exact_count(prepared)
     assert count == len(set(spec.table_a.entries) & set(spec.table_b.entries))
-    plane = _Plane.of(prepared)
+    plane = _Plane.of_count(count, spec.size_k)
     assert (plane if state is None else plane.on(spec, state)).count == count
 
 
@@ -225,13 +259,11 @@ def padded_cases(draw):
 def test_the_plane_read_from_the_tables_equals_the_lookup(case):
     # The preparation's amplitude on each disturbed branch, read from the
     # two tables, against a search of the prepared indices: the same plane,
-    # field for field and with no tolerance, whether the angle comes from a
-    # held preparation's pass or from t = |A & B| over K, as in a disturbed
-    # estimate that holds none.
+    # field for field and with no tolerance, with the angle from t = |A & B|
+    # over K, as a disturbed estimate reads it.
     spec, state = case
     reference = looked_up_plane(spec, state)
     count = len(set(spec.table_a.entries) & set(spec.table_b.entries))
-    assert _Plane.of(prepare_joint(spec)).on(spec, state) == reference
     assert _Plane.of_count(count, spec.size_k).on(spec, state) == reference
 
 
@@ -239,12 +271,18 @@ def test_the_plane_read_from_the_tables_equals_the_lookup(case):
 @given(case=counting_cases())
 def test_an_honest_angle_is_the_counts_own(case):
     # sin^2(theta / 2) = t / K for the uniform preparation, bit for bit: no
-    # summed mass carries its rounding into theta.
+    # summed mass carries its rounding into theta, and counting the held
+    # preparation reads that plane.
+    bits = case[1]
     for spec in (case[0], THREE_OF_NINE):
-        count = len(set(spec.table_a.entries) & set(spec.table_b.entries))
-        plane = _Plane.of(prepare_joint(spec))
+        prepared = prepare_joint(spec)
+        count = exact_count(prepared)
+        plane = _Plane.of_count(count, spec.size_k)
         assert plane.theta == 2 * math.asin(math.sqrt(count / spec.size_k))
         assert (plane.off_marked, plane.off_unmarked) == (0.0, 0.0)
+        held = phase_estimate(spec, CountingConfig(bits=bits), initial_state=prepared)
+        assert np.array_equal(held.distribution,
+                              plane.probabilities(bits, np.arange(1 << bits)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -403,8 +441,8 @@ class TestGroverIterate:
                 state = iterate.apply(state)
             probs = np.sum(np.abs(np.fft.fft(rows, axis=0) / (1 << bits)) ** 2,
                            axis=1)
-            plane = _Plane.of(iterate.prepared).on(spec, initial)
-            closed = plane.probabilities(bits, np.arange(1 << bits))
+            closed = phase_estimate(spec, CountingConfig(bits=bits),
+                                    initial_state=initial).distribution
             assert np.max(np.abs(probs - closed)) < 1e-12
 
     def test_apply_keeps_only_nonzero_branches(self):
@@ -628,10 +666,13 @@ class TestPhaseEstimate:
             phase_estimate(WORKED, CountingConfig(mode="sample"))
 
     def test_auto_engine_choice_ignores_the_initial_state(self):
+        # The preparation itself reports the honest success probability.
         collapsed = prepare_joint(WORKED)
         est = phase_estimate(WORKED, initial_state=collapsed)
         assert est.engine == "circuit"
-        assert est.success_prob is None
+        assert est.success_prob == phase_estimate(WORKED).success_prob
+        est = phase_estimate(WORKED, initial_state=OFF_PLANE)
+        assert (est.engine, est.success_prob) == ("circuit", None)
 
     @pytest.mark.parametrize("bits", [1, 3, 6])
     def test_circuit_matches_the_dense_literal_circuit(self, bits):
@@ -660,23 +701,21 @@ class TestPhaseEstimate:
 
     def test_an_estimate_passes_over_the_support_once(self, monkeypatch,
                                                        worked_scenes):
-        # An estimate reads the plane summary, the honesty check and the
-        # true count off one pass over each state's branches and never
-        # steps the iterate: at 12 bits its 4,096 powers are the plane's
-        # rotations.  While counting, each state's amplitudes are squared
-        # once; Bob's data register is extracted once from a preparation's
-        # branches, and each of the four registers once from a disturbed
-        # state's, and nothing else is built, through a run of the
-        # protocol too.  A disturbed run holds no preparation, so its
-        # count passes over the counted state alone.
-        passes, steps, counting, squared, extracted = [], [], [], [], []
-        plane_of = _Plane.of.__func__
+        # An estimate reads each state's branches once and never steps the
+        # iterate: at 12 bits its 4,096 powers are the plane's rotations.
+        # The preparation is compared with the indices and amplitude rebuilt
+        # from the tables, with no amplitude squared and no register
+        # extracted.  A disturbed state's amplitudes are squared once and
+        # each of its four registers extracted once, and nothing else is
+        # built, through a run of the protocol too.
+        compared, steps, counting, squared, extracted = [], [], [], [], []
+        is_preparation = qgi.counting._is_preparation
         registers = [ADDR_A, ADDR_B, DATA_A, DATA_B]
 
-        def counted(cls, prepared):
-            passes.append(prepared)
-            return plane_of(cls, prepared)
-        monkeypatch.setattr(_Plane, "of", classmethod(counted))
+        def counted(spec, state):
+            compared.append(state)
+            return is_preparation(spec, state)
+        monkeypatch.setattr(qgi.counting, "_is_preparation", counted)
         monkeypatch.setattr(qgi.counting, "reflect", lambda *args: steps.append(args))
 
         class Numpy:  # numpy, recording the arrays |.| is taken of while counting
@@ -709,28 +748,28 @@ class TestPhaseEstimate:
         monkeypatch.setattr(qgi.protocol, "phase_estimate", estimate)
         held = prepare_joint(WORKED)
         disturbed = random_state(WORKED.layout(), np.random.default_rng(24))
-        for cfg, state, gen in ((CountingConfig(bits=12), None, None),
+        for cfg, state, gen in ((CountingConfig(bits=12), held, None),
                                 (CountingConfig(bits=12, mode="sample"), disturbed,
                                  np.random.default_rng(0))):
-            for log in (passes, squared, extracted):
+            for log in (compared, squared, extracted):
                 log.clear()
-            est = estimate(WORKED, cfg, initial_state=state, rng=gen, prepared=held)
-            assert (passes, steps) == ([held], [])
-            read = [held] if state is None else [held, state]
-            assert len(squared) == len(read)
-            assert all(values is each.values for values, each in zip(squared, read))
+            est = estimate(WORKED, cfg, initial_state=state, rng=gen)
+            assert (compared, steps) == ([state], [])
+            assert (est.success_prob is None) == (state is disturbed)
+            assert [values is state.values for values in squared] == (
+                [] if state is held else [True])
             # Identical index arrays, so no element-wise comparison is made.
-            assert extracted == [(held.indices, DATA_B)] + (
-                [] if state is None else [(state.indices, name) for name in registers])
+            assert extracted == ([] if state is held else
+                                 [(state.indices, name) for name in registers])
         for adversary in (HONEST, AdversaryStrategy.parse("alice-measure-result")):
-            for log in (passes, squared, extracted):
+            for log in (compared, squared, extracted):
                 log.clear()
             run = run_protocol(*worked_scenes, adversary=adversary, seed=3)
             # Measuring the pair-XOR leaves a state almost wholly off the plane.
             assert run.estimate.t_rounded == (1 if adversary is HONEST else 16)
-            assert (len(passes), steps) == (int(adversary is HONEST), [])
+            assert (len(compared), steps) == (1, [])
             assert (len(squared), [name for _, name in extracted]) == (
-                (1, [DATA_B]) if adversary is HONEST else (1, registers))
+                (0, []) if adversary is HONEST else (1, registers))
 
     def test_a_state_off_the_preparation_lies_off_the_plane(self):
         # No branch of the counted state is one of the preparation's, so
@@ -738,7 +777,7 @@ class TestPhaseEstimate:
         # literal circuit shows.
         prepared = prepare_joint(WORKED)
         assert not np.intersect1d(OFF_PLANE.indices, prepared.indices).size
-        plane = _Plane.of(prepared).on(WORKED, OFF_PLANE)
+        plane = _Plane.of_count(1, 16).on(WORKED, OFF_PLANE)
         assert (plane.a, plane.b) == (0, 0)
         assert abs(plane.off_marked + plane.off_unmarked - 1.0) < 1e-15
         est = phase_estimate(WORKED, CountingConfig(bits=7), initial_state=OFF_PLANE)
@@ -788,7 +827,7 @@ class TestPhaseEstimate:
             assert est.y <= 1 << (est.bits - 1)
 
     def test_a_held_preparation_replaces_a_fresh_one(self):
-        est = phase_estimate(WORKED, prepared=prepare_joint(WORKED))
+        est = phase_estimate(WORKED, initial_state=prepare_joint(WORKED))
         fresh = phase_estimate(WORKED)
         assert (est.y, est.success_prob) == (fresh.y, fresh.success_prob)
         assert np.array_equal(est.distribution, fresh.distribution)
@@ -800,19 +839,36 @@ class TestPhaseEstimate:
             phase_estimate(WORKED, initial_state=other)
 
     def test_a_held_preparation_is_checked(self):
+        # A held state counts as the preparation only if it equals it branch
+        # for branch.  One on another layout is refused; one a single ulp or
+        # a single branch away, or holding part of its branches, is counted
+        # as the disturbed state it is, which has no success probability.
         with pytest.raises(ValueError, match="layout"):
-            phase_estimate(DISJOINT, prepared=prepare_joint(WORKED))
-        skewed = random_state(WORKED.layout(), np.random.default_rng(8))
-        with pytest.raises(ValueError, match="not uniform"):
-            phase_estimate(WORKED, prepared=skewed)
-        # Every iterate reflects about the preparation, so a disturbed
-        # estimate checks it too, in either mode.
-        for state in (prepare_joint(WORKED), random_state(WORKED.layout(),
-                                                          np.random.default_rng(9))):
-            for cfg in (CountingConfig(), CountingConfig(mode="sample")):
-                with pytest.raises(ValueError, match="not uniform"):
-                    phase_estimate(WORKED, cfg, initial_state=state, prepared=skewed,
-                                   rng=np.random.default_rng(0))
+            phase_estimate(DISJOINT, initial_state=prepare_joint(WORKED))
+        prepared = prepare_joint(WORKED)
+        nudged = prepared.values.copy()
+        nudged[5] = np.nextafter(nudged[5].real, 1.0)
+        part = QuantumState.from_branches(DISJOINT.layout(),
+                                          prepare_joint(DISJOINT).indices[:2],
+                                          [2 ** -0.5] * 2)
+        for spec, state in (
+                (WORKED, QuantumState.from_branches(WORKED.layout(), prepared.indices,
+                                                    nudged)),
+                (WORKED, xor_register(prepared, DATA_B, np.eye(1, 16, 5, dtype=int)[0])),
+                (WORKED, random_state(WORKED.layout(), np.random.default_rng(8))),
+                (DISJOINT, part)):
+            for bits in (3, 7):
+                est = phase_estimate(spec, CountingConfig(bits=bits), initial_state=state)
+                literal = dense_circuit_distribution(spec, bits, state)
+                assert est.success_prob is None
+                assert np.max(np.abs(est.distribution - literal)) < 1e-12
+        # Marking as many branches as the preparation does not make a state
+        # the preparation: this one's mass is all off the plane, half marked
+        # at y = 0 and half unmarked at y = n/2, and the lower tie reads t = 0.
+        moved = xor_register(prepare_joint(PAIRS), DATA_B, 3)
+        for bits in (None, 3, 12):
+            est = phase_estimate(PAIRS, CountingConfig(bits=bits), initial_state=moved)
+            assert (est.y, est.t_rounded, est.success_prob) == (0, 0, None)
 
     def test_a_count_with_no_state_builds_nothing(self, monkeypatch, states_built):
         # t = |A ∩ B| and K = M * N come from the tables.
@@ -823,53 +879,23 @@ class TestPhaseEstimate:
             assert phase_estimate(spec).t_rounded == t
         assert states_built == []
 
-    def test_a_held_state_that_is_not_the_preparation_is_refused(self):
-        # Both pairs of A = B = (1, 2) match; with 1 XORed into Bob's data
-        # register none does, a uniform state on the spec's layout that
-        # read as the preparation gave t = 0 with success_prob 1.0.
-        spec = PreparationSpec(DataTable((1, 2), 2), DataTable((1, 2), 2))
-        held = xor_register(prepare_joint(spec), DATA_B, 1)
-        for state in (None, random_state(spec.layout(), np.random.default_rng(34))):
-            with pytest.raises(ValueError, match="marks 0 of 4 branches; the spec's "
-                                                 "tables match 2 of 4 pairs"):
-                phase_estimate(spec, initial_state=state, prepared=held)
-        # Disjoint tables mark no pair: a uniform state of 2 of the 4
-        # branches marks none either, but is not the preparation.
-        part = QuantumState.from_branches(DISJOINT.layout(),
-                                          prepare_joint(DISJOINT).indices[:2],
-                                          [2 ** -0.5] * 2)
-        with pytest.raises(ValueError, match="marks 0 of 2 branches"):
-            phase_estimate(DISJOINT, prepared=part)
-
-    def test_a_held_preparation_does_not_change_a_disturbed_count(self):
-        gen = np.random.default_rng(34)
-        for spec in [random_spec(gen) for _ in range(10)] + [WORKED, SINGLE]:
-            held = prepare_joint(spec)
-            states = [random_state(spec.layout(), gen), held]
-            for state in states + [OFF_PLANE] * (spec is WORKED):
-                alone = phase_estimate(spec, initial_state=state)
-                both = phase_estimate(spec, initial_state=state, prepared=held)
-                assert ((both.y, both.t_rounded, both.success_prob)
-                        == (alone.y, alone.t_rounded, alone.success_prob))
-                assert np.array_equal(both.distribution, alone.distribution)
-
 
 class TestExactRead:
     """The exact read is a pure function of the plane and the sizes, so
-    it is memoized on them; every estimate still makes its plane pass."""
+    it is memoized on them; every estimate still reads its own state."""
 
     def test_a_memoized_read_equals_a_cold_one(self):
         gen = np.random.default_rng(29)
         for _ in range(20):
             spec = random_spec(gen)
             prepared = prepare_joint(spec)
-            for state in (None, random_state(spec.layout(), gen)):
+            for state in (prepared, random_state(spec.layout(), gen)):
                 _exact_read.cache_clear()
-                cold = phase_estimate(spec, initial_state=state, prepared=prepared)
+                cold = phase_estimate(spec, initial_state=state)
                 # An equal copy of the state has the same plane: a hit.
-                copy = None if state is None else QuantumState.from_branches(
+                copy = QuantumState.from_branches(
                     state.layout, state.indices.copy(), state.values.copy())
-                hit = phase_estimate(spec, initial_state=copy, prepared=prepared)
+                hit = phase_estimate(spec, initial_state=copy)
                 assert _exact_read.cache_info()[:2] == (1, 1)
                 assert ((hit.y, hit.t_rounded, hit.success_prob)
                         == (cold.y, cold.t_rounded, cold.success_prob))
@@ -881,27 +907,29 @@ class TestExactRead:
                              ids=["circuit", "reduced"])
     def test_a_repeated_estimate_costs_only_the_plane_pass(self, engine, bits,
                                                            monkeypatch):
+        # A repeated honest estimate compares the held state with the
+        # preparation once and evaluates no outcome.
         cfg, held = CountingConfig(bits=bits), prepare_joint(WORKED)
-        phase_estimate(WORKED, cfg, prepared=held)
-        passes, evaluated = [], []
-        plane_of, probabilities = _Plane.of.__func__, _Plane.probabilities
+        phase_estimate(WORKED, cfg, initial_state=held)
+        compared, evaluated = [], []
+        is_preparation, probabilities = qgi.counting._is_preparation, _Plane.probabilities
 
-        def counted_of(cls, *args):
-            passes.append(args)
-            return plane_of(cls, *args)
+        def counted_comparison(*args):
+            compared.append(args)
+            return is_preparation(*args)
 
         def counted_probabilities(plane, *args):
             evaluated.append(args)
             return probabilities(plane, *args)
-        monkeypatch.setattr(_Plane, "of", classmethod(counted_of))
+        monkeypatch.setattr(qgi.counting, "_is_preparation", counted_comparison)
         monkeypatch.setattr(_Plane, "probabilities", counted_probabilities)
-        est = phase_estimate(WORKED, cfg, prepared=held)
+        est = phase_estimate(WORKED, cfg, initial_state=held)
         assert (est.engine, est.t_rounded) == (engine, 1)
-        assert (len(passes), len(evaluated)) == (1, 0)
+        assert (len(compared), len(evaluated)) == (1, 0)
         # With no state the plane comes from the tables: no pass at all.
-        passes.clear()
+        compared.clear()
         assert phase_estimate(WORKED, cfg).y == est.y
-        assert (len(passes), len(evaluated)) == (0, 0)
+        assert (len(compared), len(evaluated)) == (0, 0)
 
     # One pair, matching or not: theta is pi or 0, so both peaks sit exactly
     # on y = n/2 or on y = 0, and at 27 bits 2^26 outcomes decode to each count.
@@ -921,11 +949,13 @@ class TestExactRead:
         assert sum(evaluated) <= 24
 
     def test_a_memoized_plane_still_checks_each_preparation(self, worked_scenes):
+        # With the honest read memoized, a state that is not the preparation
+        # is still read as itself, not as a hit of the honest entry.
         honest = run_protocol(*worked_scenes)
         assert (honest.verdict, _exact_read.cache_info().currsize) == (Verdict.INTERSECT, 1)
         skewed = random_state(WORKED.layout(), np.random.default_rng(8))
-        with pytest.raises(ValueError, match="not uniform"):
-            phase_estimate(WORKED, prepared=skewed)
+        assert phase_estimate(WORKED, initial_state=skewed).success_prob is None
+        assert _exact_read.cache_info().currsize == 2
         tampered = run_protocol(*worked_scenes,
                                 adversary=AdversaryStrategy.parse("bob-tamper:1"))
         assert (tampered.verdict, tampered.estimate) == (Verdict.ABORT, None)
@@ -936,12 +966,12 @@ class TestExactRead:
         # under the ``circuit`` name; a table of 2^16 outcomes an entry
         # would keep 64 MiB once the estimates are gone.
         smallest = PreparationSpec(DataTable((1,), 1), DataTable((1,), 1))
-        cfg, prepared = CountingConfig(bits=16), prepare_joint(smallest)
+        cfg = CountingConfig(bits=16)
         gen = np.random.default_rng(41)
         entries = _exact_read.cache_info().maxsize
         tracemalloc.start()
         try:
-            estimates = [phase_estimate(smallest, cfg, prepared=prepared,
+            estimates = [phase_estimate(smallest, cfg,
                                         initial_state=random_state(smallest.layout(), gen))
                          for _ in range(entries)]
             assert {est.engine for est in estimates} == {"circuit"}

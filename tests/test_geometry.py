@@ -71,15 +71,22 @@ class TestRasterize:
 
     # Each would coerce silently if built: Rect(0, 0, 1.5, 1) rasterizes a
     # third row, GridConfig(2.5, 4) has 10.0 cells, GridConfig(4, 4.0) fails
-    # only in a run on its table, and a cell True rasterizes to (True,).
-    @pytest.mark.parametrize("build, path", [
-        (lambda: Rect(0, 0, 1.5, 1), "rect.r1"),
-        (lambda: GridConfig(2.5, 4), "grid.rows"),
-        (lambda: GridConfig(4, 4.0), "grid.cols"),
-        (lambda: Scene(GridConfig(4, 4), cells=(True,)), "cells[0]"),
-    ], ids=["rect-float", "grid-float-rows", "grid-float-cols", "cell-bool"])
-    def test_scene_values_must_be_ints(self, build, path):
-        with pytest.raises(ValueError, match=rf"^{re.escape(path)} must be an integer"):
+    # only in a run on its table, and a cell True rasterizes to (True,).  A
+    # grid or rectangle given as a plain tuple raised AttributeError.
+    @pytest.mark.parametrize("build, reason", [
+        (lambda: Rect(0, 0, 1.5, 1), "rect.r1 must be an integer"),
+        (lambda: GridConfig(2.5, 4), "grid.rows must be an integer"),
+        (lambda: GridConfig(4, 4.0), "grid.cols must be an integer"),
+        (lambda: Scene(GridConfig(4, 4), cells=(True,)), "cells[0] must be an integer"),
+        (lambda: Scene(GridConfig(4, 4), rects=((0, 0, 1, 1),)),
+         "rects[0] must be a Rect, got (0, 0, 1, 1)"),
+        (lambda: Scene((4, 4), cells=(3,)), "grid must be a GridConfig, got (4, 4)"),
+        (lambda: Scene((4, 4), rects=(Rect(0, 0, 1, 1),)),
+         "grid must be a GridConfig, got (4, 4)"),
+    ], ids=["rect-float", "grid-float-rows", "grid-float-cols", "cell-bool",
+            "rect-tuple", "grid-tuple-cells", "grid-tuple-rects"])
+    def test_scene_values_must_be_ints(self, build, reason):
+        with pytest.raises(ValueError, match=rf"^{re.escape(reason)}"):
             build()
 
 

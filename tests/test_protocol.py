@@ -185,6 +185,20 @@ class TestAdversaries:
             assert attack.detail["data_outcome"] == \
                 table[attack.detail["address_outcome"]]
 
+    def test_an_attack_that_leaves_the_preparation_counts_as_honest(self, grid4):
+        # Bob's measurement of a one-cell message, or Alice's of a one-pair
+        # XOR, is certain and leaves the preparation as it was: the run
+        # counts it as the honest run does, success probability included.
+        cell = Scene(grid4, cells=(6,))
+        bob = Scene(grid4, rects=(Rect(1, 1, 2, 2),))
+        for scenes, attack in (((cell, bob), Attack.BOB_MEASURE_ALL),
+                               ((cell, bob), Attack.BOB_MEASURE_DATA),
+                               ((cell, cell), Attack.ALICE_MEASURE_RESULT)):
+            honest = run_protocol(*scenes).estimate.to_dict()
+            attacked = run_protocol(*scenes, adversary=AdversaryStrategy(attack), seed=1)
+            assert honest["success_prob"] is not None
+            assert attacked.estimate.to_dict() == honest
+
     def test_alice_measure_result_records_an_xor(self, worked_scenes):
         adversary = AdversaryStrategy(Attack.ALICE_MEASURE_RESULT)
         transcript = run_protocol(*worked_scenes, adversary=adversary, seed=9)
@@ -592,7 +606,7 @@ class TestOnePreparationPerRun:
         original, seen = qgi.protocol.phase_estimate, {}
 
         def probed(spec, cfg=None, **kwargs):
-            held = kwargs["prepared"]
+            held = kwargs["initial_state"]
             seen["extra"] = (tracemalloc.get_traced_memory()[0] - base
                              - held.indices.nbytes - held.values.nbytes)
             seen["index_bytes"] = held.indices.nbytes
