@@ -27,7 +27,7 @@ The engine name records the run's size class and nothing else:
 ``CIRCUIT_AUTO_LIMIT``, within the qubit budget, and ``reduced``
 otherwise.  Both names take the one evaluation path above, so they give
 bit-identical distributions and estimates.  The formula is within 1e-12
-of the literal dense circuit up to 9 counting bits.  At 12 bits, against
+of the literal circuit up to 9 counting bits.  At 12 bits, against
 a 40-digit reference, it is off by under 1e-14 on the worked, a disjoint
 and a 3x3-overlap spec, and by up to 6.3e-14 over 150 random specs, on
 one with t/K = 1/3.
@@ -417,8 +417,9 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     from the tables, and it reports no ``success_prob``, as the true count
     is then undefined.  The engine name does not depend on the state.
     Sample mode draws the outcome from ``rng``, the run's generator, and
-    needs one.  No estimate holds an outcome table: ``distribution``
-    evaluates every outcome when read.
+    needs one; its ``distribution`` is the table it drew from.  An exact
+    estimate holds no outcome table: ``distribution`` evaluates every
+    outcome when read.
     """
     cfg = cfg or CountingConfig()
     if cfg.mode == "sample" and rng is None:
@@ -434,6 +435,7 @@ def phase_estimate(spec: PreparationSpec, cfg: CountingConfig | None = None,
     if cfg.mode == "sample":
         probs = outcomes()
         y, success = int(rng.choice(size, p=probs / probs.sum())), None
+        outcomes = lambda: probs
     else:
         y, success = _exact_read(plane, search_space, bits, honest)
 

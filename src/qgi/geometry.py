@@ -71,6 +71,9 @@ class Scene:
     def __post_init__(self):
         if not isinstance(self.grid, GridConfig):
             raise ValueError(f"grid must be a GridConfig, got {self.grid!r}")
+        for name in ("rects", "cells"):  # a list would make the scene unhashable
+            if not isinstance(getattr(self, name), tuple):
+                raise ValueError(f"{name} must be a tuple, got {getattr(self, name)!r}")
         for k, rect in enumerate(self.rects):
             if not isinstance(rect, Rect):
                 raise ValueError(f"rects[{k}] must be a Rect, got {rect!r}")

@@ -84,16 +84,11 @@ class AdversaryStrategy:
         if attack is Attack.BOB_TAMPER:
             if not arg:
                 raise ValueError("bob-tamper needs a mask, e.g. bob-tamper:1")
-            try:
-                # int() alone would also take spaces, signs, underscores
-                # and non-ASCII digits.
-                if not (arg.isascii() and arg.isdigit()):
-                    raise ValueError
-                mask = int(arg)
-            except ValueError:
-                raise ValueError(
-                    f"bob-tamper mask must be an integer, got {arg!r}") from None
-            return cls(attack, mask)
+            # int() alone would also take spaces, signs, underscores and
+            # non-ASCII digits.
+            if not (arg.isascii() and arg.isdigit()):
+                raise ValueError(f"bob-tamper mask must be an integer, got {arg!r}")
+            return cls(attack, int(arg))
         if colon:
             raise ValueError(f"{name} does not take an argument")
         return cls(attack)

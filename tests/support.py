@@ -11,7 +11,8 @@ from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, HONEST, Attack, DataTable,
                  oracle_xor, prepare_joint)
 from qgi.counting import _Plane
 from qgi.protocol import AliceParty, BobParty
-from qgi.state import project, register_distribution, xor_register
+from qgi.state import (align, project, reflect, register_distribution,
+                       xor_register)
 
 
 # Scene documents the parser refuses, with the reason it gives: a field
@@ -117,24 +118,25 @@ def staged_joint(spec: PreparationSpec) -> QuantumState:
     return oracle_load(state, ADDR_A, DATA_A, spec.table_a)
 
 
-def dense_circuit_distribution(spec, bits, initial) -> np.ndarray:
-    """Phase-estimation outcome distribution from the literal dense circuit.
+def literal_circuit_distribution(spec, bits, initial) -> np.ndarray:
+    """Phase-estimation outcome distribution from the literal circuit.
 
-    Every row G^z |initial> spans all 2^data basis states: S is a dense
-    sign vector over the layout and the reflection uses the dense
-    preparation.  The inverse Fourier transform acts on the counting index.
+    G = (2|psi><psi| - I) S never leaves the span of the counted state's
+    branches and the preparation's: S is diagonal and the reflection adds
+    a multiple of |psi> (Brassard, Hoyer, Mosca and Tapp,
+    arXiv:quant-ph/0005055, section 4).  So each row G^z |initial> is held
+    on the union of the two supports, S is the sign of Bob's data register
+    there and each step reflects about the preparation's amplitudes on it.
+    The inverse Fourier transform acts on the counting index.
     """
     size = 1 << bits
-    layout = spec.layout()
-    axis = prepare_joint(spec).amplitudes
-    signs = np.where(layout.index_values(DATA_B) == 0, -1.0, 1.0)
-    rows = np.empty((size, layout.dim), dtype=np.complex128)
-    current = initial.amplitudes.copy()
+    support, (current, axis) = align(initial, prepare_joint(spec))
+    signs = np.where(spec.layout().extract(support, DATA_B) == 0, -1.0, 1.0)
+    rows = np.empty((size, len(support)), dtype=np.complex128)
     for z in range(size):
         rows[z] = current
         if z + 1 < size:
-            flipped = current * signs
-            current = 2.0 * np.vdot(axis, flipped) * axis - flipped
+            current = reflect(current * signs, axis)
     transformed = np.fft.fft(rows, axis=0) / size
     return np.sum(np.abs(transformed) ** 2, axis=1)
 

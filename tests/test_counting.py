@@ -14,8 +14,8 @@ from qgi import (ADDR_A, ADDR_B, DATA_A, DATA_B, HONEST, QUBIT_BUDGET,
                  phase_estimate, prepare_joint, run_protocol)
 from qgi.counting import (CIRCUIT_AUTO_LIMIT, _exact_read, _Plane, _rounded_count,
                           _success_runs, plan_counting)
-from qgi.state import align, xor_register
-from support import (dense_circuit_distribution, dense_state, looked_up_plane,
+from qgi.state import xor_register
+from support import (dense_state, literal_circuit_distribution, looked_up_plane,
                      random_spec, random_state)
 
 EIGHT_OVER_PI_SQ = 8.0 / math.pi ** 2
@@ -102,7 +102,7 @@ def test_engine_equals_the_literal_circuit(engine, data):
     # circuit's powers and Fourier transform, on any counted state, at the
     # sizes each engine name covers.
     spec, bits, state = data.draw(counting_cases(engine))
-    literal = dense_circuit_distribution(spec, bits, state or prepare_joint(spec))
+    literal = literal_circuit_distribution(spec, bits, state or prepare_joint(spec))
     est = phase_estimate(spec, CountingConfig(bits=bits), initial_state=state)
     assert est.engine == engine
     assert np.max(np.abs(est.distribution - literal)) < 1e-12
@@ -160,7 +160,7 @@ def test_success_prob_is_the_literal_circuits_mass_on_the_true_count(case):
     # classical count; a disturbed state has none.
     spec, bits, state = case
     prepared = prepare_joint(spec)
-    literal = dense_circuit_distribution(spec, bits, prepared)
+    literal = literal_circuit_distribution(spec, bits, prepared)
     true_t = len(set(spec.table_a.entries) & set(spec.table_b.entries))
     decodes = np.array([_rounded_count(y, spec.size_k, bits) for y in range(1 << bits)])
     cfg = CountingConfig(bits=bits)
@@ -392,58 +392,27 @@ class TestGroverIterate:
         marked = psi.register_values(DATA_B) == 0
         assert abs(psi.branch_probabilities()[marked].sum() - 1 / 16) < 1e-12
 
-    def test_norm_preserved_on_random_states(self):
-        iterate = grover_iterate(WORKED)
-        gen = np.random.default_rng(99)
-        for _ in range(100):
-            state = random_state(WORKED.layout(), gen)
-            out = iterate.apply(state)
-            norm_sq = float(np.vdot(out.amplitudes, out.amplitudes).real)
-            assert abs(norm_sq - 1.0) < 1e-12
-
-    def test_inverse_composes_to_identity(self, rng):
-        # G^-1 = S G S: S and the reflection are both involutions.
-        iterate = grover_iterate(WORKED)
-        for _ in range(20):
-            state = random_state(WORKED.layout(), rng)
-            back = flip_marked(iterate.apply(flip_marked(iterate.apply(state))))
-            assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
-
     def test_raw_and_state_application_agree(self, rng):
-        # G = (2|psi><psi| - I) S as a dense matrix, on a 6-qubit instance.
-        spec = PreparationSpec(DataTable((1, 2), 2), DataTable((2, 3), 2))
-        layout = spec.layout()
-        iterate = grover_iterate(spec)
-        psi = iterate.prepared.amplitudes
-        signs = np.where(layout.index_values(DATA_B) == 0, -1.0, 1.0)
-        matrix = (2.0 * np.outer(psi, psi.conj()) - np.eye(layout.dim)) * signs
-        for _ in range(5):
-            state = random_state(layout, rng)
-            assert np.max(np.abs(iterate.apply(state).amplitudes
-                                 - matrix @ state.amplitudes)) < 1e-12
-            inverse = flip_marked(iterate.apply(flip_marked(state)))
-            assert np.max(np.abs(inverse.amplitudes
-                                 - matrix.conj().T @ state.amplitudes)) < 1e-12
-
-    def test_repeated_application_gives_the_circuit_distribution(self, rng):
-        # The FFT of the iterate's powers on the initial state, the literal
-        # circuit's rows, is the plane's closed form at every outcome.
-        bits = 4
-        for _ in range(5):
-            spec = random_spec(rng)
+        # G = (2|psi><psi| - I) S as a dense matrix, and G^-1 = S G S as its
+        # adjoint, on a 6-qubit instance and on six random specs of 3 value
+        # bits and 1-4 entries a table, at most 10 qubits; a table of 3
+        # leaves an address past its end.  Each random spec is drawn once the
+        # one before it is checked, so the 6-qubit instance keeps its states.
+        fixed = PreparationSpec(DataTable((1, 2), 2), DataTable((2, 3), 2))
+        for spec in (random_spec(rng, 3, 4) if k else fixed for k in range(7)):
+            layout = spec.layout()
+            assert layout.total_qubits <= 10
             iterate = grover_iterate(spec)
-            initial = random_state(spec.layout(), rng)
-            support = align(initial, iterate.prepared)[0]
-            rows = np.zeros((1 << bits, len(support)), dtype=np.complex128)
-            state = initial
-            for z in range(1 << bits):
-                rows[z, np.searchsorted(support, state.indices)] = state.values
-                state = iterate.apply(state)
-            probs = np.sum(np.abs(np.fft.fft(rows, axis=0) / (1 << bits)) ** 2,
-                           axis=1)
-            closed = phase_estimate(spec, CountingConfig(bits=bits),
-                                    initial_state=initial).distribution
-            assert np.max(np.abs(probs - closed)) < 1e-12
+            psi = iterate.prepared.amplitudes
+            signs = np.where(layout.index_values(DATA_B) == 0, -1.0, 1.0)
+            matrix = (2.0 * np.outer(psi, psi.conj()) - np.eye(layout.dim)) * signs
+            for _ in range(5):
+                state = random_state(layout, rng)
+                assert np.max(np.abs(iterate.apply(state).amplitudes
+                                     - matrix @ state.amplitudes)) < 1e-12
+                inverse = flip_marked(iterate.apply(flip_marked(state)))
+                assert np.max(np.abs(inverse.amplitudes
+                                     - matrix.conj().T @ state.amplitudes)) < 1e-12
 
     def test_apply_keeps_only_nonzero_branches(self):
         # |psi> has 16 unmarked branches of amplitude 1/4.  With 12 of them
@@ -661,6 +630,22 @@ class TestPhaseEstimate:
         assert one.success_prob is None
         assert 0 <= other.y < 128
 
+    def test_a_sampled_distribution_is_the_table_drawn_from(self, monkeypatch):
+        # Reading a sampled estimate's distribution, as --verbose does,
+        # evaluates no outcome a second time.
+        evaluated, probabilities = [], _Plane.probabilities
+
+        def counted(plane, *args):
+            evaluated.append(args)
+            return probabilities(plane, *args)
+        monkeypatch.setattr(_Plane, "probabilities", counted)
+        est = phase_estimate(WORKED, CountingConfig(bits=12, mode="sample"),
+                             rng=np.random.default_rng(0))
+        assert len(est.distribution) == 1 << 12
+        assert len(evaluated) == 1
+        exact = phase_estimate(WORKED, CountingConfig(bits=12)).distribution
+        assert np.array_equal(est.distribution, exact)
+
     def test_sample_mode_needs_a_generator(self):
         with pytest.raises(ValueError, match="sample mode needs a generator"):
             phase_estimate(WORKED, CountingConfig(mode="sample"))
@@ -694,10 +679,10 @@ class TestPhaseEstimate:
             cases += [(spec, None), (spec, random_state(layout, gen)), (spec, sparse)]
         for spec, state in cases:
             est = phase_estimate(spec, CountingConfig(bits=bits), initial_state=state)
-            dense = dense_circuit_distribution(spec, bits, state or prepare_joint(spec))
+            literal = literal_circuit_distribution(spec, bits, state or prepare_joint(spec))
             assert est.engine == "circuit"
-            assert np.max(np.abs(est.distribution - dense)) < 1e-12
-            assert est.y == np.flatnonzero(dense >= dense.max() - 1e-12)[0]
+            assert np.max(np.abs(est.distribution - literal)) < 1e-12
+            assert est.y == np.flatnonzero(literal >= literal.max() - 1e-12)[0]
 
     def test_an_estimate_passes_over_the_support_once(self, monkeypatch,
                                                        worked_scenes):
@@ -781,7 +766,7 @@ class TestPhaseEstimate:
         assert (plane.a, plane.b) == (0, 0)
         assert abs(plane.off_marked + plane.off_unmarked - 1.0) < 1e-15
         est = phase_estimate(WORKED, CountingConfig(bits=7), initial_state=OFF_PLANE)
-        literal = dense_circuit_distribution(WORKED, 7, OFF_PLANE)
+        literal = literal_circuit_distribution(WORKED, 7, OFF_PLANE)
         assert np.max(np.abs(est.distribution - literal)) < 1e-12
 
     def test_circuit_peak_memory_stays_on_the_branches(self):
@@ -859,7 +844,7 @@ class TestPhaseEstimate:
                 (DISJOINT, part)):
             for bits in (3, 7):
                 est = phase_estimate(spec, CountingConfig(bits=bits), initial_state=state)
-                literal = dense_circuit_distribution(spec, bits, state)
+                literal = literal_circuit_distribution(spec, bits, state)
                 assert est.success_prob is None
                 assert np.max(np.abs(est.distribution - literal)) < 1e-12
         # Marking as many branches as the preparation does not make a state

@@ -72,7 +72,8 @@ class TestRasterize:
     # Each would coerce silently if built: Rect(0, 0, 1.5, 1) rasterizes a
     # third row, GridConfig(2.5, 4) has 10.0 cells, GridConfig(4, 4.0) fails
     # only in a run on its table, and a cell True rasterizes to (True,).  A
-    # grid or rectangle given as a plain tuple raised AttributeError.
+    # grid or rectangle given as a plain tuple raised AttributeError.  Rects
+    # and cells must be tuples: a list would leave the scene unhashable.
     @pytest.mark.parametrize("build, reason", [
         (lambda: Rect(0, 0, 1.5, 1), "rect.r1 must be an integer"),
         (lambda: GridConfig(2.5, 4), "grid.rows must be an integer"),
@@ -83,8 +84,13 @@ class TestRasterize:
         (lambda: Scene((4, 4), cells=(3,)), "grid must be a GridConfig, got (4, 4)"),
         (lambda: Scene((4, 4), rects=(Rect(0, 0, 1, 1),)),
          "grid must be a GridConfig, got (4, 4)"),
+        (lambda: Scene(GridConfig(4, 4), rects=Rect(0, 0, 1, 1)),
+         "rects must be a tuple, got Rect(r0=0, c0=0, r1=1, c1=1)"),
+        (lambda: Scene(GridConfig(4, 4), cells=3), "cells must be a tuple, got 3"),
+        (lambda: Scene(GridConfig(4, 4), cells=[3]), "cells must be a tuple, got [3]"),
     ], ids=["rect-float", "grid-float-rows", "grid-float-cols", "cell-bool",
-            "rect-tuple", "grid-tuple-cells", "grid-tuple-rects"])
+            "rect-tuple", "grid-tuple-cells", "grid-tuple-rects", "rects-one-rect",
+            "cells-int", "cells-list"])
     def test_scene_values_must_be_ints(self, build, reason):
         with pytest.raises(ValueError, match=rf"^{re.escape(reason)}"):
             build()
